@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Table II, Figures 1-5, Tables III-IV, the RQ summary boxes)
-   plus Bechamel micro-benchmarks of the interpreter and injector, and the
-   ablation studies called out in DESIGN.md.
+   and the ablation studies called out in DESIGN.md.  Performance is
+   measured by perfbench/ (see perfbench/README.md).
 
-   Usage:  main.exe [t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|perf|ablate|all]
+   Usage:  main.exe [t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|ablate|all]
 
    Every ONEBIT_* environment variable (N, SEED, PROGRAMS, CAP, PRUNE_N,
    JOBS, SHARD, STORE, PROGRESS, METRICS, TRACE) resolves through
@@ -348,481 +348,6 @@ let run_rq () =
     "RQ4: peak-SDC window <=5 dynamic instructions for %d/15 programs (read) vs %d/15 (write)\n"
     (Analysis.Rq.winsize_at_most rq.rq4_read_best_wins 5)
     (Analysis.Rq.winsize_at_most rq.rq4_write_best_wins 5);
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let run_perf () =
-  section "Performance micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let entry = Option.get (Bench_suite.Registry.find "crc32") in
-  let workload = Core.Workload.make ~name:"crc32" (entry.build ()) in
-  let golden_run_seed =
-    Test.make ~name:"golden-run(crc32,seed)"
-      (Staged.stage (fun () ->
-           ignore (Vm.Exec.run ~budget:Vm.Exec.golden_budget workload.prog)))
-  in
-  let golden_run_compiled =
-    Test.make ~name:"golden-run(crc32,compiled)"
-      (Staged.stage (fun () ->
-           ignore (Vm.Code.run ~budget:Vm.Exec.golden_budget workload.code)))
-  in
-  let one_exp tech name =
-    let counter = ref 0 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr counter;
-           let rng = Prng.of_seed (Int64.of_int !counter) in
-           ignore
-             (Core.Experiment.run workload
-                (Core.Spec.multi tech ~max_mbf:3 ~win:(Fixed 10))
-                rng)))
-  in
-  (* Non-register domains time-target on the dynamic axis instead of
-     read/write candidates; benchmarking them shows what Mem's byte
-     flips and Code's image forks cost per experiment. *)
-  let one_exp_domain domain name =
-    let counter = ref 0 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr counter;
-           let rng = Prng.of_seed (Int64.of_int !counter) in
-           ignore
-             (Core.Experiment.run workload
-                (Core.Spec.multi ~domain Core.Technique.Write ~max_mbf:3
-                   ~win:(Fixed 10))
-                rng)))
-  in
-  let tests =
-    [
-      golden_run_seed;
-      golden_run_compiled;
-      one_exp Core.Technique.Read "experiment(crc32,read,m=3)";
-      one_exp Core.Technique.Write "experiment(crc32,write,m=3)";
-      one_exp_domain Core.Domain.Mem "experiment(crc32,mem,m=3)";
-      one_exp_domain Core.Domain.Code "experiment(crc32,code,m=3)";
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.5) () in
-    let raw = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        Toolkit.Instance.monotonic_clock raw
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Bechamel.Analyze.OLS.estimates result with
-        | Some [ est ] -> Printf.printf "%-40s %12.0f ns/run\n" name est
-        | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-      results
-  in
-  List.iter
-    (fun t -> benchmark (Test.make_grouped ~name:"perf" [ t ]))
-    tests;
-  print_newline ();
-  (* -- decode-once pipeline vs the seed interpreter -- *)
-  let pipeline_progs = [ "crc32"; "qsort"; "fft" ] in
-  section "Compiled pipeline: golden-run interpreter throughput, seed vs compiled";
-  (* Time-boxed repetition: run each backend for ~0.5s of wall clock and
-     report dynamic instructions per second. *)
-  let rate run =
-    ignore (run ()) (* warm-up *);
-    let t0 = Unix.gettimeofday () in
-    let instrs = ref 0 in
-    while Unix.gettimeofday () -. t0 < 0.5 do
-      instrs := !instrs + (run () : Vm.Exec.result).dyn_count
-    done;
-    float_of_int !instrs /. (Unix.gettimeofday () -. t0)
-  in
-  Printf.printf "%-10s %14s %14s %9s\n" "program" "seed instr/s"
-    "compiled" "speedup";
-  List.iter
-    (fun name ->
-      let e = Option.get (Bench_suite.Registry.find name) in
-      let p = Vm.Program.load (e.build ()) in
-      let code = Vm.Code.compile p in
-      let seed_rate =
-        rate (fun () -> Vm.Exec.run ~budget:Vm.Exec.golden_budget p)
-      in
-      let comp_rate =
-        rate (fun () -> Vm.Code.run ~budget:Vm.Exec.golden_budget code)
-      in
-      Printf.printf "%-10s %14.3e %14.3e %8.2fx\n" name seed_rate comp_rate
-        (comp_rate /. seed_rate))
-    pipeline_progs;
-  print_newline ();
-  section "Compiled pipeline: end-to-end campaign wall-clock, seed vs compiled";
-  let saved_backend = Core.Config.active_backend () in
-  let ck_saved_on = Core.Config.checkpointing ()
-  and ck_saved_k = Core.Config.checkpoint_interval () in
-  (* Checkpointing off here: this table isolates decode-once vs the seed
-     interpreter; prefix reuse is measured separately below. *)
-  Core.Config.set_checkpoint false;
-  let pipeline_spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
-  let n_pipeline = 300 in
-  Printf.printf "%-10s %10s %10s %9s   (%s over %d experiments)\n" "program"
-    "seed" "compiled" "speedup"
-    (Core.Spec.label pipeline_spec)
-    n_pipeline;
-  List.iter
-    (fun name ->
-      let e = Option.get (Bench_suite.Registry.find name) in
-      let w =
-        Core.Workload.make ~name ~expected_output:(e.reference ())
-          (e.build ())
-      in
-      let campaign backend =
-        Core.Config.set_backend backend;
-        let t0 = Unix.gettimeofday () in
-        let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      ignore (campaign Core.Config.Compiled) (* warm-up *);
-      let seed_t, seed_r = campaign Core.Config.Seed in
-      let comp_t, comp_r = campaign Core.Config.Compiled in
-      Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name seed_t comp_t
-        (seed_t /. comp_t)
-        (if Core.Campaign.equal_result seed_r comp_r then
-           "bit-identical results"
-         else "!! MISMATCH"))
-    pipeline_progs;
-  Core.Config.set_backend saved_backend;
-  print_newline ();
-  section "Checkpointed prefix reuse: campaign wall-clock, checkpoint off vs on";
-  Printf.printf "%-10s %10s %10s %9s   (%s over %d experiments)\n" "program"
-    "off" "on" "speedup"
-    (Core.Spec.label pipeline_spec)
-    n_pipeline;
-  let ck_rows =
-    List.map
-      (fun name ->
-        let e = Option.get (Bench_suite.Registry.find name) in
-        let w =
-          Core.Workload.make ~name ~expected_output:(e.reference ())
-            (e.build ())
-        in
-        let campaign on =
-          Core.Config.set_checkpoint on;
-          let t0 = Unix.gettimeofday () in
-          let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-          (Unix.gettimeofday () -. t0, r)
-        in
-        (* Warm-up also records the checkpoint set, so the timed "on" run
-           measures steady-state reuse, not the one-off recording. *)
-        ignore (campaign true);
-        let off_t, off_r = campaign false in
-        let on_t, on_r = campaign true in
-        let identical = Core.Campaign.equal_result off_r on_r in
-        Printf.printf "%-10s %9.2fs %9.2fs %8.2fx   %s\n" name off_t on_t
-          (off_t /. on_t)
-          (if identical then "bit-identical results" else "!! MISMATCH");
-        (name, off_t, on_t, identical))
-      pipeline_progs
-  in
-  Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
-  let ck_points, ck_restores = Vm.Checkpoint.stats () in
-  (let oc = open_out "BENCH_5.json" in
-   Printf.fprintf oc
-     "{\n\
-     \  \"pr\": 5,\n\
-     \  \"bench\": \"campaign_wall_clock_checkpoint\",\n\
-     \  \"spec\": %S,\n\
-     \  \"n\": %d,\n\
-     \  \"seed\": 5,\n\
-     \  \"checkpoints_recorded\": %d,\n\
-     \  \"restores\": %d,\n\
-     \  \"programs\": [\n"
-     (Core.Spec.label pipeline_spec)
-     n_pipeline ck_points ck_restores;
-   List.iteri
-     (fun i (name, off_t, on_t, identical) ->
-       Printf.fprintf oc
-         "    {\"program\": %S, \"off_s\": %.4f, \"on_s\": %.4f, \
-          \"speedup\": %.3f, \"bit_identical\": %b}%s\n"
-         name off_t on_t (off_t /. on_t) identical
-         (if i = List.length ck_rows - 1 then "" else ","))
-     ck_rows;
-   output_string oc "  ]\n}\n";
-   close_out oc);
-  Printf.printf "(wrote BENCH_5.json)\n";
-  print_newline ();
-  section "Suffix batching: campaign wall-clock, batch off vs on (checkpoint on)";
-  Printf.printf "%-10s %10s %10s %9s %12s %12s   (%s over %d experiments)\n"
-    "program" "off" "on" "speedup" "full(off)" "full(on)"
-    (Core.Spec.label pipeline_spec)
-    n_pipeline;
-  let batch_saved = Core.Config.batching () in
-  Core.Config.set_checkpoint true;
-  let groups0, members0 = Core.Batch.stats () in
-  let batch_rows =
-    List.map
-      (fun name ->
-        let e = Option.get (Bench_suite.Registry.find name) in
-        let w =
-          Core.Workload.make ~name ~expected_output:(e.reference ())
-            (e.build ())
-        in
-        let campaign batch =
-          Core.Config.set_batch batch;
-          let f0, u0 = Vm.Memory.restore_stats () in
-          let t0 = Unix.gettimeofday () in
-          let r = Core.Campaign.run w pipeline_spec ~n:n_pipeline ~seed:5L in
-          let t = Unix.gettimeofday () -. t0 in
-          let f1, u1 = Vm.Memory.restore_stats () in
-          (t, r, f1 - f0, u1 - u0)
-        in
-        (* Warm-up records the checkpoint set outside the timed runs. *)
-        ignore (campaign true);
-        let off_t, off_r, off_full, _ = campaign false in
-        let on_t, on_r, on_full, on_undo = campaign true in
-        let identical = Core.Campaign.equal_result off_r on_r in
-        Printf.printf "%-10s %9.2fs %9.2fs %8.2fx %12d %12d   %s\n" name off_t
-          on_t (off_t /. on_t) off_full on_full
-          (if identical then "bit-identical results" else "!! MISMATCH");
-        (name, off_t, on_t, off_full, on_full, on_undo, identical))
-      pipeline_progs
-  in
-  let groups1, members1 = Core.Batch.stats () in
-  Core.Config.set_batch batch_saved;
-  Core.Config.set_checkpoint ~interval:ck_saved_k ck_saved_on;
-  let groups = groups1 - groups0 and members = members1 - members0 in
-  Printf.printf
-    "groups=%d  batched experiments=%d  mean group size=%.1f\n" groups members
-    (if groups = 0 then 0. else float_of_int members /. float_of_int groups);
-  (let oc = open_out "BENCH_9.json" in
-   let total_off = List.fold_left (fun a (_, _, _, f, _, _, _) -> a + f) 0 batch_rows
-   and total_on = List.fold_left (fun a (_, _, _, _, f, _, _) -> a + f) 0 batch_rows in
-   Printf.fprintf oc
-     "{\n\
-     \  \"pr\": 9,\n\
-     \  \"bench\": \"campaign_wall_clock_suffix_batching\",\n\
-     \  \"spec\": %S,\n\
-     \  \"n\": %d,\n\
-     \  \"seed\": 5,\n\
-     \  \"full_restores_unbatched\": %d,\n\
-     \  \"full_restores_batched\": %d,\n\
-     \  \"restore_reduction\": %.2f,\n\
-     \  \"groups\": %d,\n\
-     \  \"batched_experiments\": %d,\n\
-     \  \"mean_group_size\": %.2f,\n\
-     \  \"programs\": [\n"
-     (Core.Spec.label pipeline_spec)
-     n_pipeline total_off total_on
-     (if total_on = 0 then 0.
-      else float_of_int total_off /. float_of_int total_on)
-     groups members
-     (if groups = 0 then 0. else float_of_int members /. float_of_int groups);
-   List.iteri
-     (fun i (name, off_t, on_t, off_full, on_full, on_undo, identical) ->
-       Printf.fprintf oc
-         "    {\"program\": %S, \"off_s\": %.4f, \"on_s\": %.4f, \
-          \"speedup\": %.3f, \"full_restores_off\": %d, \
-          \"full_restores_on\": %d, \"undo_resets_on\": %d, \
-          \"bit_identical\": %b}%s\n"
-         name off_t on_t (off_t /. on_t) off_full on_full on_undo identical
-         (if i = List.length batch_rows - 1 then "" else ","))
-     batch_rows;
-   output_string oc "  ]\n}\n";
-   close_out oc);
-  Printf.printf "(wrote BENCH_9.json)\n";
-  print_newline ();
-  section
-    "Adaptive sequential sampling: fixed-N grid vs CI-targeted rounds";
-  (* The mini-grid of the adaptive study: three programs x three fault
-     domains, one cell per pair.  The fixed-N baseline spends the cap on
-     every cell; the adaptive sampler stops each cell at the first shard
-     boundary whose SDC Wilson half-width reaches the target, and every
-     experiment it runs is the fixed-N campaign's prefix. *)
-  let adaptive_cap = 600 and adaptive_target = 0.06 in
-  let adaptive_progs = [ "crc32"; "qsort"; "nn" ] in
-  let adaptive_domains =
-    [ Core.Domain.Reg; Core.Domain.Mem; Core.Domain.Code ]
-  in
-  let adaptive_cells =
-    List.concat_map
-      (fun name ->
-        let e = Option.get (Bench_suite.Registry.find name) in
-        let w =
-          Core.Workload.make ~name ~expected_output:(e.reference ())
-            (e.build ())
-        in
-        List.map
-          (fun domain ->
-            {
-              Engine.Adaptive.c_workload = w;
-              c_spec = Core.Spec.single ~domain Read;
-              c_cap = adaptive_cap;
-              c_seed = 5L;
-            })
-          adaptive_domains)
-      adaptive_progs
-  in
-  let t0 = Unix.gettimeofday () in
-  let fixed_results =
-    List.map
-      (fun (c : Engine.Adaptive.cell) ->
-        Engine.run_campaign ~jobs:1 c.c_workload c.c_spec ~n:c.c_cap
-          ~seed:c.c_seed)
-      adaptive_cells
-  in
-  let fixed_t = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let adaptive_results, adaptive_stats =
-    Engine.Adaptive.run_grid ~jobs:1 ~target:adaptive_target adaptive_cells
-  in
-  let adaptive_t = Unix.gettimeofday () -. t0 in
-  Printf.printf "%-10s %-6s %8s %9s %8s %6s   (target +/-%g, cap %d)\n"
-    "program" "domain" "fixed-N" "adaptive" "hw" "met" adaptive_target
-    adaptive_cap;
-  let adaptive_rows =
-    List.map2
-      (fun (cr : Engine.Adaptive.cell_result) fixed ->
-        (* The prefix assert: the adaptive cell's merged result must be
-           byte-identical to a fixed-N campaign of the stopping N. *)
-        let prefix =
-          Engine.run_campaign ~jobs:1 cr.r_cell.c_workload cr.r_cell.c_spec
-            ~n:cr.r_closed_at ~seed:cr.r_cell.c_seed
-        in
-        let identical = Core.Campaign.equal_result prefix cr.r_result in
-        let hw =
-          Stats.Proportion.(
-            half_width
-              (wilson ~successes:cr.r_result.Core.Campaign.sdc
-                 ~trials:cr.r_result.Core.Campaign.n ()))
-        in
-        ignore fixed;
-        Printf.printf "%-10s %-6s %8d %9d %8.4f %6s   %s\n"
-          cr.r_cell.c_workload.Core.Workload.name
-          (Core.Domain.to_string cr.r_cell.c_spec.Core.Spec.domain)
-          adaptive_cap cr.r_closed_at hw
-          (if cr.r_met then "yes" else "no")
-          (if identical then "bit-identical prefix" else "!! MISMATCH");
-        (cr, hw, identical))
-      adaptive_results fixed_results
-  in
-  let total_fixed = adaptive_cap * List.length adaptive_cells in
-  let total_adaptive =
-    List.fold_left
-      (fun a (cr, _, _) -> a + cr.Engine.Adaptive.r_closed_at)
-      0 adaptive_rows
-  in
-  let exp_ratio = float_of_int total_fixed /. float_of_int total_adaptive in
-  Printf.printf
-    "experiments: fixed-N %d, adaptive %d (%.2fx fewer, %d saved)\n"
-    total_fixed total_adaptive exp_ratio adaptive_stats.g_saved;
-  Printf.printf "wall-clock:  fixed-N %.2fs, adaptive %.2fs (%.2fx)\n" fixed_t
-    adaptive_t (fixed_t /. adaptive_t);
-  (let oc = open_out "BENCH_10.json" in
-   Printf.fprintf oc
-     "{\n\
-     \  \"pr\": 10,\n\
-     \  \"bench\": \"adaptive_vs_fixed_n\",\n\
-     \  \"ci_target\": %g,\n\
-     \  \"cap\": %d,\n\
-     \  \"seed\": 5,\n\
-     \  \"rounds\": %d,\n\
-     \  \"experiments_fixed\": %d,\n\
-     \  \"experiments_adaptive\": %d,\n\
-     \  \"experiments_saved\": %d,\n\
-     \  \"experiment_ratio\": %.3f,\n\
-     \  \"fixed_s\": %.4f,\n\
-     \  \"adaptive_s\": %.4f,\n\
-     \  \"wall_clock_ratio\": %.3f,\n\
-     \  \"cells\": [\n"
-     adaptive_target adaptive_cap adaptive_stats.g_rounds total_fixed
-     total_adaptive adaptive_stats.g_saved exp_ratio fixed_t adaptive_t
-     (fixed_t /. adaptive_t);
-   List.iteri
-     (fun i ((cr : Engine.Adaptive.cell_result), hw, identical) ->
-       Printf.fprintf oc
-         "    {\"program\": %S, \"domain\": %S, \"cap\": %d, \
-          \"closed_at\": %d, \"half_width\": %.5f, \"met\": %b, \
-          \"prefix_bit_identical\": %b}%s\n"
-         cr.r_cell.c_workload.Core.Workload.name
-         (Core.Domain.to_string cr.r_cell.c_spec.Core.Spec.domain)
-         adaptive_cap cr.r_closed_at hw cr.r_met identical
-         (if i = List.length adaptive_rows - 1 then "" else ","))
-     adaptive_rows;
-   output_string oc "  ]\n}\n";
-   close_out oc);
-  Printf.printf "(wrote BENCH_10.json)\n";
-  print_newline ();
-  section "Engine scaling: one campaign, sequential vs parallel";
-  let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
-  let n = 800 in
-  let time jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = Engine.run_campaign ~jobs workload spec ~n ~seed:7L in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let cores = Domain.recommended_domain_count () in
-  let seq_t, seq_r = time 1 in
-  Printf.printf "jobs=1   %6.2fs  (sdc=%d, %d core%s available)\n" seq_t
-    seq_r.sdc cores
-    (if cores = 1 then "" else "s");
-  List.iter
-    (fun jobs ->
-      let par_t, par_r = time jobs in
-      Printf.printf "jobs=%-3d %6.2fs  speedup x%.2f  (%s)%s\n" jobs par_t
-        (seq_t /. par_t)
-        (if Core.Campaign.equal_result seq_r par_r then
-           "bit-identical to sequential"
-         else "!! MISMATCH")
-        (if jobs > cores then "  [oversubscribed]" else ""))
-    [ 2; 4; 8 ];
-  print_newline ();
-  section "Observability overhead: Table III grid with collection off vs on";
-  (* The t3 workload shape: the full 91-spec read grid on one program.
-     Results must be bit-identical with collection on or off, and the
-     overhead of the (enabled) instrumentation should stay under ~2% —
-     the disabled probes are strictly cheaper still (one atomic load and
-     a branch each). *)
-  let specs = Core.Table1.specs Core.Technique.Read in
-  let n_obs = 25 in
-  let grid () =
-    List.map (fun spec -> Core.Campaign.run workload spec ~n:n_obs ~seed:11L)
-      specs
-  in
-  let was_enabled = Obs.enabled () in
-  (* Interleave the off/on repetitions so clock drift (thermal, noisy
-     neighbours, GC state) hits both sides alike, and take the best of
-     each: the minimum is the least-disturbed run. *)
-  let timed enabled =
-    Obs.set_enabled enabled;
-    let t0 = Unix.gettimeofday () in
-    let r = grid () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  ignore (timed false) (* warm-up *);
-  let reps = 5 in
-  let off_t = ref infinity and on_t = ref infinity in
-  let off_r = ref None and on_r = ref None in
-  for _ = 1 to reps do
-    let t, r = timed false in
-    if t < !off_t then off_t := t;
-    off_r := Some r;
-    let t, r = timed true in
-    if t < !on_t then on_t := t;
-    on_r := Some r
-  done;
-  Obs.set_enabled was_enabled;
-  let off_t = !off_t and on_t = !on_t in
-  let off_r = Option.get !off_r and on_r = Option.get !on_r in
-  let identical = List.for_all2 Core.Campaign.equal_result off_r on_r in
-  let overhead = 100. *. (on_t -. off_t) /. off_t in
-  Printf.printf "off: %.3fs   on: %.3fs   (%d campaigns x %d experiments)\n"
-    off_t on_t (List.length specs) n_obs;
-  Printf.printf "results: %s\n"
-    (if identical then "bit-identical with collection on and off"
-     else "!! MISMATCH: collection influenced campaign results");
-  Printf.printf "enabled-collection overhead: %+.2f%%  %s\n" overhead
-    (if overhead < 2.0 then "(OK, target < 2%)"
-     else "(!! above the ~2% target)");
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1233,8 +758,8 @@ let run_fleet () =
 (* ------------------------------------------------------------------ *)
 
 let print_cache_stats () =
-  let s = Core.Runner.cache_stats (Lazy.force runner) in
-  Printf.printf "# cache: %s\n" (Core.Runner.pp_stats s);
+  Printf.printf "# cache: %s\n"
+    (Obs.Snapshot.pp (Core.Runner.snapshot (Lazy.force runner)));
   match store with
   | Some st ->
       let ss = Store.stats st in
@@ -1269,7 +794,7 @@ let () =
       (* Force the study eagerly so its banner precedes the section
          headers. *)
       (match cmd with
-      | "perf" | "incremental" | "fleet" -> ()
+      | "incremental" | "fleet" -> ()
       | _ -> ignore (Lazy.force study));
       match cmd with
       | "t2" -> run_t2 ()
@@ -1287,13 +812,12 @@ let () =
       | "prune-static" -> run_prune_static ()
       | "incremental" -> run_incremental ()
       | "fleet" -> run_fleet ()
-      | "perf" -> run_perf ()
       | "ablate" -> run_ablate ()
       | "all" -> run_all ()
       | other ->
           Printf.eprintf
             "unknown command %s (expected \
-             t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|perf|ablate|all)\n"
+             t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|ablate|all)\n"
             other;
           exit 2);
   (match store with Some st -> Store.close st | None -> ());

@@ -504,12 +504,7 @@ let reproduce_cmd =
       (Core.Spec.label spec) program n seed;
     Printf.printf "backend:    %s\n"
       (Core.Config.backend_name (Core.Config.active_backend ()));
-    (* The campaign above honours ONEBIT_BATCH; the replay never does —
-       [run_raw ~checkpoint:false] executes one experiment from the top,
-       outside the batch scheduler, whatever the environment says. *)
-    Printf.printf
-      "replay:     unbatched full execution (checkpoint restore and suffix \
-       batching bypassed)\n";
+    Printf.printf "replay:     full execution (checkpoint restore bypassed)\n";
     Printf.printf "domain:     %s\n"
       (Core.Domain.to_string spec.Core.Spec.domain);
     Printf.printf "outcome:    %s\n" (Core.Outcome.to_string outcome);
@@ -573,8 +568,9 @@ let reproduce_cmd =
           count, first injection, dynamic length, output) and that every \
           injection landed in the requested fault domain.  Prints which \
           execution backend, replay path and domain produced the result — \
-          the replay always runs unbatched from the top, regardless of \
-          ONEBIT_BATCH/ONEBIT_CHECKPOINT; exits 1 on divergence.")
+          the replay always runs from the top, never from a golden-prefix \
+          checkpoint; with ONEBIT_BACKEND=seed both the campaign and the \
+          replay run on the reference interpreter.  Exits 1 on divergence.")
     Term.(
       const run $ program_arg $ domain_arg $ technique_arg $ mbf_arg $ win_arg
       $ n_arg $ seed_arg $ index_arg)

@@ -1,50 +1,8 @@
-(** Checkpoint-tree suffix batching: plan-then-run experiment groups.
+(** Suffix-batching counters.
 
-    An experiment's first-flip time is drawn at injector creation
-    ({!Injector.first_target}), so its golden-prefix restore point
-    ({!Vm.Checkpoint.select}) is known before anything runs.  The
-    planner sorts a shard's experiments by restore point into a single
-    event queue; consecutive experiments sharing a point form a group
-    that pays {e one} full page-restore ({!Vm.Memory.set_baseline}),
-    with O(dirty-page) baseline resets between members
-    ({!Vm.Memory.reset_to_baseline}).  Decoded micro-ops are shared by
-    construction (the digest-keyed decode cache); Code-domain members
-    still run private forks.
-
-    Results are byte-identical to the one-at-a-time path: each
-    experiment is a pure function of its private generator
-    ([Prng.split_at seed index]) and the memory image at its start,
-    and both paths produce exactly the selected point's image.  The
-    batch differential suite and the CI batching smoke enforce this. *)
-
-val run_indices :
-  ?spacing:[ `Faulty | `Golden ] ->
-  Workload.t ->
-  Spec.t ->
-  seed:int64 ->
-  indices:int array ->
-  Experiment.t array option
-(** Run the experiments with the given campaign indices as checkpoint
-    groups, returning results positionally (result [k] is experiment
-    [indices.(k)], regardless of execution order).  [None] when batching
-    does not apply — seed backend, checkpointing or batching disabled
-    ({!Config.batching}), or no checkpoint set for this workload — in
-    which case the caller falls back to {!Experiment.run} per index,
-    which is bit-identical. *)
-
-val run_indices_logged :
-  ?spacing:[ `Faulty | `Golden ] ->
-  Workload.t ->
-  Spec.t ->
-  seed:int64 ->
-  indices:int array ->
-  (Experiment.t * Injector.injection list) array option
-(** {!run_indices} but also returning each experiment's full injection
-    log — the batch differential suite compares these field-for-field
-    against unbatched runs. *)
+    Experiments run one at a time ({!Experiment.run}), so no experiment
+    is ever batched.  The benchmark's [batch.*] rows still read these
+    counters. *)
 
 val stats : unit -> int * int
-(** [(groups, batched experiments)] since process start; counted even
-    when metrics collection is disabled.  Obs mirrors:
-    [onebit_batch_groups_total], [onebit_batch_experiments_total] and
-    the [onebit_batch_group_size] histogram. *)
+(** [(groups, batched experiments)]: always [(0, 0)]. *)

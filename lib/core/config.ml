@@ -18,33 +18,6 @@ let backend_of_string s =
   | "compiled" | "code" | "vm" -> Some Compiled
   | _ -> None
 
-(* ONEBIT_CHECKPOINT accepts "on"/"off" (and the usual boolean spellings),
-   a bare positive interval ("512", implying on), or "on,512"/"off,512".
-   Anything else falls back to the default, like every other resolver. *)
-let checkpoint_of_string s =
-  let bool_tok = function
-    | "on" | "true" | "yes" | "1" -> Some true
-    | "off" | "false" | "no" | "0" -> Some false
-    | _ -> None
-  in
-  let int_tok t =
-    match int_of_string_opt t with Some k when k > 0 -> Some k | _ -> None
-  in
-  match
-    String.split_on_char ',' (String.lowercase_ascii (String.trim s))
-    |> List.map String.trim
-  with
-  | [ t ] -> (
-      match bool_tok t with
-      | Some b -> Some (b, None)
-      | None -> (
-          match int_tok t with Some k -> Some (true, Some k) | None -> None))
-  | [ t; k ] -> (
-      match (bool_tok t, int_tok k) with
-      | Some b, Some k -> Some (b, Some k)
-      | _ -> None)
-  | _ -> None
-
 type t = {
   n : int;
   seed : int64;
@@ -58,9 +31,6 @@ type t = {
   metrics : string option;
   trace : string option;
   backend : backend;
-  checkpoint : bool;
-  checkpoint_interval : int;
-  batch : bool;
   incremental : bool;
   coord : string option;
   lease_ttl : float;
@@ -83,9 +53,6 @@ let default =
     metrics = None;
     trace = None;
     backend = Compiled;
-    checkpoint = true;
-    checkpoint_interval = 1024;
-    batch = true;
     incremental = false;
     coord = None;
     lease_ttl = 30.;
@@ -141,22 +108,6 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       (match Option.bind (getenv "ONEBIT_BACKEND") backend_of_string with
       | Some b -> b
       | None -> default.backend);
-    checkpoint =
-      (match Option.bind (getenv "ONEBIT_CHECKPOINT") checkpoint_of_string with
-      | Some (on, _) -> on
-      | None -> default.checkpoint);
-    checkpoint_interval =
-      (match Option.bind (getenv "ONEBIT_CHECKPOINT") checkpoint_of_string with
-      | Some (_, Some k) -> k
-      | Some (_, None) | None -> default.checkpoint_interval);
-    batch =
-      (match getenv "ONEBIT_BATCH" with
-      | Some s -> (
-          match String.lowercase_ascii (String.trim s) with
-          | "on" | "true" | "yes" | "1" -> true
-          | "off" | "false" | "no" | "0" -> false
-          | _ -> default.batch)
-      | None -> default.batch);
     incremental =
       (match getenv "ONEBIT_INCREMENTAL" with
       | Some ("1" | "true" | "yes" | "on") -> true
@@ -181,8 +132,8 @@ let of_env ?(getenv = Sys.getenv_opt) () =
   }
 
 let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
-    ?progress ?metrics ?trace ?backend ?checkpoint ?checkpoint_interval ?batch
-    ?incremental ?coord ?lease_ttl ?domain ?adaptive ?ci_target t =
+    ?progress ?metrics ?trace ?backend ?incremental ?coord ?lease_ttl ?domain
+    ?adaptive ?ci_target t =
   let opt v fallback = Option.value v ~default:fallback in
   {
     n = opt n t.n;
@@ -198,12 +149,6 @@ let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
     metrics = (match metrics with Some p -> Some p | None -> t.metrics);
     trace = (match trace with Some p -> Some p | None -> t.trace);
     backend = opt backend t.backend;
-    checkpoint = opt checkpoint t.checkpoint;
-    checkpoint_interval =
-      (match checkpoint_interval with
-      | Some k when k > 0 -> k
-      | Some _ | None -> t.checkpoint_interval);
-    batch = opt batch t.batch;
     incremental = opt incremental t.incremental;
     coord = (match coord with Some c -> Some c | None -> t.coord);
     lease_ttl =
@@ -233,50 +178,13 @@ let active_backend () =
       active := Some b;
       b
 
-(* Process-wide checkpointing switch, mirroring [active_backend]: what
-   [Experiment]/[Workload] consult when no configuration is threaded
-   through explicitly.  Lazily resolved from ONEBIT_CHECKPOINT. *)
-let ck_active = ref None
-
-let checkpoint_state () =
-  match !ck_active with
-  | Some st -> st
-  | None ->
-      let c = of_env () in
-      let st = (c.checkpoint, c.checkpoint_interval) in
-      ck_active := Some st;
-      st
-
-let set_checkpoint ?interval on =
-  let k =
-    match interval with
-    | Some k when k > 0 -> k
-    | Some _ | None -> snd (checkpoint_state ())
-  in
-  ck_active := Some (on, k)
-
-let checkpointing () = fst (checkpoint_state ())
-let checkpoint_interval () = snd (checkpoint_state ())
-
-(* Process-wide suffix-batching switch, same shape as the checkpoint
-   switch: lazily resolved from ONEBIT_BATCH, settable by flags/tests.
-   Batching is a pure scheduling change — results are byte-identical on
-   or off — so this only trades restore amortisation for per-experiment
-   dispatch. *)
-let batch_active = ref None
-
-let batching () =
-  match !batch_active with
-  | Some b -> b
-  | None ->
-      let b = (of_env ()).batch in
-      batch_active := Some b;
-      b
-
-let set_batch b = batch_active := Some b
+(* Views the benchmark's configuration manifest reads.  The compiled
+   backend always restores golden-prefix checkpoints and runs its
+   experiments one at a time; the seed oracle never restores. *)
+let checkpointing () = active_backend () = Compiled
+let checkpoint_interval () = Vm.Checkpoint.interval
+let batching () = false
 
 let install t =
   set_backend t.backend;
-  set_checkpoint ~interval:t.checkpoint_interval t.checkpoint;
-  set_batch t.batch;
   Obs.install_sink ?metrics:t.metrics ?trace:t.trace ()

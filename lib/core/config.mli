@@ -21,20 +21,15 @@
       ("-"/"stderr" = stderr); setting it enables collection
     - [ONEBIT_TRACE] — JSONL span-trace path, written at exit; setting
       it enables collection and tracing
-    - [ONEBIT_BACKEND] — execution backend: "seed" (per-instruction
-      interpreter) or "compiled" (decode-once micro-op pipeline, the
-      default); the two are bit-identical, the knob exists for
-      differential testing and benchmarking
-    - [ONEBIT_CHECKPOINT] — golden-prefix checkpoint reuse on the
-      compiled backend: "on"/"off", a bare capture interval ("512",
-      implying on), or "on,512".  Default on with interval 1024;
-      results are bit-identical either way (the knob exists for
-      benchmarking and differential testing)
-    - [ONEBIT_BATCH] — checkpoint-tree suffix batching: group a shard's
-      experiments by their selected restore point and amortise one full
-      page-restore across each group ("on"/"off"/boolean spellings;
-      default on).  Applies only when the compiled backend and
-      checkpointing are active; results are byte-identical either way
+    - [ONEBIT_BACKEND] — execution backend: "compiled" (the default:
+      the decode-once micro-op pipeline, restoring each experiment's
+      golden prefix from a checkpoint) or "seed" (the per-instruction
+      interpreter driven by {!Injector.hooks}, kept as the reference
+      oracle that [perfbench refs], [onebit reproduce] and the
+      differential suites compare against); the two are bit-identical
+    - [ONEBIT_INCREMENTAL] — compose campaigns from cached per-function
+      profiles ([Engine.Incremental]; "1"/"true"/"yes"/"on"; default
+      off)
     - [ONEBIT_COORD] — fleet coordinator address ([unix:PATH] or
       [HOST:PORT]; empty = none), the default for [onebit work] and
       [onebit engine status --coord]
@@ -61,11 +56,6 @@ val backend_of_string : string -> backend option
 (** Lenient: ["seed"]/["interp"]/["interpreter"] and
     ["compiled"]/["code"]/["vm"], case-insensitive; [None] otherwise. *)
 
-val checkpoint_of_string : string -> (bool * int option) option
-(** Lenient ONEBIT_CHECKPOINT syntax: ["on"]/["off"] (or the usual
-    boolean spellings), a bare positive interval (implying on), or
-    ["on,K"]/["off,K"]; [None] otherwise. *)
-
 type t = {
   n : int;
   seed : int64;
@@ -79,12 +69,6 @@ type t = {
   metrics : string option;
   trace : string option;
   backend : backend;
-  checkpoint : bool;
-      (** reuse golden-prefix checkpoints on the compiled backend *)
-  checkpoint_interval : int;  (** capture every K candidate instructions *)
-  batch : bool;
-      (** group experiments by selected checkpoint and amortise restores
-          ([ONEBIT_BATCH]; default on; byte-identical either way) *)
   incremental : bool;
       (** compose campaigns from cached per-function profiles
           ([Engine.Incremental]); resolved from ONEBIT_INCREMENTAL
@@ -120,9 +104,6 @@ val override :
   ?metrics:string ->
   ?trace:string ->
   ?backend:backend ->
-  ?checkpoint:bool ->
-  ?checkpoint_interval:int ->
-  ?batch:bool ->
   ?incremental:bool ->
   ?coord:string ->
   ?lease_ttl:float ->
@@ -142,8 +123,8 @@ val resolve_jobs : int -> int
 val install : t -> unit
 (** Arm the observability sinks described by [metrics]/[trace]
     (enables collection and registers at-exit dump writers; a no-op if
-    neither is set) and make [t.backend]/[t.checkpoint] the
-    process-wide active backend and checkpointing state. *)
+    neither is set) and make [t.backend] the process-wide active
+    backend. *)
 
 val active_backend : unit -> backend
 (** The process-wide backend {!Experiment} and {!Workload} dispatch on.
@@ -151,31 +132,20 @@ val active_backend : unit -> backend
     {!set_backend} or {!install} has fixed it. *)
 
 val set_backend : backend -> unit
-(** Fix the process-wide backend (benchmarks and differential tests
-    flip this between timed sections). *)
+(** Fix the process-wide backend (the differential tests switch to the
+    [Seed] oracle and back). *)
+
+(** {1 Derived views}
+
+    Kept for the benchmark's configuration manifest; none is settable. *)
 
 val checkpointing : unit -> bool
-(** Whether {!Experiment} may reuse golden-prefix checkpoints (compiled
-    backend only).  Resolved lazily from [ONEBIT_CHECKPOINT] on first
-    read unless {!set_checkpoint} or {!install} has fixed it. *)
+(** Whether experiments restore golden-prefix checkpoints: exactly when
+    the active backend is [Compiled]. *)
 
 val checkpoint_interval : unit -> int
-(** The capture interval in candidate instructions (default 1024). *)
-
-val set_checkpoint : ?interval:int -> bool -> unit
-(** Fix the process-wide checkpointing state; [interval], when given
-    and positive, also fixes the capture interval.  Benchmarks and the
-    differential suite flip this between timed sections — results are
-    bit-identical either way. *)
+(** The capture interval of the recorded checkpoint sets
+    ({!Vm.Checkpoint.interval}). *)
 
 val batching : unit -> bool
-(** Whether {!Campaign} may group experiments by selected checkpoint
-    and amortise restores ({!Batch}).  Resolved lazily from
-    [ONEBIT_BATCH] on first read unless {!set_batch} or {!install} has
-    fixed it.  Only consulted when the compiled backend and
-    checkpointing are both active. *)
-
-val set_batch : bool -> unit
-(** Fix the process-wide batching state (benchmarks and the batch
-    differential suite flip this between sections — results are
-    byte-identical either way). *)
+(** Always [false]: experiments run one at a time. *)

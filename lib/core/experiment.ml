@@ -20,40 +20,6 @@ let m_domain =
            "onebit_inj_domain_total")
        Domain.all)
 
-(* Compiled-backend run with golden-prefix checkpoint reuse: restore the
-   nearest checkpoint at-or-before the first flip's target — candidate
-   ordinal (Reg) or dynamic index (Mem/Code), i.e. the event schedule's
-   watch axis — and execute only the suffix.  Even when no checkpoint
-   precedes the target, the per-domain undo-tracking working memory
-   replaces the per-experiment arena clone — reset costs O(dirty pages).
-   Results are bit-identical to full execution: the prefix fires no
-   events and consumes no injector randomness.  [code] is the code to
-   execute — the workload's pristine code, or the Code domain's private
-   fork (same structure, so restored frames line up). *)
-let run_checkpointed (workload : Workload.t) inj ev code set =
-  let mem =
-    Vm.Checkpoint.working_mem ~digest:workload.Workload.digest
-      workload.prog.Vm.Program.mem_template
-  in
-  (* Mem flips land in the working memory; they dirty their page, so the
-     next experiment's reset/restore undoes them like any store. *)
-  (match Injector.domain inj with
-  | Domain.Mem -> Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem
-  | Domain.Reg | Domain.Code -> ());
-  let point =
-    match (set, Injector.first_target inj) with
-    | Some set, Some target ->
-        Vm.Checkpoint.select set ~axis:ev.Vm.Code.watch ~target
-    | _ -> None
-  in
-  match point with
-  | Some p ->
-      Vm.Code.resume ~events:ev ~mem ~point:p ~orig:workload.Workload.code
-        ~budget:workload.budget code
-  | None ->
-      Vm.Memory.reset mem;
-      Vm.Code.run ~events:ev ~mem ~budget:workload.budget code
-
 let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
   match Config.active_backend () with
   | Config.Seed -> (
@@ -73,6 +39,13 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
           Injector.bind_code inj ~sites:workload.Workload.code_sites ~image ();
           Vm.Exec.run ~hooks ~budget:workload.budget image)
   | Config.Compiled -> (
+      (* The calling domain's undo-tracking working memory: resetting it
+         costs O(dirty pages), and Mem flips dirty their page, so the next
+         experiment's reset or restore undoes them like any store. *)
+      let mem =
+        Vm.Checkpoint.working_mem ~digest:workload.Workload.digest
+          workload.prog.Vm.Program.mem_template
+      in
       let ev = Injector.events inj in
       let code =
         match Injector.domain inj with
@@ -88,24 +61,36 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
                 Vm.Code.patch fork ~fidx ~bidx ~idx p)
               ();
             fork
-        | Domain.Reg | Domain.Mem -> workload.code
-      in
-      if checkpoint && Config.checkpointing () then
-        run_checkpointed workload inj ev code
-          (Workload.ensure_checkpoints workload)
-      else
-        match Injector.domain inj with
         | Domain.Mem ->
-            let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
             Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
-            Vm.Code.run ~events:ev ~mem ~budget:workload.budget code
-        | Domain.Reg | Domain.Code ->
-            Vm.Code.run ~events:ev ~budget:workload.budget code)
+            workload.code
+        | Domain.Reg -> workload.code
+      in
+      (* The nearest checkpoint at or before the first flip's target, on
+         the event schedule's watch axis: candidate ordinal (Reg) or
+         dynamic index (Mem/Code).  The prefix it skips fires no events
+         and consumes no injector randomness, so the suffix run is
+         bit-identical to full execution. *)
+      let point =
+        if not checkpoint then None
+        else
+          match
+            (Workload.ensure_checkpoints workload, Injector.first_target inj)
+          with
+          | Some set, Some target ->
+              Vm.Checkpoint.select set ~axis:ev.Vm.Code.watch ~target
+          | _ -> None
+      in
+      match point with
+      | Some point ->
+          Vm.Code.resume ~events:ev ~mem ~point ~orig:workload.Workload.code
+            ~budget:workload.budget code
+      | None ->
+          Vm.Memory.reset mem;
+          Vm.Code.run ~events:ev ~mem ~budget:workload.budget code)
 
-(* Classification + bookkeeping shared by the one-at-a-time path below
-   and the batched scheduler ([Batch]): both must count and classify
-   identically for results and metrics to be byte-identical across the
-   batch switch. *)
+(* Classification + bookkeeping, exported so the benchmark can time it
+   apart from [run_raw]. *)
 let conclude (workload : Workload.t) inj (res : Vm.Exec.result) =
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_experiments;

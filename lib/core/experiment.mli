@@ -13,31 +13,28 @@ type t = {
 
 val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
 (** Execute one faulty run of the workload under an injector, on the
-    active backend ({!Config.active_backend}): seed interpreter with
-    {!Injector.hooks}, or compiled pipeline with {!Injector.events}.
-    Building block for {!run}/{!run_at} and the CLI's replay commands.
+    active backend ({!Config.active_backend}).  Building block for
+    {!run}/{!run_at} and the CLI's replay commands.
 
-    Handles the injector's domain binding: [Reg] runs the pristine
-    program; [Mem] binds a run-private memory (a template clone, or the
-    checkpoint working memory); [Code] binds a private program image —
-    executed directly by the interpreter, mirrored into a
-    {!Vm.Code.fork} via {!Vm.Code.patch} on the compiled backend.  Both
-    backends stay bit-identical in every domain.
+    On the compiled backend (production) the run binds the injector's
+    fault domain — [Mem] flips land in the calling domain's
+    undo-tracking working memory, [Code] flips patch a private
+    {!Vm.Code.fork} — and restores the golden prefix up to the first
+    flip from the workload's checkpoint set, executing only the suffix.
+    With no checkpoint at or before the first flip, or with
+    [~checkpoint:false] ([onebit reproduce] passes it, so a replay
+    re-runs every instruction it reports), it resets the working memory
+    in O(dirty pages) and runs from the top.  Results are bit-identical
+    either way.
 
-    On the compiled backend, when [checkpoint] (default [true]) and
-    {!Config.checkpointing} are both set, the golden prefix up to the
-    first flip is restored from the workload's checkpoint set instead of
-    re-executed, and the run reuses the calling domain's undo-tracking
-    working memory — bit-identical results, O(dirty-page) reset.  Pass
-    [~checkpoint:false] to force full execution ([onebit reproduce]
-    does, so a replay re-runs every instruction it reports). *)
+    On the seed backend, the reference oracle, the interpreter runs
+    under {!Injector.hooks} from the top on a private memory clone or
+    program image; [checkpoint] is ignored. *)
 
 val conclude : Workload.t -> Injector.t -> Vm.Exec.result -> t
 (** Classify a finished faulty run against the workload's golden output
     and package it with the injector's activation record, bumping the
-    experiment/activation/domain metrics.  Shared by {!run}'s
-    one-at-a-time path and the batched scheduler ({!Batch}) so both
-    count and classify identically. *)
+    experiment/activation/domain metrics. *)
 
 val run :
   ?spacing:[ `Faulty | `Golden ] -> Workload.t -> Spec.t -> Prng.t -> t

@@ -1,26 +1,19 @@
-type stats = {
-  mutable mem_hits : int;
-  mutable dispatched : int;
-  mutable store_shard_hits : int;
-  mutable shards_executed : int;
-}
-
 type dispatch =
-  stats ->
   keep_experiments:bool ->
-  Workload.t -> Spec.t -> n:int -> seed:int64 -> Campaign.result
+  Workload.t -> Spec.t -> n:int -> seed:int64 ->
+  Campaign.result * Obs.Snapshot.t
 
 type t = {
   n : int;
   seed : int64;
   cache : (string, Campaign.result) Hashtbl.t;
   dispatch : dispatch;
-  stats : stats;
+  mutable snap : Obs.Snapshot.t;
 }
 
 let sequential : dispatch =
- fun _stats ~keep_experiments workload spec ~n ~seed ->
-  Campaign.run ~keep_experiments workload spec ~n ~seed
+ fun ~keep_experiments workload spec ~n ~seed ->
+  (Campaign.run ~keep_experiments workload spec ~n ~seed, Obs.Snapshot.zero)
 
 let create ?(n = 200) ?(seed = 20170626L) ?(dispatch = sequential) () =
   {
@@ -28,8 +21,7 @@ let create ?(n = 200) ?(seed = 20170626L) ?(dispatch = sequential) () =
     seed;
     cache = Hashtbl.create 512;
     dispatch;
-    stats =
-      { mem_hits = 0; dispatched = 0; store_shard_hits = 0; shards_executed = 0 };
+    snap = Obs.Snapshot.zero;
   }
 
 let n t = t.n
@@ -52,37 +44,27 @@ let get t ~kept workload spec =
   let key = run_key kept workload.Workload.name spec t.n in
   match Hashtbl.find_opt t.cache key with
   | Some r ->
-      t.stats.mem_hits <- t.stats.mem_hits + 1;
-      Obs.Snapshot.count { Obs.Snapshot.zero with mem_hits = 1 };
+      let hit = { Obs.Snapshot.zero with mem_hits = 1 } in
+      t.snap <- Obs.Snapshot.add t.snap hit;
+      Obs.Snapshot.count hit;
       r
   | None ->
-      t.stats.dispatched <- t.stats.dispatched + 1;
-      Obs.Snapshot.count { Obs.Snapshot.zero with dispatched = 1 };
+      let miss = { Obs.Snapshot.zero with dispatched = 1 } in
+      Obs.Snapshot.count miss;
       let seed = derived_seed t workload.Workload.name spec in
-      let r =
+      let r, d =
         let dispatch () =
-          t.dispatch t.stats ~keep_experiments:kept workload spec ~n:t.n ~seed
+          t.dispatch ~keep_experiments:kept workload spec ~n:t.n ~seed
         in
         if Obs.Trace.enabled () then
           Obs.Trace.with_span ("dispatch " ^ key) dispatch
         else dispatch ()
       in
+      t.snap <- Obs.Snapshot.add t.snap (Obs.Snapshot.add miss d);
       Hashtbl.replace t.cache key r;
       r
 
 let campaign t workload spec = get t ~kept:false workload spec
 let campaign_kept t workload spec = get t ~kept:true workload spec
 let cache_size t = Hashtbl.length t.cache
-let cache_stats t = t.stats
-
-let snapshot_of_stats s =
-  {
-    Obs.Snapshot.zero with
-    mem_hits = s.mem_hits;
-    dispatched = s.dispatched;
-    shards_from_store = s.store_shard_hits;
-    shards_executed = s.shards_executed;
-  }
-
-let snapshot t = snapshot_of_stats t.stats
-let pp_stats s = Obs.Snapshot.pp (snapshot_of_stats s)
+let snapshot t = t.snap

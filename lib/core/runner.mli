@@ -13,27 +13,13 @@
 
 type t
 
-type stats = {
-  mutable mem_hits : int;  (** campaigns answered from the in-memory cache *)
-  mutable dispatched : int;  (** campaigns handed to the dispatch function *)
-  mutable store_shard_hits : int;
-      (** shards answered by a durable result store (engine dispatch only) *)
-  mutable shards_executed : int;
-      (** shards actually executed (engine dispatch only) *)
-}
-(** Legacy mutable per-runner accounting.  The fields remain writable
-    because engine dispatches fill them in, but readers should prefer
-    {!snapshot}, the unified [Obs.Snapshot.t] view shared with the
-    engine; the same totals also appear in a metrics dump as the
-    [onebit_runner_*_total] counters. *)
-
 type dispatch =
-  stats ->
   keep_experiments:bool ->
-  Workload.t -> Spec.t -> n:int -> seed:int64 -> Campaign.result
-(** How a cache miss is computed.  The dispatch receives the runner's
-    {!stats} record so an engine can account store hits and executed
-    shards where the caller can see them. *)
+  Workload.t -> Spec.t -> n:int -> seed:int64 ->
+  Campaign.result * Obs.Snapshot.t
+(** How a cache miss is computed: the campaign's result plus the
+    dispatch's own accounting (store hits and executed shards for an
+    engine), which the runner folds into its {!snapshot}. *)
 
 val sequential : dispatch
 (** The default: a plain in-process {!Campaign.run}. *)
@@ -56,15 +42,8 @@ val campaign_kept : t -> Workload.t -> Spec.t -> Campaign.result
 
 val cache_size : t -> int
 
-val cache_stats : t -> stats
-(** The live counters (not a copy): hits and misses of the in-memory
-    cache, plus store/shard accounting filled in by engine dispatches. *)
-
 val snapshot : t -> Obs.Snapshot.t
-(** The runner's accounting as the unified snapshot value (the same
-    shape the engine reports); experiment totals are zero because the
-    runner counts whole campaigns, not experiments. *)
-
-val pp_stats : stats -> string
-(** One-line human-readable rendering of {!cache_stats}.  Alias for
-    [Obs.Snapshot.pp] over the converted record. *)
+(** The runner's accounting: its in-memory cache hits and dispatches,
+    plus the sum of every dispatch's own snapshot.  The same totals
+    also appear in a metrics dump as the [onebit_runner_*_total] and
+    [onebit_engine_*_total] counters. *)

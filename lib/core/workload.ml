@@ -79,19 +79,14 @@ let candidates t (spec : Spec.t) =
 (* Record golden-prefix checkpoints for this workload, once per digest
    process-wide (engine domains share the set like they share compiled
    code).  Lazy rather than part of [make] so the recording run — one
-   extra instrumented golden execution — is only paid when a checkpointed
-   experiment actually runs, and so flipping ONEBIT_CHECKPOINT on after
-   workload creation still works.  [None] when checkpointing is off or
-   the backend is the seed interpreter, which bypass checkpoints
-   entirely. *)
+   extra instrumented golden execution — is only paid when a
+   checkpointed experiment actually runs.  [None] on the seed
+   interpreter, which never restores. *)
 let ensure_checkpoints t =
-  if Config.active_backend () <> Config.Compiled || not (Config.checkpointing ())
-  then None
+  if Config.active_backend () <> Config.Compiled then None
   else
     Vm.Checkpoint.ensure t.digest ~record:(fun () ->
-        let r =
-          Vm.Checkpoint.recorder ~interval:(Config.checkpoint_interval ())
-        in
+        let r = Vm.Checkpoint.recorder ~interval:Vm.Checkpoint.interval in
         let g = Vm.Code.run ~record:r ~budget:Vm.Exec.golden_budget t.code in
         match g.Vm.Exec.status with
         | Finished -> Some (Vm.Checkpoint.finish r)

@@ -51,10 +51,9 @@ val candidates : t -> Spec.t -> int
 
 val ensure_checkpoints : t -> Vm.Checkpoint.set option
 (** The workload's golden-prefix checkpoint set ({!Vm.Checkpoint}),
-    recording it on first use — one instrumented golden run per digest,
-    process-wide, shared across engine domains.  [None] when
-    checkpointing is disabled ({!Config.checkpointing}) or the active
-    backend is the seed interpreter.  Cheap after the first call
-    (lock-free cache lookup), so callers may invoke it per experiment;
-    the engine calls it once up front so worker domains never contend on
-    the recording lock. *)
+    recorded at {!Vm.Checkpoint.interval} on first use — one
+    instrumented golden run per digest, process-wide, shared across
+    engine domains.  [None] when the active backend is the seed
+    interpreter.  Cheap after the first call (lock-free cache lookup),
+    so callers may invoke it per experiment; the engine calls it once up
+    front so worker domains never contend on the recording lock. *)

@@ -11,14 +11,9 @@
    parallelism, and a killed run resumes by re-executing only the shards
    that never made it to the store.
 
-   Within a shard, execution is plan-then-run: Campaign.run_shard hands
-   its index range to the batch scheduler (Core.Batch), which groups the
-   experiments by their selected golden-prefix checkpoint and amortises
-   one full page-restore per group.  Batching is invisible at this layer
-   by construction — results come back in index order whatever the
-   execution order — so shard tiling, store keys and fleet merges are
-   untouched and results stay byte-identical at any [jobs] count with
-   batching on or off. *)
+   Within a shard, each worker domain runs its experiments one at a time
+   on its own undo-tracking working memory, restoring each golden prefix
+   from the workload's checkpoint set (Core.Experiment.run_raw). *)
 
 module Deque = Deque
 module Pool = Pool
@@ -153,16 +148,9 @@ let run_campaign ?jobs ?shard_size ?store ?progress ?keep_experiments
 
 let dispatch ?(jobs = 1) ?shard_size ?store ?progress () :
     Core.Runner.dispatch =
- fun stats ~keep_experiments workload spec ~n ~seed ->
-  let result, rs =
-    run_campaign_stats ~jobs ?shard_size ?store ?progress ~keep_experiments
-      workload spec ~n ~seed
-  in
-  stats.Core.Runner.store_shard_hits <-
-    stats.Core.Runner.store_shard_hits + rs.shards_from_store;
-  stats.Core.Runner.shards_executed <-
-    stats.Core.Runner.shards_executed + rs.shards_executed;
-  result
+ fun ~keep_experiments workload spec ~n ~seed ->
+  run_campaign_stats ~jobs ?shard_size ?store ?progress ~keep_experiments
+    workload spec ~n ~seed
 
 let runner ?n ?seed ?(jobs = 1) ?shard_size ?store ?progress () =
   Core.Runner.create ?n ?seed

@@ -67,9 +67,9 @@ val dispatch :
   ?store:Store.t ->
   ?progress:Progress.t ->
   unit -> Core.Runner.dispatch
-(** A {!Core.Runner.dispatch} backed by this engine; store hits and
-    executed shards are accounted in the runner's
-    {!Core.Runner.cache_stats}. *)
+(** A {!Core.Runner.dispatch} backed by this engine: each cache miss is
+    a {!run_campaign_stats}, whose snapshot the runner accumulates in
+    {!Core.Runner.snapshot}. *)
 
 val runner :
   ?n:int ->

@@ -15,8 +15,10 @@
    injector draws no randomness and fires no events during the golden
    prefix, resuming from a checkpoint is observationally identical to
    full execution: same injections, outputs, counters.  The differential
-   suite (test/suite_checkpoint.ml) and the CI checkpoint smoke enforce
-   this bit-for-bit. *)
+   suite (test/suite_checkpoint.ml) and the CI pipeline differential
+   enforce this bit-for-bit. *)
+
+let interval = 1024
 
 type frame_snap = {
   fs_fidx : int;

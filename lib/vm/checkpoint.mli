@@ -14,7 +14,11 @@
     a single digest-keyed set serves both injection techniques.  The
     golden prefix fires no injector events and consumes no randomness,
     which is why a resumed run is bit-identical to a full one (enforced
-    by test/suite_checkpoint.ml and the CI checkpoint smoke). *)
+    by test/suite_checkpoint.ml and the CI pipeline differential). *)
+
+val interval : int
+(** The capture interval of production checkpoint sets: 1024 candidate
+    instructions. *)
 
 type frame_snap = {
   fs_fidx : int;  (** compiled-function index *)

@@ -1057,8 +1057,3 @@ let resume ~events ~mem ~(point : Checkpoint.point) ?orig ~budget code =
   Checkpoint.note_restore point;
   Memory.restore_pages mem point.ck_pages;
   run_internal ~events ~mem ~resume:point ?orig ~budget code
-
-let resume_prepared ~events ~mem ~(point : Checkpoint.point) ?orig ~budget code
-    =
-  Checkpoint.note_restore point;
-  run_internal ~events ~mem ~resume:point ?orig ~budget code

@@ -97,21 +97,6 @@ val resume :
     registers, matching non-checkpoint execution, where the call record
     is destructured at dispatch and thus immune to later patches. *)
 
-val resume_prepared :
-  events:events ->
-  mem:Memory.t ->
-  point:Checkpoint.point ->
-  ?orig:t ->
-  budget:int ->
-  t ->
-  Exec.result
-(** {!resume} minus the page restore: the caller has already positioned
-    [mem] at [point]'s memory image ({!Memory.set_baseline} /
-    {!Memory.reset_to_baseline}) — the batch scheduler's entry point,
-    letting one full restore serve a whole group of experiments that
-    share a checkpoint.  Restore-hit accounting ({!Checkpoint.stats})
-    is identical to {!resume}. *)
-
 val fork : t -> t
 (** A private copy whose micro-op arrays may be {!patch}ed — the
     decode-cache invalidation analog of the code fault domain: the

@@ -38,9 +38,7 @@ val reset : t -> unit
 (** Rewind every dirty page to the template image and clear the dirty
     set.  Exact regardless of how the previous run ended (normal end,
     trap mid-run, hang): never-written pages already equal the template.
-    If a baseline overlay is installed, its pages are rewound to the
-    template too and the overlay is dropped.  Raises [Invalid_argument]
-    on a memory without undo tracking. *)
+    Raises [Invalid_argument] on a memory without undo tracking. *)
 
 val snapshot_pages : t -> (int * bytes) array
 (** Copies of the currently dirty pages, sorted by page index.  Together
@@ -52,30 +50,12 @@ val restore_pages : t -> (int * bytes) array -> unit
     them dirty, so a later [reset] rewinds them too).  Counted as a
     {e full} restore in {!restore_stats}. *)
 
-val set_baseline : t -> (int * bytes) array -> unit
-(** Like {!restore_pages}, but additionally installs the snapshot as the
-    memory's {e baseline overlay} — the shared restore point of a batch
-    group — and empties the dirty set, so the undo log tracks only pages
-    written {e since} the baseline.  Subsequent {!reset_to_baseline}
-    calls rewind to this image in O(pages written since the baseline)
-    without touching the snapshot again.  The overlay is
-    dropped by the next {!reset}, {!restore_pages} or {!set_baseline};
-    while installed, {!snapshot_pages} is refused (recording and batch
-    execution never share a memory). *)
-
-val reset_to_baseline : t -> unit
-(** Rewind every dirty page to the baseline image — overlay bytes for
-    baseline pages, template bytes for the rest — leaving the arena
-    byte-for-byte as {!restore_pages} with the baseline snapshot would,
-    at undo-log cost.  This is the intra-group step between batch
-    members.  Raises [Invalid_argument] if no baseline is installed. *)
-
 val restore_stats : unit -> int * int
-(** [(full, undo)] — process-wide counts of full page-restores
-    ({!restore_pages} / {!set_baseline}) and O(dirty) baseline resets
-    ({!reset_to_baseline}) since process start; counted even when metrics
-    collection is disabled.  The Obs mirrors are
-    [onebit_vm_restores_full_total] and [onebit_vm_resets_undo_total]. *)
+(** [(full, 0)] — the process-wide count of full page-restores
+    ({!restore_pages}) since process start, counted even when metrics
+    collection is disabled, paired with a zero the benchmark's
+    [memory.resets_undo] row still reads.  The Obs mirror is
+    [onebit_vm_restores_full_total]. *)
 
 val size : t -> int
 

@@ -1,18 +1,17 @@
 (* Differential tests for golden-prefix checkpoint reuse (Vm.Checkpoint +
-   Vm.Code.resume): an experiment that restores the fault-free prefix
-   from a checkpoint must be bit-identical — same outcome, output,
-   dynamic count, candidate ordinals and full injection log — to one
-   that re-executes the program from dynamic instruction 0, for every
-   technique, window size and multiplicity, and the dirty-page undo log
-   must rewind memory exactly even after traps. *)
+   Vm.Code.resume), the compiled backend's only way to run an
+   experiment: a run that restores the fault-free prefix from a
+   checkpoint must be bit-identical — same outcome, output, dynamic
+   count, candidate ordinals and full injection log — to one that
+   re-executes the program from dynamic instruction 0
+   ([Experiment.run_raw ~checkpoint:false]) or runs on the seed oracle,
+   for every fault domain, technique, window size and multiplicity; and
+   the dirty-page undo log must rewind memory exactly even after traps.
+   Each suite installs a dense checkpoint set ([Thelpers.with_checkpoints])
+   so restores land near every possible stack shape. *)
 
-let with_checkpoint ?interval on f =
-  let saved_on = Core.Config.checkpointing ()
-  and saved_k = Core.Config.checkpoint_interval () in
-  Core.Config.set_checkpoint ?interval on;
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_checkpoint ~interval:saved_k saved_on)
-    f
+let with_checkpoints = Thelpers.with_checkpoints
+let on_oracle = Thelpers.on_oracle
 
 let injection_equal (a : Core.Injector.injection) (b : Core.Injector.injection)
     =
@@ -27,22 +26,18 @@ let result_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check int) (name ^ " read cands") a.read_cands b.read_cands;
   Alcotest.(check int) (name ^ " write cands") a.write_cands b.write_cands
 
-(* One experiment through [run_raw] with checkpointing off, then on:
-   identical runs and identical full injection logs. *)
+(* One experiment through [run_raw] in full, then restored from the
+   installed checkpoint set: identical runs and identical full injection
+   logs. *)
 let check_experiment w spec ~interval ~base i =
   let mk () =
     let cands = Core.Workload.candidates w spec in
     Core.Injector.create ~spec ~candidates:cands (Prng.split_at base i)
   in
   let inj_full = mk () in
-  let r_full =
-    with_checkpoint false (fun () -> Core.Experiment.run_raw w inj_full)
-  in
+  let r_full = Core.Experiment.run_raw ~checkpoint:false w inj_full in
   let inj_ck = mk () in
-  let r_ck =
-    with_checkpoint ~interval true (fun () ->
-        Core.Experiment.run_raw w inj_ck)
-  in
+  let r_ck = Core.Experiment.run_raw w inj_ck in
   let label =
     Printf.sprintf "%s k=%d #%d" (Core.Spec.label spec) interval i
   in
@@ -66,43 +61,47 @@ let registry_workload name =
   Core.Workload.make ~name ~expected_output:(d.reference ())
     (d.build ())
 
-(* Registry programs across both techniques, win sizes {0,1,100} and
-   multiplicities {1,3,4}: qsort's recursion exercises mid-call-stack
-   checkpoints, fft the float register files and large dirty sets.
-   Small intervals force restores near every possible stack shape. *)
+let domain_specs domain =
+  [
+    Core.Spec.single ~domain Read;
+    Core.Spec.single ~domain Write;
+    Core.Spec.multi ~domain Read ~max_mbf:3 ~win:(Fixed 0);
+    Core.Spec.multi ~domain Write ~max_mbf:3 ~win:(Fixed 0);
+    Core.Spec.multi ~domain Read ~max_mbf:3 ~win:(Fixed 1);
+    Core.Spec.multi ~domain Write ~max_mbf:3 ~win:(Fixed 1);
+    Core.Spec.multi ~domain Read ~max_mbf:4 ~win:(Fixed 100);
+    Core.Spec.multi ~domain Write ~max_mbf:4 ~win:(Fixed 100);
+  ]
+
+(* Registry programs across all domains, both techniques, win sizes
+   {0,1,100} and multiplicities {1,3,4}: qsort's recursion exercises
+   mid-call-stack checkpoints, fft the float register files and large
+   dirty sets. *)
 let test_registry_differential () =
   let restores0 = snd (Vm.Checkpoint.stats ()) in
   List.iter
     (fun (name, interval) ->
       let w = registry_workload name in
       let base = Prng.of_seed 20260806L in
-      let specs =
-        [
-          Core.Spec.single Read;
-          Core.Spec.single Write;
-          Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 0);
-          Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 0);
-          Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 1);
-          Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 1);
-          Core.Spec.multi Read ~max_mbf:4 ~win:(Fixed 100);
-          Core.Spec.multi Write ~max_mbf:4 ~win:(Fixed 100);
-        ]
-      in
-      List.iter
-        (fun spec ->
-          for i = 0 to 9 do
-            check_experiment w spec ~interval ~base i
-          done)
-        specs)
+      with_checkpoints ~interval w (fun _ ->
+          List.iter
+            (fun domain ->
+              List.iter
+                (fun spec ->
+                  for i = 0 to 9 do
+                    check_experiment w spec ~interval ~base i
+                  done)
+                (domain_specs domain))
+            Core.Domain.all))
     [ ("crc32", 64); ("qsort", 128); ("fft", 512) ];
   let restores1 = snd (Vm.Checkpoint.stats ()) in
   Alcotest.(check bool)
     "checkpoints actually restored" true
     (restores1 > restores0)
 
-(* Random straight-line programs x techniques x win in {0,1,100} x
-   m in {1,3,4}, checkpoint on vs off.  A tiny interval makes even these
-   short programs cross capture thresholds. *)
+(* Random straight-line programs x domains x techniques x win in
+   {0,1,100} x m in {1,3,4}, restored vs full.  A tiny interval makes
+   even these short programs cross capture thresholds. *)
 let prop_random_differential =
   QCheck.Test.make ~name:"checkpointed run matches full execution" ~count:60
     (QCheck.make Suite_differential.case_gen)
@@ -115,97 +114,101 @@ let prop_random_differential =
           true (* golden trapped/hung or no candidates: no workload *)
       | w ->
           let base = Prng.of_seed 7L in
-          List.for_all
-            (fun technique ->
+          with_checkpoints ~interval:2 w (fun _ ->
               List.for_all
-                (fun (max_mbf, win) ->
-                  let spec =
-                    if max_mbf = 1 then Core.Spec.single technique
-                    else Core.Spec.multi technique ~max_mbf ~win
-                  in
+                (fun domain ->
                   List.for_all
-                    (fun i ->
-                      let mk () =
-                        let cands =
-                          Core.Workload.candidates w spec
-                        in
-                        Core.Injector.create ~spec ~candidates:cands
-                          (Prng.split_at base i)
-                      in
-                      let i1 = mk () in
-                      let r1 =
-                        with_checkpoint false (fun () ->
-                            Core.Experiment.run_raw w i1)
-                      in
-                      let i2 = mk () in
-                      let r2 =
-                        with_checkpoint ~interval:2 true (fun () ->
-                            Core.Experiment.run_raw w i2)
-                      in
-                      r1.Vm.Exec.status = r2.Vm.Exec.status
-                      && String.equal r1.output r2.output
-                      && r1.dyn_count = r2.dyn_count
-                      && r1.read_cands = r2.read_cands
-                      && r1.write_cands = r2.write_cands
-                      && List.equal injection_equal
-                           (Core.Injector.injections i1)
-                           (Core.Injector.injections i2))
-                    [ 0; 1; 2 ])
-                [
-                  (1, Core.Win.Fixed 0);
-                  (3, Fixed 0);
-                  (3, Fixed 1);
-                  (3, Fixed 100);
-                  (4, Fixed 1);
-                ])
-            [ Core.Technique.Read; Core.Technique.Write ])
+                    (fun technique ->
+                      List.for_all
+                        (fun (max_mbf, win) ->
+                          let spec =
+                            if max_mbf = 1 then
+                              Core.Spec.single ~domain technique
+                            else Core.Spec.multi ~domain technique ~max_mbf ~win
+                          in
+                          List.for_all
+                            (fun i ->
+                              let mk () =
+                                let cands = Core.Workload.candidates w spec in
+                                Core.Injector.create ~spec ~candidates:cands
+                                  (Prng.split_at base i)
+                              in
+                              let i1 = mk () in
+                              let r1 =
+                                Core.Experiment.run_raw ~checkpoint:false w i1
+                              in
+                              let i2 = mk () in
+                              let r2 = Core.Experiment.run_raw w i2 in
+                              r1.Vm.Exec.status = r2.Vm.Exec.status
+                              && String.equal r1.output r2.output
+                              && r1.dyn_count = r2.dyn_count
+                              && r1.read_cands = r2.read_cands
+                              && r1.write_cands = r2.write_cands
+                              && List.equal injection_equal
+                                   (Core.Injector.injections i1)
+                                   (Core.Injector.injections i2))
+                            [ 0; 1; 2 ])
+                        [
+                          (1, Core.Win.Fixed 0);
+                          (3, Fixed 0);
+                          (3, Fixed 1);
+                          (3, Fixed 100);
+                          (4, Fixed 1);
+                        ])
+                    [ Core.Technique.Read; Core.Technique.Write ])
+                Core.Domain.all))
 
-(* Whole campaigns across the checkpoint switch, including a workload
-   created while checkpointing was off (recording then happens lazily on
-   first checkpointed use). *)
+(* Whole campaigns, production vs the oracle, in every domain.  The
+   workload is made on the oracle (its golden run on the interpreter);
+   production records its checkpoints lazily all the same. *)
 let test_campaign_differential () =
-  let w = with_checkpoint false (fun () -> registry_workload "qsort") in
-  List.iter
-    (fun spec ->
-      let off =
-        with_checkpoint false (fun () ->
-            Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L)
-      in
-      let on =
-        with_checkpoint ~interval:100 true (fun () ->
-            Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L)
-      in
-      Alcotest.(check bool)
-        (Core.Spec.label spec ^ " campaign equal")
-        true
-        (Core.Campaign.equal_result off on))
-    [
-      Core.Spec.single Read;
-      Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10);
-      Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
-    ]
+  let w = on_oracle (fun () -> registry_workload "qsort") in
+  with_checkpoints ~interval:100 w (fun _ ->
+      List.iter
+        (fun spec ->
+          let run () =
+            Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L
+          in
+          let oracle = on_oracle run in
+          Alcotest.(check bool)
+            (Core.Spec.label spec ^ " campaign equal")
+            true
+            (Core.Campaign.equal_result oracle (run ())))
+        (List.concat_map
+           (fun domain ->
+             [
+               Core.Spec.single ~domain Read;
+               Core.Spec.multi ~domain Write ~max_mbf:3 ~win:(Fixed 10);
+               Core.Spec.multi ~domain Read ~max_mbf:5 ~win:(Rnd (2, 10));
+             ])
+           Core.Domain.all))
 
-(* The engine at several worker counts with checkpointing on must match
-   the sequential full-execution campaign. *)
+(* The engine at several worker counts must match the oracle's
+   sequential campaign, in every domain. *)
 let test_engine_differential () =
   let w = registry_workload "crc32" in
-  let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 10) in
-  let off =
-    with_checkpoint false (fun () ->
-        Core.Campaign.run ~keep_experiments:true w spec ~n:80 ~seed:3L)
-  in
-  List.iter
-    (fun jobs ->
-      let on =
-        with_checkpoint ~interval:200 true (fun () ->
-            Engine.run_campaign ~jobs ~shard_size:10 ~keep_experiments:true w
-              spec ~n:80 ~seed:3L)
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d equals full sequential" jobs)
-        true
-        (Core.Campaign.equal_result off on))
-    [ 1; 4 ]
+  with_checkpoints ~interval:200 w (fun _ ->
+      List.iter
+        (fun domain ->
+          let spec = Core.Spec.multi ~domain Read ~max_mbf:3 ~win:(Fixed 10) in
+          let oracle =
+            on_oracle (fun () ->
+                Core.Campaign.run ~keep_experiments:true w spec ~n:80 ~seed:3L)
+          in
+          List.iter
+            (fun jobs ->
+              let eng =
+                Engine.run_campaign ~jobs ~shard_size:10 ~keep_experiments:true
+                  w spec ~n:80 ~seed:3L
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s jobs=%d equals the oracle"
+                   (Core.Domain.to_string domain)
+                   jobs)
+                true
+                (Core.Campaign.equal_result oracle eng))
+            [ 1; 4 ])
+        Core.Domain.all)
 
 (* ---- dirty-page undo log ---- *)
 
@@ -260,7 +263,7 @@ let test_working_memory_after_traps () =
   let w = registry_workload "qsort" in
   let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 1) in
   let seen_trap = ref false in
-  with_checkpoint ~interval:64 true (fun () ->
+  with_checkpoints ~interval:64 w (fun _ ->
       let base = Prng.of_seed 11L in
       for i = 0 to 59 do
         let e = Core.Experiment.run w spec (Prng.split_at base i) in
@@ -285,32 +288,71 @@ let test_working_memory_after_traps () =
    ordinal, and recording monotonically orders both ordinal axes. *)
 let test_select () =
   let w = registry_workload "crc32" in
-  with_checkpoint ~interval:50 true (fun () ->
-      match Core.Workload.ensure_checkpoints w with
-      | None -> Alcotest.fail "no checkpoint set recorded"
-      | Some set ->
-          let pts = set.Vm.Checkpoint.points in
-          Alcotest.(check bool) "has points" true (Array.length pts > 0);
-          Array.iteri
-            (fun i (p : Vm.Checkpoint.point) ->
-              if i > 0 then begin
-                let q = pts.(i - 1) in
-                Alcotest.(check bool) "rc monotone" true (p.ck_rc >= q.ck_rc);
-                Alcotest.(check bool) "wc monotone" true (p.ck_wc >= q.ck_wc);
-                Alcotest.(check bool) "dyn monotone" true
-                  (p.ck_dyn > q.ck_dyn)
-              end)
-            pts;
+  with_checkpoints ~interval:50 w (fun set ->
+      let pts = set.Vm.Checkpoint.points in
+      Alcotest.(check bool) "has points" true (Array.length pts > 0);
+      Array.iteri
+        (fun i (p : Vm.Checkpoint.point) ->
+          if i > 0 then begin
+            let q = pts.(i - 1) in
+            Alcotest.(check bool) "rc monotone" true (p.ck_rc >= q.ck_rc);
+            Alcotest.(check bool) "wc monotone" true (p.ck_wc >= q.ck_wc);
+            Alcotest.(check bool) "dyn monotone" true
+              (p.ck_dyn > q.ck_dyn)
+          end)
+        pts;
+      List.iter
+        (fun target ->
+          match Vm.Checkpoint.select set ~axis:`Read ~target with
+          | Some p ->
+              Alcotest.(check bool) "at or before target" true
+                (p.ck_rc <= target)
+          | None ->
+              Alcotest.(check bool) "only before first point" true
+                (pts.(0).ck_rc > target))
+        [ 0; 1; 49; 50; 51; 1000; max_int ])
+
+(* A record from a production campaign reproduces field-for-field
+   through the full-execution replay path — what `onebit reproduce`
+   runs. *)
+let test_reproduce_from_campaign_record () =
+  let w = registry_workload "crc32" in
+  with_checkpoints ~interval:64 w (fun _ ->
+      List.iter
+        (fun domain ->
+          let spec = Core.Spec.multi ~domain Write ~max_mbf:3 ~win:(Fixed 10) in
+          let n = 30 and seed = 13L in
+          let r = Core.Campaign.run ~keep_experiments:true w spec ~n ~seed in
           List.iter
-            (fun target ->
-              match Vm.Checkpoint.select set ~axis:`Read ~target with
-              | Some p ->
-                  Alcotest.(check bool) "at or before target" true
-                    (p.ck_rc <= target)
-              | None ->
-                  Alcotest.(check bool) "only before first point" true
-                    (pts.(0).ck_rc > target))
-            [ 0; 1; 49; 50; 51; 1000; max_int ])
+            (fun index ->
+              let stored = r.Core.Campaign.experiments.(index) in
+              let inj =
+                Core.Injector.create ~spec
+                  ~candidates:(Core.Workload.candidates w spec)
+                  (Prng.split_at (Prng.of_seed seed) index)
+              in
+              let res = Core.Experiment.run_raw ~checkpoint:false w inj in
+              let outcome =
+                Core.Outcome.classify ~golden_output:w.golden.output res
+              in
+              let what =
+                Printf.sprintf "%s #%d" (Core.Spec.label spec) index
+              in
+              Alcotest.(check bool) (what ^ " outcome") true
+                (stored.outcome = outcome);
+              Alcotest.(check int) (what ^ " activated") stored.activated
+                (Core.Injector.activated inj);
+              Alcotest.(check int) (what ^ " dyn") stored.dyn_count
+                res.dyn_count;
+              Alcotest.(check string) (what ^ " output") stored.output
+                res.output;
+              Alcotest.(check bool) (what ^ " first injection") true
+                (match (stored.first, Core.Injector.first_injection inj) with
+                | None, None -> true
+                | Some a, Some b -> injection_equal a b
+                | _ -> false))
+            [ 0; 7; 19; 29 ])
+        Core.Domain.all)
 
 let suites =
   [
@@ -327,5 +369,7 @@ let suites =
         Alcotest.test_case "working memory after traps" `Quick
           test_working_memory_after_traps;
         Alcotest.test_case "point selection" `Quick test_select;
+        Alcotest.test_case "reproduce from campaign record" `Quick
+          test_reproduce_from_campaign_record;
       ] );
   ]

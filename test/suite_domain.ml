@@ -1,6 +1,6 @@
 (* Fault-domain tests: the Mem (live arena byte) and Code (stored
-   program) domains must behave identically on both execution backends,
-   across worker counts and checkpointing, and their store/CSV encoding
+   program) domains must behave identically on both execution backends
+   and across worker counts, and their store/CSV encoding
    must stay readable by — and byte-compatible with — the pre-domain
    register-only format. *)
 
@@ -110,32 +110,30 @@ let prop_random_programs domain =
         ];
       true)
 
-(* Campaign determinism: same counters at any worker count, with
-   checkpointing on or off, store or not. *)
+(* Campaign determinism: same counters at any worker count, and the
+   same as the oracle's. *)
 let test_campaign_determinism domain () =
   let w = Lazy.force workload in
   let spec = Core.Spec.multi ~domain Write ~max_mbf:2 ~win:(Fixed 0) in
   let n = 40 and seed = 7L in
-  let saved_ck = Core.Config.checkpointing () in
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_checkpoint saved_ck)
-    (fun () ->
-      Core.Config.set_checkpoint false;
+  let oracle =
+    Thelpers.on_oracle (fun () ->
+        Engine.run_campaign ~jobs:1 w spec ~n ~seed)
+  in
+  Thelpers.with_checkpoints ~interval:64 w (fun _ ->
       let r1 = Engine.run_campaign ~jobs:1 w spec ~n ~seed in
       let r4 = Engine.run_campaign ~jobs:4 w spec ~n ~seed in
       Alcotest.(check bool) "jobs=1 == jobs=4" true
         (Core.Campaign.equal_result r1 r4);
-      Core.Config.set_checkpoint ~interval:64 true;
-      let rck = Engine.run_campaign ~jobs:2 w spec ~n ~seed in
-      Alcotest.(check bool) "checkpointing on == off" true
-        (Core.Campaign.equal_result r1 rck))
+      Alcotest.(check bool) "production == oracle" true
+        (Core.Campaign.equal_result oracle r1))
 
 (* Regression: a stored-program flip can patch a call site while that
    very call is in flight in a restored checkpoint stack (qsort is
    recursive, so golden prefixes routinely snapshot mid-call).  The
    in-flight call must complete with its pre-flip destination — exactly
-   as non-checkpoint execution, which destructures the call record at
-   dispatch — so checkpointing on/off must stay bit-identical. *)
+   as the oracle, which never restores — so the checkpointed campaign
+   must stay bit-identical to the oracle's. *)
 let test_code_resume_in_flight_calls () =
   let d = Option.get (Bench_suite.Registry.find "qsort") in
   let w =
@@ -143,16 +141,14 @@ let test_code_resume_in_flight_calls () =
       (d.build ())
   in
   let spec = Core.Spec.single ~domain:Core.Domain.Code Write in
-  let saved_ck = Core.Config.checkpointing () in
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_checkpoint saved_ck)
-    (fun () ->
-      Core.Config.set_checkpoint false;
-      let off = Engine.run_campaign ~jobs:1 w spec ~n:80 ~seed:11L in
-      Core.Config.set_checkpoint ~interval:64 true;
+  let oracle =
+    Thelpers.on_oracle (fun () ->
+        Engine.run_campaign ~jobs:1 w spec ~n:80 ~seed:11L)
+  in
+  Thelpers.with_checkpoints ~interval:64 w (fun _ ->
       let on = Engine.run_campaign ~jobs:2 w spec ~n:80 ~seed:11L in
-      Alcotest.(check bool) "ckpt resume == full run" true
-        (Core.Campaign.equal_result off on))
+      Alcotest.(check bool) "ckpt resume == oracle" true
+        (Core.Campaign.equal_result oracle on))
 
 (* ---- store keys ---- *)
 

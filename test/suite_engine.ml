@@ -182,17 +182,19 @@ let test_runner_cache_stats () =
   let spec = Core.Spec.single Read in
   ignore (Core.Runner.campaign runner w spec);
   ignore (Core.Runner.campaign runner w spec);
-  let s = Core.Runner.cache_stats runner in
+  let s = Core.Runner.snapshot runner in
   Alcotest.(check int) "one dispatch" 1 s.dispatched;
   Alcotest.(check int) "one memory hit" 1 s.mem_hits;
   Alcotest.(check int) "shards executed" 2 s.shards_executed;
-  Alcotest.(check int) "no store hits yet" 0 s.store_shard_hits;
+  Alcotest.(check int) "no store hits yet" 0 s.shards_from_store;
+  Alcotest.(check int) "experiments executed" 50 s.experiments_executed;
   (* A fresh runner over the same store answers from disk. *)
   let runner' = Engine.runner ~n:50 ~seed:2L ~jobs:2 ~store () in
   ignore (Core.Runner.campaign runner' w spec);
-  let s' = Core.Runner.cache_stats runner' in
-  Alcotest.(check int) "store hits" 2 s'.store_shard_hits;
+  let s' = Core.Runner.snapshot runner' in
+  Alcotest.(check int) "store hits" 2 s'.shards_from_store;
   Alcotest.(check int) "nothing executed" 0 s'.shards_executed;
+  Alcotest.(check int) "experiments from store" 50 s'.experiments_from_store;
   Store.close store
 
 let suites =

@@ -32,3 +32,41 @@ let status_testable =
       | Hung -> "hung")
   in
   Alcotest.testable pp ( = )
+
+(* Run [f] on the seed interpreter, the reference oracle. *)
+let on_oracle f =
+  let saved = Core.Config.active_backend () in
+  Core.Config.set_backend Core.Config.Seed;
+  Fun.protect ~finally:(fun () -> Core.Config.set_backend saved) f
+
+(* Run [f] on a checkpoint set recorded every [interval] candidate
+   instructions, installed for the workload's digest, then put the
+   production set back.  The process-wide cache is keyed by IR digest
+   only, so a suite that wants a denser set than production's must
+   install it itself.  [f] receives the installed set; the helper then
+   asserts that the cache still held that set, i.e. that every
+   checkpointed run inside [f] restored from it. *)
+let with_checkpoints ~interval (w : Core.Workload.t) f =
+  let default =
+    match Core.Workload.ensure_checkpoints w with
+    | Some set -> set
+    | None -> Alcotest.fail "with_checkpoints: no production checkpoint set"
+  in
+  let r = Vm.Checkpoint.recorder ~interval in
+  let g = Vm.Code.run ~record:r ~budget:Vm.Exec.golden_budget w.code in
+  if g.status <> Vm.Exec.Finished then
+    Alcotest.fail "with_checkpoints: recording run did not finish";
+  let set = Vm.Checkpoint.finish r in
+  Vm.Checkpoint.store w.digest set;
+  Fun.protect
+    ~finally:(fun () -> Vm.Checkpoint.store w.digest default)
+    (fun () ->
+      let v = f set in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s ran on the installed interval-%d set" w.name
+           interval)
+        true
+        (match Core.Workload.ensure_checkpoints w with
+        | Some s -> s == set
+        | None -> false);
+      v)
