@@ -3,7 +3,7 @@
    and the ablation studies called out in DESIGN.md.  Performance is
    measured by perfbench/ (see perfbench/README.md).
 
-   Usage:  main.exe [t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|ablate|all]
+   Usage:  main.exe [t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|ablate|all]
 
    Every ONEBIT_* environment variable (N, SEED, PROGRAMS, CAP, PRUNE_N,
    JOBS, SHARD, STORE, PROGRESS, METRICS, TRACE) resolves through
@@ -634,128 +634,6 @@ let run_prune_static () =
     (if bad = 0 then " (all benign, as proved)" else " !! UNSOUND")
 
 (* ------------------------------------------------------------------ *)
-(* Incremental composition: cold vs warm per-function profile cache    *)
-(* ------------------------------------------------------------------ *)
-
-let run_incremental () =
-  section "Incremental composition: per-function profile cache";
-  let entry = Option.get (Bench_suite.Registry.find "qsort") in
-  let w =
-    Core.Workload.make ~name:"qsort" ~expected_output:(entry.reference ())
-      (entry.build ())
-  in
-  let spec = Core.Spec.single Core.Technique.Read in
-  let n = n_per_campaign in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "onebit-bench-inc-%d" (Unix.getpid ()))
-  in
-  let st = Store.open_dir dir in
-  Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let full, t_full = time (fun () -> Core.Campaign.run w spec ~n ~seed) in
-  let (r_cold, s_cold), t_cold =
-    time (fun () -> Engine.Incremental.run ~jobs ~store:st w spec ~n ~seed)
-  in
-  let (r_warm, s_warm), t_warm =
-    time (fun () -> Engine.Incremental.run ~jobs ~store:st w spec ~n ~seed)
-  in
-  Printf.printf "# campaign: qsort %s, n=%d, %d functions\n"
-    (Core.Spec.label spec) n s_cold.funcs_total;
-  Printf.printf "cold: recomputed %d functions / %d experiments\n"
-    s_cold.funcs_recomputed s_cold.exps_recomputed;
-  Printf.printf "warm: reused %d functions / %d experiments\n"
-    s_warm.funcs_reused s_warm.exps_reused;
-  Printf.printf "composed == full campaign: %b\n\n"
-    (Core.Campaign.equal_result r_cold full
-    && Core.Campaign.equal_result r_warm full);
-  (* timings to stderr: stdout stays byte-identical across runs *)
-  Printf.eprintf "# incremental: full %.2fs, cold %.2fs, warm %.3fs\n" t_full
-    t_cold t_warm
-
-(* ------------------------------------------------------------------ *)
-(* Fleet: coordinator/worker shard leasing vs the in-process campaign  *)
-(* ------------------------------------------------------------------ *)
-
-let run_fleet () =
-  section "Fleet: socket leasing overhead vs in-process campaign";
-  let entry = Option.get (Bench_suite.Registry.find "qsort") in
-  let w =
-    Core.Workload.make ~name:"qsort" ~expected_output:(entry.reference ())
-      (entry.build ())
-  in
-  let spec =
-    Core.Spec.multi Core.Technique.Read ~max_mbf:3 ~win:(Core.Win.Fixed 10)
-  in
-  let n = n_per_campaign in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let direct, t_direct = time (fun () -> Core.Campaign.run w spec ~n ~seed) in
-  let fleet k =
-    let cells =
-      [
-        {
-          Fleet.Proto.c_program = w.Core.Workload.name;
-          c_digest = w.Core.Workload.digest;
-          c_spec = spec;
-          c_n = n;
-          c_seed = seed;
-        };
-      ]
-    in
-    let c = Fleet.Coord.create ~cells () in
-    let path =
-      Filename.concat
-        (Filename.get_temp_dir_name ())
-        (Printf.sprintf "onebit-bench-fleet-%d-%d.sock" (Unix.getpid ()) k)
-    in
-    let srv = Fleet.Coord.listen c (Unix.ADDR_UNIX path) in
-    let server = Thread.create (fun () -> Fleet.Coord.serve srv) () in
-    let workers =
-      List.init k (fun i ->
-          Thread.create
-            (fun () ->
-              ignore
-                (Fleet.Worker.run
-                   ~id:(Printf.sprintf "bench-w%d" i)
-                   ~connect:(Fleet.Coord.bound_addr srv)
-                   ~load:(fun _ -> w)
-                   ()
-                  : int))
-            ())
-    in
-    List.iter Thread.join workers;
-    Thread.join server;
-    snd (List.hd (Fleet.Coord.results c))
-  in
-  Printf.printf "# campaign: qsort %s, n=%d\n" (Core.Spec.label spec) n;
-  let timings =
-    List.map
-      (fun k ->
-        let r, t = time (fun () -> fleet k) in
-        Printf.printf "fleet x%d == in-process campaign: %b\n" k
-          (Core.Campaign.equal_result r direct);
-        (k, t))
-      [ 1; 2; 4 ]
-  in
-  print_newline ();
-  (* timings to stderr: stdout stays byte-identical across runs *)
-  Printf.eprintf "# fleet: direct %.2fs" t_direct;
-  List.iter
-    (fun (k, t) ->
-      Printf.eprintf ", x%d %.2fs (%.2fx direct)" k t (t /. t_direct))
-    timings;
-  Printf.eprintf "\n"
-
-(* ------------------------------------------------------------------ *)
 
 let print_cache_stats () =
   Printf.printf "# cache: %s\n"
@@ -783,8 +661,6 @@ let run_all () =
   run_targets ();
   run_harden ();
   run_prune_static ();
-  run_incremental ();
-  run_fleet ();
   print_cache_stats ()
 
 let () =
@@ -793,9 +669,7 @@ let () =
   Engine.Progress.with_reporter progress (fun () ->
       (* Force the study eagerly so its banner precedes the section
          headers. *)
-      (match cmd with
-      | "incremental" | "fleet" -> ()
-      | _ -> ignore (Lazy.force study));
+      ignore (Lazy.force study);
       match cmd with
       | "t2" -> run_t2 ()
       | "f1" -> run_f1 ()
@@ -810,14 +684,12 @@ let () =
       | "targets" -> run_targets ()
       | "harden" -> run_harden ()
       | "prune-static" -> run_prune_static ()
-      | "incremental" -> run_incremental ()
-      | "fleet" -> run_fleet ()
       | "ablate" -> run_ablate ()
       | "all" -> run_all ()
       | other ->
           Printf.eprintf
             "unknown command %s (expected \
-             t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|incremental|fleet|ablate|all)\n"
+             t2|f1|f2|f3|f4|f5|t3|t4|rq|severity|targets|harden|prune-static|ablate|all)\n"
             other;
           exit 2);
   (match store with Some st -> Store.close st | None -> ());

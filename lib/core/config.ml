@@ -131,6 +131,15 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       | Some _ | None -> default.ci_target);
   }
 
+(* [shard_size] semantics shared by every driver: a positive value is
+   taken literally, anything else means the configured ONEBIT_SHARD
+   size (the rule [override] applies to a flag), so the engine, the
+   adaptive sampler and the fleet coordinator tile — and key their
+   store records — identically. *)
+let resolve_shard_size = function
+  | Some s when s > 0 -> s
+  | Some _ | None -> (of_env ()).shard_size
+
 let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
     ?progress ?metrics ?trace ?backend ?incremental ?coord ?lease_ttl ?domain
     ?adaptive ?ci_target t =

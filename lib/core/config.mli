@@ -120,6 +120,12 @@ val resolve_jobs : int -> int
 (** [resolve_jobs j] is [j] if positive, else the recommended domain
     count. *)
 
+val resolve_shard_size : int option -> int
+(** [resolve_shard_size (Some s)] is [s] if positive; a non-positive or
+    absent size means the [ONEBIT_SHARD] resolution of {!of_env}.  Every
+    driver that tiles a campaign into shards resolves its [?shard_size]
+    here, so their shard boundaries and store keys agree. *)
+
 val install : t -> unit
 (** Arm the observability sinks described by [metrics]/[trace]
     (enables collection and registers at-exit dump writers; a no-op if

@@ -88,7 +88,6 @@ module Control = struct
   let closed t i = t.cells.(i).closed
   let met t i = t.cells.(i).met
   let closed_at t i = granted_exps t.cells.(i)
-  let granted_shards t i = t.cells.(i).granted
   let half_width t i = t.cells.(i).hw
   let rounds t = t.rounds
   let finished t = Array.for_all (fun c -> c.closed) t.cells
@@ -224,112 +223,57 @@ type grid_stats = {
   g_saved : int;  (* sum over cells of cap - closed_at *)
 }
 
-let run_grid ?(jobs = 1) ?shard_size ?store ?initial ?round_budget ?log
-    ~target cells =
+let run_grid ?jobs ?shard_size ?store ?initial ?round_budget ?log ~target
+    cells =
   if cells = [] then invalid_arg "Adaptive.run_grid: empty grid";
-  let jobs = Core.Config.resolve_jobs jobs in
-  let shard_size =
-    match shard_size with
-    | Some s -> max 1 s
-    | None -> (Core.Config.of_env ()).Core.Config.shard_size
-  in
+  let shard_size = Core.Config.resolve_shard_size shard_size in
   let cells = Array.of_list cells in
   let ctl =
     Control.create ?initial ?round_budget ~target ~shard_size
       (Array.map (fun c -> c.c_cap) cells)
   in
-  (* Completed shards per cell, indexed like the cap tiling. *)
-  let shards =
-    Array.map
-      (fun c ->
-        Array.make
-          (List.length (Shards.tile ~n:c.c_cap ~shard_size))
-          (None : Core.Campaign.shard option))
-      cells
-  in
-  (* Hold a writer lease for the run, as the fixed-N engine does. *)
-  (match store with Some st -> Store.lease st | None -> ());
-  Fun.protect
-    ~finally:(fun () ->
-      match store with Some st -> Store.release_lease st | None -> ())
+  (* Completed shards per cell: its granted prefix, in any order. *)
+  let taken = Array.make (Array.length cells) [] in
+  (* The executor leases the store for each round; hold one lease across
+     rounds as well, so `onebit engine gc` cannot compact between them. *)
+  Option.iter Store.lease store;
+  Fun.protect ~finally:(fun () -> Option.iter Store.release_lease store)
   @@ fun () ->
-  let key_of cell (lo, hi) =
-    match store with
-    | None -> None
-    | Some st ->
-        Some
-          ( st,
-            Store.key ~program:cell.c_workload.Core.Workload.name
-              ~digest:cell.c_workload.Core.Workload.digest ~spec:cell.c_spec
-              ~n:cell.c_cap ~seed:cell.c_seed ~lo ~hi )
-  in
-  let executed = ref 0 and from_store = ref 0 in
-  let warmed = Hashtbl.create 7 in
+  let totals = ref Obs.Snapshot.zero in
   let obs i =
-    let trials = ref 0 and sdc = ref 0 in
-    Array.iter
-      (function
-        | Some (s : Core.Campaign.shard) ->
-            trials := !trials + (s.hi - s.lo);
-            sdc := !sdc + s.s_sdc
-        | None -> ())
-      shards.(i);
-    (!trials, !sdc)
+    List.fold_left
+      (fun (trials, sdc) (s : Core.Campaign.shard) ->
+        (trials + s.hi - s.lo, sdc + s.s_sdc))
+      (0, 0) taken.(i)
   in
   let rec loop () =
     match Control.step ctl ~obs with
     | [] -> ()
     | grants ->
-        (* Satisfy what the store already has; run the rest in one pool
-           dispatch spanning every granted cell. *)
-        let todo = ref [] in
-        let granted_exps = ref 0 and round_hits = ref 0 in
-        List.iter
-          (fun (i, ranges) ->
-            List.iter
-              (fun (lo, hi) ->
-                granted_exps := !granted_exps + (hi - lo);
-                let idx = lo / shard_size in
-                let hit =
-                  match key_of cells.(i) (lo, hi) with
-                  | Some (st, key) -> Store.lookup st key
-                  | None -> None
-                in
-                match hit with
-                | Some shard ->
-                    shards.(i).(idx) <- Some shard;
-                    from_store := !from_store + (hi - lo);
-                    round_hits := !round_hits + (hi - lo)
-                | None -> todo := (i, idx, lo, hi) :: !todo)
-              ranges)
-          grants;
-        let todo = Array.of_list (List.rev !todo) in
-        (* Warm each workload's golden-prefix checkpoint set before
-           spawning workers, exactly as the fixed-N engine does. *)
-        Array.iter
-          (fun (i, _, _, _) ->
-            let w = cells.(i).c_workload in
-            if not (Hashtbl.mem warmed w.Core.Workload.digest) then begin
-              Hashtbl.add warmed w.Core.Workload.digest ();
-              ignore
-                (Core.Workload.ensure_checkpoints w : Vm.Checkpoint.set option)
-            end)
-          todo;
-        let task (i, idx, lo, hi) ~worker:_ =
-          let cell = cells.(i) in
-          let shard =
-            Core.Campaign.run_shard cell.c_workload cell.c_spec
-              ~seed:cell.c_seed ~lo ~hi
-          in
-          shards.(i).(idx) <- Some shard;
-          match key_of cell (lo, hi) with
-          | Some (st, key) -> Store.add st key shard
-          | None -> ()
+        (* One executor call spans every granted cell; store keys use the
+           cap. *)
+        let round =
+          Array.of_list
+            (List.concat_map
+               (fun (i, ranges) -> List.map (fun r -> (i, r)) ranges)
+               grants)
         in
-        Pool.run ~jobs (Array.map (fun t -> task t) todo);
-        Array.iter
-          (fun (_, _, lo, hi) -> executed := !executed + (hi - lo))
-          todo;
+        let job (i, (lo, hi)) =
+          let c = cells.(i) in
+          {
+            Shards.workload = c.c_workload;
+            spec = c.c_spec;
+            n = c.c_cap;
+            seed = c.c_seed;
+            lo;
+            hi;
+          }
+        in
+        let shards, st = Shards.run ?jobs ?store (Array.map job round) in
+        Array.iteri
+          (fun k (i, _) -> taken.(i) <- shards.(k) :: taken.(i))
+          round;
+        totals := Obs.Snapshot.add !totals st;
         (match log with
         | Some f ->
             let open_cells = ref 0 in
@@ -340,7 +284,9 @@ let run_grid ?(jobs = 1) ?shard_size ?store ?initial ?round_budget ?log
               (Printf.sprintf
                  "adaptive round %d: %d cells open, %d experiments granted \
                   (%d from store)"
-                 (Control.rounds ctl) !open_cells !granted_exps !round_hits)
+                 (Control.rounds ctl) !open_cells
+                 (st.experiments_executed + st.experiments_from_store)
+                 st.experiments_from_store)
         | None -> ());
         loop ()
   in
@@ -349,18 +295,13 @@ let run_grid ?(jobs = 1) ?shard_size ?store ?initial ?round_budget ?log
     Array.mapi
       (fun i cell ->
         let closed_at = Control.closed_at ctl i in
-        let taken =
-          Array.sub shards.(i) 0 (Control.granted_shards ctl i)
-          |> Array.to_list
-          |> List.map (function Some s -> s | None -> assert false)
-        in
         Obs.Metrics.observe m_closed_at (float_of_int closed_at);
         {
           r_cell = cell;
           r_result =
             Core.Campaign.merge
               ~workload_name:cell.c_workload.Core.Workload.name cell.c_spec
-              ~n:closed_at ~seed:cell.c_seed taken;
+              ~n:closed_at ~seed:cell.c_seed taken.(i);
           r_closed_at = closed_at;
           r_met = Control.met ctl i;
         })
@@ -375,7 +316,7 @@ let run_grid ?(jobs = 1) ?shard_size ?store ?initial ?round_budget ?log
   ( Array.to_list results,
     {
       g_rounds = Control.rounds ctl;
-      g_executed = !executed;
-      g_from_store = !from_store;
+      g_executed = !totals.experiments_executed;
+      g_from_store = !totals.experiments_from_store;
       g_saved = saved;
     } )

@@ -59,7 +59,6 @@ module Control : sig
   (** Experiments covered by the granted prefix — the cell's effective
       N, a shard boundary of the cap tiling. *)
 
-  val granted_shards : t -> int -> int
   val half_width : t -> int -> float
   (** SDC half-width at the last barrier; 1.0 before any data. *)
 
@@ -101,7 +100,9 @@ val run_grid :
   cell list ->
   cell_result list * grid_stats
 (** Run the grid adaptively in-process.  Results are returned in cell
-    order.  With a [store], shards already present are not re-executed
+    order.  Each round's grants go to the same shard executor as a
+    fixed-N campaign; [jobs] and [shard_size] resolve as they do there
+    ({!Core.Config.resolve_shard_size}).  With a [store], shards already present are not re-executed
     and new shards are appended durably as they finish (keys use each
     cell's cap), so a killed adaptive run resumes: the re-run replays
     the same deterministic round schedule and hits the store for

@@ -1,25 +1,24 @@
 (** Multicore campaign execution engine.
 
-    Campaigns are split into fixed-size shards executed by a pool of
-    worker domains over work-stealing deques ({!Pool}); per-experiment
-    seeds come from the splittable PRNG ([Prng.split_at base i]), so the
-    merged result is bit-identical regardless of worker count or
-    scheduling order.  Shard boundaries depend only on (n, shard size),
-    never on the worker count, which is what lets a durable {!Store}
-    populated by one run satisfy any later run and lets a killed run
-    resume by executing only its missing shards.
+    Campaigns are split into fixed-size shards.  One executor serves the
+    fixed-N engine, every adaptive round and the incremental engine's
+    mem/code fallback: it answers shards from a durable {!Store}, runs
+    the rest on a pool of worker domains that claim them from one shared
+    cursor ({!Pool}) and appends each result as it finishes.
+    Per-experiment seeds come from the splittable PRNG
+    ([Prng.split_at base i]), so the merged result is bit-identical
+    regardless of worker count or scheduling order.  Shard boundaries
+    depend only on (n, shard size), never on the worker count, which is
+    what lets a store populated by one run satisfy any later run and lets
+    a killed run resume by executing only its missing shards.
 
     Runtime knobs (worker count, shard size, store path, …) resolve in
     {!Core.Config}. *)
 
-module Deque = Deque
 module Pool = Pool
 module Progress = Progress
 module Incremental = Incremental
 module Adaptive = Adaptive
-
-val default_shard_size : int
-(** 25 experiments per shard. *)
 
 val shards_of : n:int -> shard_size:int -> (int * int) list
 (** The canonical [(lo, hi)] tiling of [0, n). *)
@@ -46,8 +45,9 @@ val run_campaign_stats :
   Core.Workload.t -> Core.Spec.t -> n:int -> seed:int64 ->
   Core.Campaign.result * run_stats
 (** Run one campaign.  [jobs <= 0] means one worker per recommended
-    domain; [jobs] defaults to 1 and [shard_size] to the
-    [Core.Config.of_env] resolution of [ONEBIT_SHARD].  With a [store],
+    domain; [jobs] defaults to 1.  A non-positive or absent [shard_size]
+    means the configured [ONEBIT_SHARD] size
+    ({!Core.Config.resolve_shard_size}).  With a [store],
     shards already present are not re-executed and newly computed shards
     are appended durably as they finish ([keep_experiments] campaigns
     bypass the store: per-experiment records are not persisted). *)

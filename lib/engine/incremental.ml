@@ -43,9 +43,6 @@ type stats = {
   exps_skipped : int;
 }
 
-let span_if_tracing name f =
-  if Obs.Trace.enabled () then Obs.Trace.with_span name f else f ()
-
 (* Candidate-ordinal -> owning function index, for both techniques, from
    one instrumented fault-free run on the seed interpreter (its hooks
    fire once per candidate, carrying the instruction's static identity).
@@ -276,46 +273,19 @@ let run ?(jobs = 1) ?shard_size ~store (w : Core.Workload.t)
     (spec : Core.Spec.t) ~n ~seed =
   if n <= 0 then invalid_arg "Incremental.run: n must be positive";
   let jobs = Core.Config.resolve_jobs jobs in
-  let shard_size =
-    match shard_size with
-    | Some s -> max 1 s
-    | None -> (Core.Config.of_env ()).Core.Config.shard_size
-  in
+  let shard_size = Core.Config.resolve_shard_size shard_size in
   let label = w.name ^ " " ^ Core.Spec.label spec ^ " (incremental)" in
-  span_if_tracing ("campaign " ^ label) @@ fun () ->
+  Shards.span_if_tracing ("campaign " ^ label) @@ fun () ->
   if not (Core.Domain.equal spec.Core.Spec.domain Core.Domain.Reg) then begin
     (* Function-level profile reuse keys the first flip's candidate
        ordinal to the function that owns the instruction — a
        register-domain notion.  Mem/Code targets live on the raw dynamic
        axis and their effects are not function-local (a flipped byte or
        stored instruction is visible from anywhere), so caching would be
-       unsound: run the campaign in full, counted as recomputed. *)
+       unsound: run the fixed-N campaign without the store, counted as
+       recomputed. *)
     let nfuncs = Array.length w.prog.funcs in
-    let rec shards lo acc =
-      if lo >= n then List.rev acc
-      else shards (lo + shard_size) ((lo, min n (lo + shard_size)) :: acc)
-    in
-    let ranges = Array.of_list (shards 0 []) in
-    let slots : Core.Campaign.shard option array =
-      Array.make (Array.length ranges) None
-    in
-    let tasks =
-      Array.mapi
-        (fun i (lo, hi) ->
-          fun ~worker:_ ->
-           span_if_tracing (Printf.sprintf "shard %d-%d %s" lo hi label)
-           @@ fun () ->
-           slots.(i) <- Some (Core.Campaign.run_shard w spec ~seed ~lo ~hi))
-        ranges
-    in
-    if Array.length tasks > 0 then
-      ignore (Core.Workload.ensure_checkpoints w : Vm.Checkpoint.set option);
-    Pool.run ~jobs tasks;
-    let result =
-      Core.Campaign.merge ~workload_name:w.name spec ~n ~seed
-        (Array.to_list slots
-        |> List.map (function Some s -> s | None -> assert false))
-    in
+    let result, _ = Shards.campaign ~jobs ~shard_size w spec ~n ~seed in
     Obs.Metrics.add m_recompute n;
     Obs.Metrics.add m_funcs_recomputed nfuncs;
     ( result,
@@ -403,7 +373,7 @@ let run ?(jobs = 1) ?shard_size ~store (w : Core.Workload.t)
           (fun ci chunk ->
             tasks :=
               (fun ~worker:_ ->
-                span_if_tracing
+                Shards.span_if_tracing
                   (Printf.sprintf "profile %s/%d %s"
                      (funcs.(fidx) : Ir.Func.t).f_name ci label)
                 @@ fun () ->

@@ -62,6 +62,9 @@ val run :
   Core.Campaign.result * stats
 (** Compose the campaign from cached profiles, re-executing only
     functions with no valid cached profile (in parallel, [shard_size]
-    experiments per task).  The composed result equals
-    [Campaign.run ~keep_experiments:false] exactly — same counters, trap
-    breakdown, activation histogram and weighted sums. *)
+    experiments per task, resolved by {!Core.Config.resolve_shard_size}).
+    A mem or code spec runs the fixed-N engine path instead, without the
+    store, and counts every function and experiment as recomputed.  The
+    composed result equals [Campaign.run ~keep_experiments:false]
+    exactly — same counters, trap breakdown, activation histogram and
+    weighted sums. *)

@@ -1,19 +1,17 @@
-(* Fixed pool of worker domains over a work-stealing deque per worker.
+(* Fixed pool of worker domains claiming tasks from one shared cursor.
 
-   Tasks are distributed round-robin across the deques up front; each
-   worker drains its own deque bottom-first and steals from its neighbours
-   (oldest task first) when empty.  The calling domain participates as
-   worker 0, so [jobs = 1] spawns no domains at all and runs the tasks
-   inline.  Tasks never spawn tasks, so a worker that finds every deque
-   empty is done for good; [Domain.join] is the completion barrier.
+   The task array is complete before any domain starts and tasks never
+   spawn tasks, so a single [Atomic.fetch_and_add] cursor hands out every
+   index exactly once; a worker that reads past the end is done for good
+   and [Domain.join] is the completion barrier.  The calling domain
+   participates as worker 0, so [jobs = 1] spawns no domains at all.
 
-   Observability: task and steal counts plus per-worker busy/idle wall
-   time go to the default metrics registry.  Timing is only taken when
+   Observability: the task count plus per-worker busy/idle wall time go
+   to the default metrics registry.  Timing is only taken when
    collection is enabled, so a disabled run pays one flag check per
    pool invocation. *)
 
 let m_tasks = Obs.Metrics.counter "onebit_engine_tasks_total"
-let m_steals = Obs.Metrics.counter "onebit_engine_steals_total"
 
 let worker_gauge name w =
   Obs.Metrics.gauge ~labels:[ ("worker", string_of_int w) ] name
@@ -43,65 +41,35 @@ let instrumented me loop =
 
 let run ~jobs (tasks : (worker:int -> unit) array) =
   let ntasks = Array.length tasks in
-  if ntasks = 0 then ()
-  else begin
-    let jobs = max 1 (min jobs ntasks) in
-    if jobs = 1 then
-      instrumented 0 (fun timed ->
-          Array.iter
-            (fun f ->
-              Obs.Metrics.incr m_tasks;
-              timed (fun () -> f ~worker:0))
-            tasks)
-    else begin
-      let deques = Array.init jobs (fun _ -> Deque.create ()) in
-      Array.iteri (fun i _ -> Deque.push_bottom deques.(i mod jobs) i) tasks;
-      let take me =
-        match Deque.pop_bottom deques.(me) with
-        | Some _ as t -> t
-        | None ->
-            let rec steal k =
-              if k >= jobs then None
-              else
-                match Deque.steal_top deques.((me + k) mod jobs) with
-                | Some _ as t ->
-                    Obs.Metrics.incr m_steals;
-                    t
-                | None -> steal (k + 1)
-            in
-            steal 1
-      in
-      (* Tasks are all enqueued before any domain starts and never spawn
-         tasks, so deque emptiness is monotone: once [take] finds every
-         deque empty, no task will ever appear again and the worker can
-         exit instead of waiting — in-flight tasks finish on the workers
-         that claimed them, and [Domain.join] below is the barrier. *)
-      let worker me =
+  if ntasks > 0 then begin
+    let next = Atomic.make 0 in
+    let failure = Atomic.make None in
+    let worker me () =
+      try
         instrumented me (fun timed ->
             let rec loop () =
-              match take me with
-              | Some i ->
-                  Obs.Metrics.incr m_tasks;
-                  timed (fun () -> tasks.(i) ~worker:me);
-                  loop ()
-              | None -> ()
+              let i = Atomic.fetch_and_add next 1 in
+              if i < ntasks then begin
+                Obs.Metrics.incr m_tasks;
+                timed (fun () -> tasks.(i) ~worker:me);
+                loop ()
+              end
             in
             loop ())
-      in
-      let failure = Atomic.make None in
-      let guarded me () =
-        try worker me
-        with exn ->
-          (* Record the first failure; this worker's unclaimed tasks are
-             picked up by thieves, and the error re-raises after joins. *)
-          ignore (Atomic.compare_and_set failure None (Some exn))
-      in
-      let domains =
-        Array.init (jobs - 1) (fun i ->
-            Domain.spawn (fun () -> guarded (i + 1) ()))
-      in
-      guarded 0 ();
-      Array.iter Domain.join domains;
-      match Atomic.get failure with Some exn -> raise exn | None -> ()
-    end
+      with exn ->
+        (* Record the first failure and stop this worker; the others
+           keep claiming, and the error re-raises after the joins. *)
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set failure None (Some (exn, bt)))
+    in
+    let domains =
+      Array.init
+        (max 1 (min jobs ntasks) - 1)
+        (fun i -> Domain.spawn (worker (i + 1)))
+    in
+    worker 0 ();
+    Array.iter Domain.join domains;
+    Option.iter
+      (fun (exn, bt) -> Printexc.raise_with_backtrace exn bt)
+      (Atomic.get failure)
   end

@@ -127,11 +127,7 @@ let create ?(ttl = 30.) ?shard_size ?store ?ci_target ?initial ?round_budget
     ~cells () =
   if cells = [] then invalid_arg "Coord.create: empty grid";
   if ttl <= 0. then invalid_arg "Coord.create: ttl must be positive";
-  let shard_size =
-    match shard_size with
-    | Some s when s > 0 -> s
-    | Some _ | None -> (Core.Config.of_env ()).Core.Config.shard_size
-  in
+  let shard_size = Core.Config.resolve_shard_size shard_size in
   let cells = Array.of_list cells in
   Array.iter
     (fun (cell : Proto.cell) ->

@@ -30,9 +30,10 @@ val create :
   cells:Proto.cell list ->
   unit -> t
 (** [ttl] (default 30s) is the lease deadline extended by heartbeats;
-    [shard_size] defaults to the [Core.Config.of_env] resolution, and the
-    tiling is [Engine.shards_of] — the same shards a single-process
-    engine run would store.
+    a non-positive or absent [shard_size] means the configured size
+    ({!Core.Config.resolve_shard_size}), and the tiling is
+    [Engine.shards_of] — the same shards a single-process engine run
+    would store.
 
     With [ci_target], the coordinator leases adaptive rounds instead of
     a fixed grid ({!Engine.Adaptive.Control}): each cell's [c_n] becomes

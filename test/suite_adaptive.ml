@@ -248,6 +248,49 @@ let test_resume_mid_round () =
     (Engine.run_campaign ~jobs:1 w spec ~n:cap ~seed)
     full
 
+(* ---- jobs invariance ---- *)
+
+(* Each round's grants go to the shard executor in one pool dispatch;
+   the worker count and the store may change where a shard comes from,
+   never what the sampler decides. *)
+let test_jobs_invariant () =
+  let cells =
+    List.map
+      (fun (w, spec) ->
+        { A.c_workload = Lazy.force w; c_spec = spec; c_cap = 300; c_seed = 7L })
+      [
+        (crc32, Core.Spec.single Core.Technique.Read);
+        (qsort, Core.Spec.single Core.Technique.Read);
+        ( qsort,
+          Core.Spec.multi Core.Technique.Write ~max_mbf:3
+            ~win:(Core.Win.Fixed 10) );
+      ]
+  in
+  let run ~jobs ~store =
+    let st = if store then Some (Store.open_dir (temp_dir ())) else None in
+    Fun.protect
+      ~finally:(fun () -> Option.iter Store.close st)
+      (fun () -> A.run_grid ~jobs ~shard_size:10 ?store:st ~target:0.06 cells)
+  in
+  let base, base_stats = run ~jobs:1 ~store:false in
+  Alcotest.(check bool) "several rounds" true (base_stats.A.g_rounds > 1);
+  List.iter
+    (fun (jobs, store) ->
+      let what = Printf.sprintf "jobs=%d store=%b" jobs store in
+      let rs, stats = run ~jobs ~store in
+      List.iter2
+        (fun (a : A.cell_result) (b : A.cell_result) ->
+          Alcotest.check result_eq (what ^ ": cell") a.r_result b.r_result;
+          Alcotest.(check int) (what ^ ": closed_at") a.r_closed_at
+            b.r_closed_at;
+          Alcotest.(check bool) (what ^ ": met") a.r_met b.r_met)
+        base rs;
+      Alcotest.(check int) (what ^ ": rounds") base_stats.A.g_rounds
+        stats.A.g_rounds;
+      Alcotest.(check int) (what ^ ": executed") base_stats.A.g_executed
+        stats.A.g_executed)
+    [ (4, false); (1, true); (4, true) ]
+
 (* ---- fleet adaptive == in-process adaptive ---- *)
 
 let drive_fleet ~workers ~shard_size ~ci_target w spec ~cap ~seed =
@@ -400,6 +443,8 @@ let suites =
         QCheck_alcotest.to_alcotest prop_prefix_identity_random_programs;
         Alcotest.test_case "resume after mid-round kill" `Slow
           test_resume_mid_round;
+        Alcotest.test_case "jobs 1 == jobs 4, with and without a store" `Slow
+          test_jobs_invariant;
         Alcotest.test_case "fleet == in-process" `Slow
           test_fleet_matches_inprocess;
         Alcotest.test_case "fleet state reports adaptive" `Slow

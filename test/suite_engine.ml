@@ -1,7 +1,7 @@
-(* Tests for the multicore campaign engine: the work-stealing deque, the
-   domain pool, determinism under parallelism (the load-bearing property:
-   any worker count yields a bit-identical Campaign.result), and
-   resume-after-kill through the result store. *)
+(* Tests for the multicore campaign engine: the domain pool and its
+   shared task cursor, determinism under parallelism (the load-bearing
+   property: any worker count yields a bit-identical Campaign.result),
+   and resume-after-kill through the result store. *)
 
 let workload =
   lazy
@@ -17,50 +17,38 @@ let temp_dir =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "onebit-engine-test-%d-%d" (Unix.getpid ()) !counter)
 
-(* ---- deque ---- *)
-
-let test_deque_lifo_fifo () =
-  let d = Engine.Deque.create ~capacity:4 () in
-  for i = 1 to 100 do
-    Engine.Deque.push_bottom d i
-  done;
-  Alcotest.(check int) "length" 100 (Engine.Deque.length d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 100)
-    (Engine.Deque.pop_bottom d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1)
-    (Engine.Deque.steal_top d);
-  Alcotest.(check (option int)) "steal again" (Some 2)
-    (Engine.Deque.steal_top d);
-  Alcotest.(check (option int)) "pop again" (Some 99)
-    (Engine.Deque.pop_bottom d);
-  let rec drain n =
-    match Engine.Deque.pop_bottom d with
-    | Some _ -> drain (n + 1)
-    | None -> n
-  in
-  Alcotest.(check int) "rest drains" 96 (drain 0);
-  Alcotest.(check (option int)) "empty pop" None (Engine.Deque.pop_bottom d);
-  Alcotest.(check (option int)) "empty steal" None (Engine.Deque.steal_top d)
-
 (* ---- pool ---- *)
 
+(* Every task runs exactly once, with no task list (nothing to run) and
+   with more workers than tasks (no worker beyond the task count). *)
 let test_pool_runs_every_task () =
-  let hits = Array.make 64 0 in
-  let tasks =
-    Array.init 64 (fun i ->
-        fun ~worker:_ -> hits.(i) <- hits.(i) + 1)
-  in
-  Engine.Pool.run ~jobs:4 tasks;
-  Alcotest.(check bool) "each task ran exactly once" true
-    (Array.for_all (( = ) 1) hits)
+  List.iter
+    (fun (ntasks, jobs) ->
+      let hits = Array.make ntasks 0 and workers = Array.make ntasks (-1) in
+      Engine.Pool.run ~jobs
+        (Array.init ntasks (fun i ~worker ->
+             hits.(i) <- hits.(i) + 1;
+             workers.(i) <- worker));
+      let what = Printf.sprintf "%d tasks, jobs=%d" ntasks jobs in
+      Alcotest.(check bool) (what ^ ": each task ran exactly once") true
+        (Array.for_all (( = ) 1) hits);
+      Alcotest.(check bool) (what ^ ": worker ids below min jobs ntasks") true
+        (Array.for_all (fun w -> w >= 0 && w < min jobs ntasks) workers))
+    [ (64, 4); (0, 4); (3, 8); (5, 1) ]
 
+(* A raising task stops only its own worker: the others still run every
+   remaining task once before the first failure re-raises. *)
 let test_pool_propagates_failure () =
+  let hits = Array.make 16 0 in
   let tasks =
-    Array.init 16 (fun i ->
-        fun ~worker:_ -> if i = 7 then failwith "boom")
+    Array.init 16 (fun i ~worker:_ ->
+        hits.(i) <- hits.(i) + 1;
+        if i = 7 then failwith "boom")
   in
   Alcotest.check_raises "first failure re-raised" (Failure "boom") (fun () ->
-      Engine.Pool.run ~jobs:4 tasks)
+      Engine.Pool.run ~jobs:4 tasks);
+  Alcotest.(check (array int)) "every task ran exactly once"
+    (Array.make 16 1) hits
 
 (* ---- shards ---- *)
 
@@ -201,7 +189,6 @@ let suites =
   [
     ( "engine",
       [
-        Alcotest.test_case "deque LIFO/FIFO" `Quick test_deque_lifo_fifo;
         Alcotest.test_case "pool runs every task" `Quick
           test_pool_runs_every_task;
         Alcotest.test_case "pool propagates failure" `Quick

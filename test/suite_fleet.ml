@@ -467,6 +467,20 @@ let test_coord_store_resume () =
   Alcotest.(check int) "engine reuses all fleet shards" 3
     stats.Obs.Snapshot.shards_from_store
 
+(* ---- one shard-size rule ---- *)
+
+(* A non-positive shard size means the configured size for every
+   driver, so the engine and the coordinator tile a cell identically and
+   key their store records alike. *)
+let test_shard_size_rule () =
+  let w = Lazy.force workload in
+  let c = Coord.create ~shard_size:0 ~cells:[ cell_of ~n:60 w spec ] () in
+  let _, stats =
+    Engine.run_campaign_stats ~shard_size:0 w spec ~n:60 ~seed:20170626L
+  in
+  Alcotest.(check int) "engine shards = coordinator tasks"
+    (Coord.total_tasks c) stats.Obs.Snapshot.shards_executed
+
 (* ---- store writer leases and gc refusal ---- *)
 
 let test_store_leases_and_gc () =
@@ -524,6 +538,8 @@ let suites =
         Alcotest.test_case "address parsing" `Quick test_parse_addr;
         Alcotest.test_case "coordinator store resume" `Quick
           test_coord_store_resume;
+        Alcotest.test_case "shard_size 0 tiles like the coordinator" `Quick
+          test_shard_size_rule;
         Alcotest.test_case "store writer leases gate gc" `Quick
           test_store_leases_and_gc;
       ] );

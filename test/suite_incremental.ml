@@ -274,6 +274,33 @@ let test_incremental_equals_full () =
       Alcotest.(check int) "warm run reuses everything" n s2.exps_reused;
       Alcotest.(check int) "warm run recomputes nothing" 0 s2.funcs_recomputed)
 
+(* Mem and code campaigns are not function-local, so they bypass the
+   profile cache and run the fixed-N engine path in full. *)
+let test_non_reg_runs_fixed_n () =
+  let w = Lazy.force fixture_workload in
+  let n = 60 and seed = 11L in
+  List.iter
+    (fun domain ->
+      let spec = Core.Spec.multi ~domain Write ~max_mbf:2 ~win:(Fixed 3) in
+      let full = Engine.run_campaign w spec ~n ~seed in
+      List.iter
+        (fun jobs ->
+          with_store (fun st ->
+              let what =
+                Printf.sprintf "%s jobs=%d" (Core.Spec.label spec) jobs
+              in
+              let r, s =
+                Engine.Incremental.run ~jobs ~store:st w spec ~n ~seed
+              in
+              check_equal_result (what ^ ": equals the fixed-N campaign") r
+                full;
+              Alcotest.(check int) (what ^ ": every function recomputed")
+                s.funcs_total s.funcs_recomputed;
+              Alcotest.(check int) (what ^ ": every experiment recomputed") n
+                s.exps_recomputed))
+        [ 1; 2 ])
+    [ Core.Domain.Mem; Core.Domain.Code ]
+
 let test_edit_reruns_only_edited () =
   let spec = Core.Spec.single Read and n = 60 and seed = 11L in
   (* Same program twice under the same name, with scale's block label
@@ -512,6 +539,8 @@ let suites =
           test_partition_tiles;
         Alcotest.test_case "incremental == full (cold + warm)" `Slow
           test_incremental_equals_full;
+        Alcotest.test_case "mem/code run the fixed-N path" `Slow
+          test_non_reg_runs_fixed_n;
         Alcotest.test_case "label edit re-runs only that function" `Slow
           test_edit_reruns_only_edited;
         Alcotest.test_case "semantic edit invalidates everything" `Slow
