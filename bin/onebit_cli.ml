@@ -493,8 +493,8 @@ let reproduce_cmd =
     let r = Core.Campaign.run ~keep_experiments:true w spec ~n ~seed in
     let stored = r.experiments.(index) in
     (* ... and an independent replay from the same (seed, index); the
-       replay bypasses golden-prefix checkpointing so every instruction
-       it reports was actually re-executed. *)
+       replay bypasses golden-prefix checkpointing and the early exits,
+       so every instruction it reports was actually re-executed. *)
     let rng = Prng.split_at (Prng.of_seed seed) index in
     let candidates = Core.Workload.candidates w spec in
     let inj = Core.Injector.create ~spec ~candidates rng in
@@ -504,7 +504,9 @@ let reproduce_cmd =
       (Core.Spec.label spec) program n seed;
     Printf.printf "backend:    %s\n"
       (Core.Config.backend_name (Core.Config.active_backend ()));
-    Printf.printf "replay:     full execution (checkpoint restore bypassed)\n";
+    Printf.printf
+      "replay:     full execution (checkpoint restore and early exits \
+       bypassed)\n";
     Printf.printf "domain:     %s\n"
       (Core.Domain.to_string spec.Core.Spec.domain);
     Printf.printf "outcome:    %s\n" (Core.Outcome.to_string outcome);
@@ -569,7 +571,8 @@ let reproduce_cmd =
           injection landed in the requested fault domain.  Prints which \
           execution backend, replay path and domain produced the result — \
           the replay always runs from the top, never from a golden-prefix \
-          checkpoint; with ONEBIT_BACKEND=seed both the campaign and the \
+          checkpoint, and to its end, never stopping early; with \
+          ONEBIT_BACKEND=seed both the campaign and the \
           replay run on the reference interpreter.  Exits 1 on divergence.")
     Term.(
       const run $ program_arg $ domain_arg $ technique_arg $ mbf_arg $ win_arg

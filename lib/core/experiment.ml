@@ -71,23 +71,24 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
          dynamic index (Mem/Code).  The prefix it skips fires no events
          and consumes no injector randomness, so the suffix run is
          bit-identical to full execution. *)
-      let point =
-        if not checkpoint then None
-        else
-          match
-            (Workload.ensure_checkpoints workload, Injector.first_target inj)
-          with
-          | Some set, Some target ->
-              Vm.Checkpoint.select set ~axis:ev.Vm.Code.watch ~target
-          | _ -> None
+      let set =
+        if checkpoint then Workload.ensure_checkpoints workload else None
       in
+      let point =
+        match (set, Injector.first_target inj) with
+        | Some set, Some target ->
+            Vm.Checkpoint.select set ~axis:ev.Vm.Code.watch ~target
+        | _ -> None
+      in
+      (* The same set arms the early exits once the injector is done: a
+         patched Code fork takes only the cycle exit. *)
       match point with
       | Some point ->
           Vm.Code.resume ~events:ev ~mem ~point ~orig:workload.Workload.code
-            ~budget:workload.budget code
+            ?exits:set ~budget:workload.budget code
       | None ->
           Vm.Memory.reset mem;
-          Vm.Code.run ~events:ev ~mem ~budget:workload.budget code)
+          Vm.Code.run ~events:ev ~mem ?exits:set ~budget:workload.budget code)
 
 (* Classification + bookkeeping, exported so the benchmark can time it
    apart from [run_raw]. *)

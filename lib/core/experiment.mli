@@ -21,11 +21,16 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     undo-tracking working memory, [Code] flips patch a private
     {!Vm.Code.fork} — and restores the golden prefix up to the first
     flip from the workload's checkpoint set, executing only the suffix.
-    With no checkpoint at or before the first flip, or with
-    [~checkpoint:false] ([onebit reproduce] passes it, so a replay
-    re-runs every instruction it reports), it resets the working memory
-    in O(dirty pages) and runs from the top.  Results are bit-identical
-    either way.
+    The same set arms {!Vm.Code}'s early exits once the last flip has
+    landed: the golden-rejoin exit in [Reg] and [Mem] (a [Code] flip's
+    patched instruction persists, so {!Vm.Code} keeps it off on a
+    patched fork), the hang-cycle exit in all three.
+    With no checkpoint at or before the first flip, it resets the
+    working memory in O(dirty pages) and runs from the top, exits still
+    armed.  [~checkpoint:false] ([onebit reproduce] passes it, so a
+    replay re-runs every instruction it reports; the benchmark's oracle
+    too) bypasses both the restore and the exits.  Results are
+    bit-identical either way.
 
     On the seed backend, the reference oracle, the interpreter runs
     under {!Injector.hooks} from the top on a private memory clone or

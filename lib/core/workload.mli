@@ -21,7 +21,11 @@ type t = {
       (** golden-run execution count of each (function, block), indexed
           [fidx].[bidx]; feeds the static candidate predictor
           ([Dataflow.Candidates]) and the pruning study *)
-  budget : int;  (** watchdog budget for faulty runs *)
+  budget : int;
+      (** watchdog budget for faulty runs: [hang_factor] x the golden
+          dynamic count + 1000.  A run whose dynamic index reaches it
+          ends [Hung] with [dyn_count = budget + 1]; the cycle exit
+          ({!Vm.Code.run}'s [exits]) fast-forwards to exactly there *)
   digest : string;
       (** md5 hex digest of the printed IR; campaign results are only
           reusable across processes when the program text is unchanged, so
@@ -37,8 +41,8 @@ type t = {
 val make : ?hang_factor:int -> ?expected_output:string -> name:string ->
   Ir.Func.modl -> t
 (** Load the module, execute the golden run and derive the budget
-    ([hang_factor] x golden dynamic count, default 10 — one order of
-    magnitude, as LLFI's watchdog).
+    ([hang_factor] x golden dynamic count + 1000, [hang_factor] 10 by
+    default — one order of magnitude, as LLFI's watchdog).
 
     @raise Invalid_argument if the golden run does not finish normally, or
     if [expected_output] is given and differs from the golden output. *)

@@ -16,7 +16,10 @@
    prefix, resuming from a checkpoint is observationally identical to
    full execution: same injections, outputs, counters.  The differential
    suite (test/suite_checkpoint.ml) and the CI pipeline differential
-   enforce this bit-for-bit. *)
+   enforce this bit-for-bit.
+
+   A set also carries the reference for Code's early exits: the golden
+   run's end state and, per memory page, its last read. *)
 
 let interval = 1024
 
@@ -42,7 +45,14 @@ type point = {
   ck_pages : (int * bytes) array; (* dirty pages at capture *)
 }
 
-type set = { interval : int; points : point array }
+type set = {
+  interval : int;
+  points : point array;
+  last_read : int array;
+      (* per memory page: the last dyn at which the golden run loads from
+         it, -1 if never *)
+  golden : Exec.result; (* the golden run's end state *)
+}
 
 type recorder = {
   mutable interval : int;
@@ -50,6 +60,8 @@ type recorder = {
   mutable next_wc : int;
   mutable rev_points : point list;
   mutable n_points : int;
+  mutable last_read : int array;
+  mutable golden : Exec.result option; (* set when the run completes *)
 }
 
 (* Never triggers: both thresholds stay at max_int.  The run loop keeps a
@@ -61,6 +73,8 @@ let null_recorder =
     next_wc = max_int;
     rev_points = [];
     n_points = 0;
+    last_read = [||];
+    golden = None;
   }
 
 (* Cap on points per program: when reached, every other point is dropped
@@ -97,6 +111,8 @@ let recorder ~interval =
     next_wc = interval;
     rev_points = [];
     n_points = 0;
+    last_read = [||];
+    golden = None;
   }
 
 let add r p =
@@ -118,8 +134,20 @@ let add r p =
     Obs.Metrics.add m_pages_saved (Array.length p.ck_pages)
   end
 
+let complete r ~last_read golden =
+  r.last_read <- last_read;
+  r.golden <- Some golden
+
 let finish r =
-  { interval = r.interval; points = Array.of_list (List.rev r.rev_points) }
+  match r.golden with
+  | None -> invalid_arg "Checkpoint.finish: the recording run has not completed"
+  | Some golden ->
+      {
+        interval = r.interval;
+        points = Array.of_list (List.rev r.rev_points);
+        last_read = r.last_read;
+        golden;
+      }
 
 let note_restore (p : point) =
   Atomic.incr restores_total;

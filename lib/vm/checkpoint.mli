@@ -14,7 +14,13 @@
     a single digest-keyed set serves both injection techniques.  The
     golden prefix fires no injector events and consumes no randomness,
     which is why a resumed run is bit-identical to a full one (enforced
-    by test/suite_checkpoint.ml and the CI pipeline differential). *)
+    by test/suite_checkpoint.ml and the CI pipeline differential).
+
+    The same recording run leaves what {!Code}'s early exits compare a
+    faulty suffix against: the points double as the golden states a run
+    may rejoin, the per-page last reads say which memory still matters
+    at each of them, and the golden end state is what a rejoined run
+    returns. *)
 
 val interval : int
 (** The capture interval of production checkpoint sets: 1024 candidate
@@ -45,8 +51,21 @@ type point = {
           whole memory image *)
 }
 
-type set = { interval : int; points : point array }
-(** All checkpoints of one golden run; ordinals increase with index. *)
+type set = {
+  interval : int;
+  points : point array;  (** ordinals increase with index *)
+  last_read : int array;
+      (** per {!Memory.page_size} page: the last dynamic index at which
+          the golden run loads from it ([-1] if never).  A page whose
+          last read lies before a point is dead there: the golden
+          suffix never looks at it again *)
+  golden : Exec.result;  (** the golden run's end state *)
+}
+(** Everything one golden run leaves for the faulty runs: the points to
+    restore from, and the reference {!Code}'s early exits compare
+    against — the page liveness, for the golden-rejoin exit, and the
+    end state, which that exit returns and past whose length the cycle
+    exit searches. *)
 
 type recorder = {
   mutable interval : int;
@@ -54,6 +73,8 @@ type recorder = {
   mutable next_wc : int;
   mutable rev_points : point list;
   mutable n_points : int;
+  mutable last_read : int array;
+  mutable golden : Exec.result option;
 }
 (** Mutable capture state threaded through a recording {!Code.run}.
     Transparent so the run loop's trigger test ([rc >= next_rc || wc >=
@@ -67,8 +88,16 @@ val recorder : interval:int -> recorder
     Raises [Invalid_argument] if [interval <= 0]. *)
 
 val finish : recorder -> set
+(** The recorded set.  Raises [Invalid_argument] unless the recording
+    run has completed; callers keep the set only when its
+    [golden.status] is [Finished]. *)
+
 val add : recorder -> point -> unit
 (** Used by {!Code.run}'s capture path; re-arms the trigger thresholds. *)
+
+val complete : recorder -> last_read:int array -> Exec.result -> unit
+(** Used by {!Code.run} when a recording run ends: its per-page last
+    reads and its result. *)
 
 val null_recorder : recorder
 (** Thresholds pinned at [max_int]; never captures.  The run loop's

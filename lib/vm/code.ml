@@ -14,8 +14,12 @@
    at most one integer compare per candidate instruction; the hooked slow
    path (the fault injector) is entered only when the scheduled event
    threshold is crossed, after which execution resumes at full speed.
-   Golden runs and post-final-flip execution see thresholds of [max_int]
-   and never leave the fast path.
+   Golden runs see thresholds of [max_int] and never leave the fast
+   path.  After the final flip, a run given the golden checkpoint set
+   leaves it only at the early-exit probe's stops, which share the
+   budget compare: the probe returns the golden end state once the run
+   has rejoined the golden run, and fast-forwards a hang whose state
+   repeats exactly to the watchdog.
 
    The decode is behaviour-preserving by construction: every micro-op's
    semantics is the specialisation of the corresponding [Exec.step] case
@@ -81,6 +85,10 @@ type uop =
   | Umov_f of int * int
   | Uload_i of int * int * int (* dst, addr, width-bytes *)
   | Uload_f of int * int
+  (* The loads of a recording run ([recording_funcs]), which also note the
+     page they read: production loads pay nothing for the liveness. *)
+  | Urload_i of int * int * int
+  | Urload_f of int * int
   | Ustore_i of int * int * int (* value, addr, width-bytes *)
   | Ustore_f of int * int
   | Ugep of int * int * int * int (* dst, base, index, scale *)
@@ -128,6 +136,9 @@ type t = {
   main : int;
   mem_template : Memory.t;
   source : Program.t;
+  mutable patched : bool;
+      (* a fork that [patch] has rewritten: it no longer runs the golden
+         program, so the golden-rejoin exit stays off *)
 }
 
 let program t = t.source
@@ -388,6 +399,7 @@ let compile_uncached (p : Program.t) : t =
     main = p.main;
     mem_template = p.mem_template;
     source = p;
+    patched = false;
   }
 
 let compile ?digest (p : Program.t) : t =
@@ -422,6 +434,7 @@ let fork t =
   {
     t with
     funcs = Array.map (fun cf -> { cf with uops = Array.copy cf.uops }) t.funcs;
+    patched = false;
   }
 
 (* Install a mutated instruction (from Codeflip) at its site.  The site
@@ -432,12 +445,33 @@ let fork t =
 let patch t ~fidx ~bidx ~idx p =
   let cf = t.funcs.(fidx) in
   let off = cf.block_off.(bidx) + idx in
+  t.patched <- true;
   cf.uops.(off) <-
     (match p with `Instr ins -> Uinterp ins | `Term tm -> Uinterp_t tm)
 
 (* ---- execution ---- *)
 
+(* The functions with every load replaced by its recording twin. *)
+let recording_funcs t =
+  Array.map
+    (fun cf ->
+      {
+        cf with
+        uops =
+          Array.map
+            (function
+              | Uload_i (dst, addr, w) -> Urload_i (dst, addr, w)
+              | Uload_f (dst, addr) -> Urload_f (dst, addr)
+              | u -> u)
+            cf.uops;
+      })
+    t.funcs
+
 exception Hang_exn
+
+(* Raised by the probe when a faulty run has rejoined the golden run,
+   with the golden end state the run returns. *)
+exception Rejoined of Exec.result
 
 type rstate = {
   mutable dyn : int;
@@ -445,6 +479,121 @@ type rstate = {
   mutable wc : int;
   mutable ret_i : int;
   mutable ret_f : float;
+  mutable limit : int;
+      (* the top of the loop leaves its fast path once [dyn] reaches
+         this: the budget, or the early-exit probe's next stop if sooner *)
+}
+
+(* ---- early exits ---- *)
+
+(* Instructions the cycle exit searches past the golden run's length
+   before it gives up.  Brent's search finds any period up to about a
+   third of it; a hang that has not repeated by then (a counter that
+   keeps moving) runs to the watchdog unprobed. *)
+let cycle_window = 4096
+
+(* Per exit kind, plain counters (one update per exit, not per
+   instruction) so tests observe the exits without enabling metrics,
+   mirrored by the Obs counters. *)
+type exit_counters = {
+  exits : int Atomic.t;
+  skipped : int Atomic.t;
+  m_exits : Obs.Metrics.counter;
+  m_skipped : Obs.Metrics.counter;
+}
+
+let exit_counters kind =
+  let labels = [ ("kind", kind) ] in
+  {
+    exits = Atomic.make 0;
+    skipped = Atomic.make 0;
+    m_exits = Obs.Metrics.counter ~labels "onebit_vm_early_exits_total";
+    m_skipped =
+      Obs.Metrics.counter ~labels "onebit_vm_instructions_skipped_total";
+  }
+
+let golden_exit = exit_counters "golden"
+let cycle_exit = exit_counters "cycle"
+
+let note_exit c ~skipped =
+  Atomic.incr c.exits;
+  ignore (Atomic.fetch_and_add c.skipped skipped : int);
+  if Obs.Metrics.enabled () then begin
+    Obs.Metrics.incr c.m_exits;
+    Obs.Metrics.add c.m_skipped skipped
+  end
+
+type exit_stats = {
+  golden_exits : int;
+  cycle_exits : int;
+  golden_skipped : int;
+  cycle_skipped : int;
+}
+
+let exit_stats () =
+  {
+    golden_exits = Atomic.get golden_exit.exits;
+    cycle_exits = Atomic.get cycle_exit.exits;
+    golden_skipped = Atomic.get golden_exit.skipped;
+    cycle_skipped = Atomic.get cycle_exit.skipped;
+  }
+
+let same_ints (a : int array) (b : int array) =
+  let n = Array.length a in
+  let rec go j =
+    j >= n || (Array.unsafe_get a j = Array.unsafe_get b j && go (j + 1))
+  in
+  Array.length b = n && go 0
+
+(* By bits: -0.0 <> 0.0, and NaN payloads are told apart. *)
+let same_flts (a : float array) (b : float array) =
+  let n = Array.length a in
+  let rec go j =
+    j >= n
+    || Int64.bits_of_float (Array.unsafe_get a j)
+       = Int64.bits_of_float (Array.unsafe_get b j)
+       && go (j + 1)
+  in
+  Array.length b = n && go 0
+
+(* Does a captured stack ([snaps], outermost first) equal the live one:
+   the innermost [frame] at [fidx]/[pc] plus the shadow stack [outer]
+   (innermost first)?  [calls] also compares each in-progress call's
+   dynamic index. *)
+let same_stack (snaps : Checkpoint.frame_snap array) ~calls fidx
+    (frame : Exec.frame) pc outer =
+  let top = Array.length snaps - 1 in
+  let same (s : Checkpoint.frame_snap) f (fr : Exec.frame) =
+    s.fs_fidx = f && same_ints s.fs_ints fr.Exec.ints
+    && same_flts s.fs_flts fr.Exec.flts
+  in
+  let rec outers k = function
+    | [] -> k < 0
+    | (f, fr, pc, calld) :: rest ->
+        k >= 0
+        && snaps.(k).fs_pc = pc
+        && ((not calls) || snaps.(k).fs_call_dyn = calld)
+        && same snaps.(k) f fr
+        && outers (k - 1) rest
+  in
+  top >= 0 && snaps.(top).fs_pc = pc && same snaps.(top) fidx frame
+  && outers (top - 1) outer
+
+let buffer_equals b s =
+  let n = String.length s in
+  let rec go j = j >= n || (Buffer.nth b j = String.unsafe_get s j && go (j + 1)) in
+  Buffer.length b = n && go 0
+
+(* The cycle exit's reference state: the stack and dirty pages at one
+   instruction, with the counters and output length to measure a period
+   against. *)
+type anchor = {
+  a_stack : Checkpoint.frame_snap array;
+  a_pages : (int * bytes) array;
+  a_dyn : int;
+  a_rc : int;
+  a_wc : int;
+  a_out : int;
 }
 
 (* Shared placeholder for eventless runs; its thresholds are never read
@@ -490,17 +639,34 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
    call's write-candidate post-block using the call's own dynamic index)
    before that frame continues at the following pc.  [st.ret_i]/[st.ret_f]
    are dead at the top of the loop, so zero-initialising them is exact. *)
-let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
-    (code : t) =
+let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
+    ~budget (code : t) =
+  let rec_on = Option.is_some record in
+  let has_bh = Option.is_some block_hook in
+  (* A recording run is the golden run itself, and a block hook must see
+     every block, so neither arms the exits. *)
+  let exits =
+    match exits with
+    | Some (set : Checkpoint.set)
+      when set.golden.Exec.status = Exec.Finished && (not rec_on)
+           && not has_bh ->
+        exits
+    | _ -> None
+  in
+  let exits_on = Option.is_some exits in
   let mem =
     match mem with
     | Some m -> m
     | None ->
-        if Option.is_some record then Memory.with_undo code.mem_template
+        if rec_on || exits_on then Memory.with_undo code.mem_template
         else Memory.clone code.mem_template
   in
+  if exits_on && not (Memory.tracks_undo mem) then
+    invalid_arg "Code.run: early exits need an undo-tracking memory";
   let out = Buffer.create 256 in
-  let st = { dyn = 0; rc = 0; wc = 0; ret_i = 0; ret_f = 0.0 } in
+  let st =
+    { dyn = 0; rc = 0; wc = 0; ret_i = 0; ret_f = 0.0; limit = budget }
+  in
   (match resume with
   | Some (p : Checkpoint.point) ->
       Buffer.add_string out p.ck_out;
@@ -513,19 +679,25 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
     | Some e -> (e.watch = `Read, e.watch = `Write, e.watch = `Dyn, e)
     | None -> (false, false, false, no_events)
   in
-  let has_bh = Option.is_some block_hook in
   let bh =
     match block_hook with Some h -> h | None -> fun ~fidx:_ ~bidx:_ -> ()
   in
-  let rec_on = Option.is_some record in
   let recd =
     match record with Some r -> r | None -> Checkpoint.null_recorder
   in
+  (* Per memory page, the last dyn at which a recording run loads from
+     it: the golden-rejoin exit's page liveness. *)
+  let last_read =
+    if rec_on then Array.make (Memory.pages mem) (-1) else [||]
+  in
   (* Shadow call stack, innermost first: (fidx, frame, call pc, call dyn)
-     of every in-progress Ucall.  Maintained only when recording. *)
+     of every in-progress call, Ucall or a patched call interpreted by
+     [interp_step] alike, so its length is always the current depth.
+     Maintained when recording and when the exits may arm. *)
+  let shadow = rec_on || exits_on in
   let rstack : (int * Exec.frame * int * int) list ref = ref [] in
-  let funcs = code.funcs in
-  let capture fidx (frame : Exec.frame) i =
+  let funcs = if rec_on then recording_funcs code else code.funcs in
+  let snapshot_stack fidx (frame : Exec.frame) i =
     let snap_of (fidx, (fr : Exec.frame), pc, calld) =
       {
         Checkpoint.fs_fidx = fidx;
@@ -536,18 +708,151 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
         fs_lw = Array.copy fr.Exec.last_write;
       }
     in
-    let stack =
-      Array.of_list (List.rev_map snap_of ((fidx, frame, i, 0) :: !rstack))
-    in
+    Array.of_list (List.rev_map snap_of ((fidx, frame, i, 0) :: !rstack))
+  in
+  let capture fidx frame i =
     Checkpoint.add recd
       {
         Checkpoint.ck_dyn = st.dyn;
         ck_rc = st.rc;
         ck_wc = st.wc;
         ck_out = Buffer.contents out;
-        ck_stack = stack;
+        ck_stack = snapshot_stack fidx frame i;
         ck_pages = Memory.snapshot_pages mem;
       }
+  in
+  (* ---- the early-exit probe ----
+
+     Armed once the injector has nothing pending.  Golden phase: at each
+     golden point from then on, a run whose state equals the golden
+     run's there — counters, output, stack, and memory on every page the
+     golden suffix still reads — finishes exactly as the golden run did.
+     Cycle phase, past the golden run's length: a run whose state repeats
+     exactly repeats forever, so whole periods are added arithmetically
+     and the remainder runs to the watchdog. *)
+  let next_point = ref 0 in
+  let anchor = ref None and lam = ref 0 and power = ref 1 in
+  let cycle_end = ref max_int in
+  let probe_at d = st.limit <- min d budget in
+  let start_cycle (set : Checkpoint.set) =
+    probe_at (max st.dyn set.golden.Exec.dyn_count)
+  in
+  let arm (set : Checkpoint.set) =
+    let pts = set.points in
+    let n = Array.length pts in
+    (* The golden exit needs the program the golden run ran — a patched
+       instruction outlives the last flip — and the golden run to fit the
+       budget: a full run would otherwise hang before the golden end. *)
+    let rec first lo hi =
+      if lo >= hi then lo
+      else
+        let mid = (lo + hi) / 2 in
+        if pts.(mid).Checkpoint.ck_dyn < st.dyn then first (mid + 1) hi
+        else first lo mid
+    in
+    let k =
+      if (not code.patched) && set.golden.Exec.dyn_count <= budget then
+        first 0 n
+      else n
+    in
+    next_point := k;
+    if k < n then probe_at pts.(k).ck_dyn else start_cycle set
+  in
+  let rejoins (set : Checkpoint.set) (p : Checkpoint.point) fidx frame i =
+    st.dyn = p.ck_dyn && st.rc = p.ck_rc && st.wc = p.ck_wc
+    && Buffer.length out = String.length p.ck_out
+    && same_stack p.ck_stack ~calls:true fidx frame i !rstack
+    && buffer_equals out p.ck_out
+    && Memory.equal_image mem p.ck_pages ~live:(fun pg ->
+           set.last_read.(pg) >= p.ck_dyn)
+  in
+  let take_anchor fidx frame i =
+    anchor :=
+      Some
+        {
+          a_stack = snapshot_stack fidx frame i;
+          a_pages = Memory.snapshot_pages mem;
+          a_dyn = st.dyn;
+          a_rc = st.rc;
+          a_wc = st.wc;
+          a_out = Buffer.length out;
+        };
+    lam := 0
+  in
+  (* Whole periods fit while every skipped instruction stays below the
+     budget; the remainder then runs, and the watchdog fires at exactly
+     the dyn a full run would reach. *)
+  let fast_forward a =
+    let period = st.dyn - a.a_dyn in
+    let k = (budget - st.dyn) / period in
+    if k > 0 then begin
+      let chunk = Buffer.sub out a.a_out (Buffer.length out - a.a_out) in
+      if chunk <> "" then
+        for _ = 1 to k do
+          Buffer.add_string out chunk
+        done;
+      st.rc <- st.rc + (k * (st.rc - a.a_rc));
+      st.wc <- st.wc + (k * (st.wc - a.a_wc));
+      st.dyn <- st.dyn + (k * period);
+      note_exit cycle_exit ~skipped:(k * period)
+    end;
+    st.limit <- budget
+  in
+  (* Brent's search: compare against an anchor that moves to the current
+     state whenever the steps since it reach the next power of two. *)
+  let cycle_step fidx frame i =
+    match !anchor with
+    | None ->
+        cycle_end := st.dyn + cycle_window;
+        take_anchor fidx frame i
+    | Some _ when st.dyn >= !cycle_end -> st.limit <- budget
+    | Some a ->
+        incr lam;
+        if
+          same_stack a.a_stack ~calls:false fidx frame i !rstack
+          && Memory.equal_image mem a.a_pages ~live:(fun _ -> true)
+        then fast_forward a
+        else if !lam = !power then begin
+          power := 2 * !power;
+          take_anchor fidx frame i
+        end
+  in
+  let probe (set : Checkpoint.set) fidx frame i =
+    let pts = set.points in
+    let k = !next_point in
+    if k < Array.length pts then begin
+      if rejoins set pts.(k) fidx frame i then begin
+        note_exit golden_exit ~skipped:(set.golden.Exec.dyn_count - st.dyn);
+        raise (Rejoined set.golden)
+      end;
+      next_point := k + 1;
+      if k + 1 < Array.length pts then probe_at pts.(k + 1).ck_dyn
+      else start_cycle set
+    end
+    else cycle_step fidx frame i
+  in
+  (* The top of the loop past [st.limit]: probe while below the budget,
+     then the watchdog, at the dyn the probe may have moved.  Returns the
+     dyn of the instruction about to execute. *)
+  let slow_top fidx frame i d =
+    (match exits with Some set when d < budget -> probe set fidx frame i | _ -> ());
+    let d = st.dyn in
+    if d >= budget then begin
+      st.dyn <- d + 1;
+      raise Hang_exn
+    end;
+    d
+  in
+  (* The exits arm once the injector has nothing pending: at the start
+     of an eventless run, else after the injector's last event. *)
+  let arm_when_done () =
+    match exits with
+    | Some set when ev.ev_cand = max_int && ev.ev_dyn = max_int -> arm set
+    | _ -> ()
+  in
+  let handle ~dyn ~cand frame meta =
+    ev.handle ~dyn ~cand frame meta;
+    arm_when_done ()
   in
   let rec exec_fn fidx (frame : Exec.frame) depth ~start ~hook0 =
     let cf = Array.unsafe_get funcs fidx in
@@ -563,17 +868,19 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
       if rec_on && (st.rc >= recd.Checkpoint.next_rc
                     || st.wc >= recd.Checkpoint.next_wc)
       then capture fidx frame i;
-      let d = st.dyn in
+      let d =
+        let d = st.dyn in
+        if d >= st.limit then slow_top fidx frame i d else d
+      in
       st.dyn <- d + 1;
-      if d >= budget then raise Hang_exn;
       if watch_dyn && d >= ev.ev_dyn then
-        ev.handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
+        handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
       let fl = Array.unsafe_get flags i in
       if fl land 1 <> 0 then begin
         let c = st.rc in
         st.rc <- c + 1;
         if watch_read && (c >= ev.ev_cand || d >= ev.ev_dyn) then
-          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+          handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
       end;
       (match Array.unsafe_get uops i with
       | Uadd (dst, a, b, m) ->
@@ -743,6 +1050,16 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
           Array.unsafe_set flts dst
             (Memory.read_f64 mem ~addr:(Array.unsafe_get ints addr));
           pc := i + 1
+      | Urload_i (dst, addr, w) ->
+          let a = Array.unsafe_get ints addr in
+          Array.unsafe_set ints dst (Memory.read_int mem ~width:w ~addr:a);
+          Memory.note_read last_read ~width:w ~addr:a d;
+          pc := i + 1
+      | Urload_f (dst, addr) ->
+          let a = Array.unsafe_get ints addr in
+          Array.unsafe_set flts dst (Memory.read_f64 mem ~addr:a);
+          Memory.note_read last_read ~width:8 ~addr:a d;
+          pc := i + 1
       | Ustore_i (v, addr, w) ->
           Memory.write_int mem ~width:w
             ~addr:(Array.unsafe_get ints addr)
@@ -778,9 +1095,9 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
               cframe.Exec.flts.(j) <- Array.unsafe_get flts cr.c_args.(j)
             else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
           done;
-          if rec_on then rstack := (fidx, frame, i, d) :: !rstack;
+          if shadow then rstack := (fidx, frame, i, d) :: !rstack;
           exec_fn cr.c_callee cframe (depth + 1) ~start:0 ~hook0:true;
-          if rec_on then rstack := List.tl !rstack;
+          if shadow then rstack := List.tl !rstack;
           if cr.c_dst >= 0 then
             if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
             else Array.unsafe_set ints cr.c_dst st.ret_i;
@@ -837,7 +1154,7 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
           st.ret_f <- Array.unsafe_get flts s;
           running := false
       | Uinterp ins ->
-          interp_step frame depth ins;
+          interp_step fidx frame i d depth ins;
           pc := i + 1
       | Uinterp_t tm -> (
           match tm with
@@ -861,13 +1178,14 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
         st.wc <- c + 1;
         Array.unsafe_set lw ((fl lsr 2) - 1) d;
         if watch_write && (c >= ev.ev_cand || d >= ev.ev_dyn) then
-          ev.handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+          handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
       end
     done
   (* One mutated instruction, interpreted generically — the mirror of the
      seed interpreter's [step] over the same (flipped) [Ir.Instr.t], with
-     calls re-entering compiled code. *)
-  and interp_step (frame : Exec.frame) depth (ins : Ir.Instr.t) =
+     calls re-entering compiled code.  [fidx], [i] and [d] locate the
+     instruction for the shadow stack. *)
+  and interp_step fidx (frame : Exec.frame) i d depth (ins : Ir.Instr.t) =
     let ints = frame.Exec.ints and flts = frame.Exec.flts in
     match ins with
     | Binop { op; ty; dst; a; b } ->
@@ -944,7 +1262,9 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
                   cframe.Exec.flts.(j) <- igetf frame arg
                 else cframe.Exec.ints.(j) <- igeti frame arg)
               args;
+            if shadow then rstack := (fidx, frame, i, d) :: !rstack;
             exec_fn cidx cframe (depth + 1) ~start:0 ~hook0:true;
+            if shadow then rstack := List.tl !rstack;
             (match (dst, src.Program.ret) with
             | Some d, Some rt ->
                 if Ir.Ty.is_float rt then flts.(d) <- st.ret_f
@@ -992,7 +1312,7 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
       st.wc <- c + 1;
       frame.Exec.last_write.((fl lsr 2) - 1) <- calld;
       if watch_write && (c >= ev.ev_cand || calld >= ev.ev_dyn) then
-        ev.handle ~dyn:calld ~cand:c frame cf.metas.(i)
+        handle ~dyn:calld ~cand:c frame cf.metas.(i)
     end
   in
   let rebuild (s : Checkpoint.frame_snap) =
@@ -1013,14 +1333,28 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
           ~hook0:false
     | (outer : Checkpoint.frame_snap) :: rest ->
         let frame = rebuild outer in
+        if shadow then
+          rstack :=
+            (outer.fs_fidx, frame, outer.fs_pc, outer.fs_call_dyn) :: !rstack;
         resume_stack rest (depth + 1);
+        if shadow then rstack := List.tl !rstack;
         complete_call outer.fs_fidx frame outer.fs_pc outer.fs_call_dyn;
         exec_fn outer.fs_fidx frame depth ~start:(outer.fs_pc + 1)
           ~hook0:false
   in
-  let status =
-    try
-      (match resume with
+  arm_when_done ();
+  let ended status =
+    {
+      Exec.status;
+      output = Buffer.contents out;
+      dyn_count = st.dyn;
+      read_cands = st.rc;
+      write_cands = st.wc;
+    }
+  in
+  let result =
+    match
+      match resume with
       | Some p -> resume_stack (Array.to_list p.Checkpoint.ck_stack) 0
       | None ->
           let mainf = funcs.(code.main) in
@@ -1032,28 +1366,22 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ~budget
               last_write = Array.copy mainf.lw_init;
             }
           in
-          exec_fn code.main frame 0 ~start:0 ~hook0:true);
-      Exec.Finished
+          exec_fn code.main frame 0 ~start:0 ~hook0:true
     with
-    | Trap.Trap t -> Exec.Trapped t
-    | Hang_exn -> Exec.Hung
+    | () -> ended Exec.Finished
+    | exception Trap.Trap t -> ended (Exec.Trapped t)
+    | exception Hang_exn -> ended Exec.Hung
+    | exception Rejoined golden -> golden
   in
-  let result =
-    {
-      Exec.status;
-      output = Buffer.contents out;
-      dyn_count = st.dyn;
-      read_cands = st.rc;
-      write_cands = st.wc;
-    }
-  in
+  if rec_on then Checkpoint.complete recd ~last_read result;
   Exec.record_run result;
   result
 
-let run ?events ?block_hook ?record ?mem ~budget code =
-  run_internal ?events ?block_hook ?record ?mem ~budget code
+let run ?events ?block_hook ?record ?mem ?exits ~budget code =
+  run_internal ?events ?block_hook ?record ?mem ?exits ~budget code
 
-let resume ~events ~mem ~(point : Checkpoint.point) ?orig ~budget code =
+let resume ~events ~mem ~(point : Checkpoint.point) ?orig ?exits ~budget code
+    =
   Checkpoint.note_restore point;
   Memory.restore_pages mem point.ck_pages;
-  run_internal ~events ~mem ~resume:point ?orig ~budget code
+  run_internal ~events ~mem ~resume:point ?orig ?exits ~budget code

@@ -16,7 +16,34 @@
     when a scheduled event threshold is crossed.  With no [events] (or
     thresholds of [max_int] after the final flip) the loop never leaves
     the fast path — this is what golden runs and post-injection execution
-    pay.
+    pay, apart from the early exits' probe below.
+
+    Given a golden {!Checkpoint.set} ([exits]), a faulty run also stops
+    once its result is decided.  Both exits arm only when the injector
+    has no pending events ([ev_cand = ev_dyn = max_int]); until then, and
+    in a run without [exits], the loop pays one compare per instruction
+    for them.
+    - {b Golden rejoin}, unless {!patch} has rewritten the code (a
+      patched instruction outlives the last flip, so the run no longer
+      runs the golden program).  At each golden point from then on, the probe compares the candidate ordinals, the
+      output, the call stack (per frame: function, pc, in-progress call's
+      dynamic index, integer registers exactly and float registers by
+      bits) and memory on every page the golden run still reads at or
+      after the point ({!Checkpoint.set}[.last_read]).  Equal, the run's
+      future is the golden run's, so it returns the golden end state.
+      [last_write] tables are not compared: only the injector reads
+      them, and it is done.
+    - {b Hang cycle.}  Past the golden run's length, Brent's search
+      compares the stack (function, pc and registers of every frame) and
+      the whole memory with an anchor state, for {!cycle_window}
+      instructions.  An exact repeat after [L] instructions repeats
+      forever: the probe adds as many whole periods as fit below
+      [budget] to the counters, with a copy of the period's output each,
+      and runs the remainder to the watchdog.
+    Either way the result is field-for-field the full run's.  Every call
+    is on the probe's shadow stack, patched calls interpreted for the
+    code domain included, so an unbounded recursion never looks like a
+    cycle: its depth grows until it traps [Stack_overflow].
 
     Behaviour is bit-identical to the seed interpreter {!Exec.run}: same
     outputs, statuses, dynamic counts, candidate ordinals, [last_write]
@@ -59,6 +86,7 @@ val run :
   ?block_hook:(fidx:int -> bidx:int -> unit) ->
   ?record:Checkpoint.recorder ->
   ?mem:Memory.t ->
+  ?exits:Checkpoint.set ->
   budget:int ->
   t ->
   Exec.result
@@ -74,13 +102,21 @@ val run :
     template — it must be in template state ({!Memory.reset} /
     {!Memory.restore_pages} it first); the caller retains ownership
     across runs.  This is what lets one per-domain memory serve a whole
-    shard of experiments. *)
+    shard of experiments.
+
+    [exits] arms the early exits against the program's golden set
+    (only the cycle exit on a patched {!fork}).  They need an
+    undo-tracking [mem] ([Invalid_argument] otherwise; one is made when
+    [mem] is omitted) and a golden run that finished, and they stay off
+    in recording runs and runs with a [block_hook], which must see every
+    instruction. *)
 
 val resume :
   events:events ->
   mem:Memory.t ->
   point:Checkpoint.point ->
   ?orig:t ->
+  ?exits:Checkpoint.set ->
   budget:int ->
   t ->
   Exec.result
@@ -95,7 +131,9 @@ val resume :
     fault domain), pass the pristine original as [orig]: the restored
     stack's in-progress calls complete with their pre-flip destination
     registers, matching non-checkpoint execution, where the call record
-    is destructured at dispatch and thus immune to later patches. *)
+    is destructured at dispatch and thus immune to later patches.
+
+    [exits] is {!run}'s. *)
 
 val fork : t -> t
 (** A private copy whose micro-op arrays may be {!patch}ed — the
@@ -130,6 +168,25 @@ val site_reads : t -> int array array
 val site_writes : t -> int array array
 (** Static inject-on-write candidate sites per block (instructions with a
     destination register). *)
+
+val cycle_window : int
+(** Instructions the cycle exit searches past the golden run's length
+    before giving up (4096); a constant, not a knob. *)
+
+type exit_stats = {
+  golden_exits : int;  (** runs that rejoined the golden run *)
+  cycle_exits : int;  (** runs fast-forwarded to the watchdog *)
+  golden_skipped : int;  (** dynamic instructions those exits skipped *)
+  cycle_skipped : int;
+}
+
+val exit_stats : unit -> exit_stats
+(** Early exits since process start; counted even when metrics
+    collection is disabled.  Obs mirrors:
+    [onebit_vm_early_exits_total{kind="golden"|"cycle"}] and
+    [onebit_vm_instructions_skipped_total{kind=...}].  A run that exits
+    still counts its logical [dyn_count] in
+    [onebit_vm_instructions_total]. *)
 
 val cache_stats : unit -> int * int
 (** [(decodes, cache_hits)] since process start; counted even when

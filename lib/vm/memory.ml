@@ -17,6 +17,9 @@ type undo = {
   dirty_flag : Bytes.t; (* one byte per page *)
   mutable dirty : int array; (* stack of dirty page indexes *)
   mutable n_dirty : int;
+  mutable mismatch : int;
+      (* the page that failed the last [equal_image], compared first
+         next time: a corrupted page tends to stay corrupted *)
 }
 
 type t = {
@@ -67,6 +70,7 @@ let with_undo t =
           dirty_flag = Bytes.make npages '\000';
           dirty = Array.make 64 0;
           n_dirty = 0;
+          mismatch = -1;
         };
   }
 
@@ -141,6 +145,74 @@ let restore_pages t pages =
     pages;
   Atomic.incr full_total;
   if Obs.Metrics.enabled () then Obs.Metrics.incr m_restores_full
+
+let pages t = (t.size + page_size - 1) / page_size
+
+(* Set the entries of [last] for the pages an access covers (both, when
+   it straddles a boundary) to [dyn].  Called after the access succeeded,
+   so the pages are in range.  A recording run pays it on every load. *)
+let[@inline] note_read last ~width ~addr dyn =
+  Array.unsafe_set last (addr lsr page_bits) dyn;
+  Array.unsafe_set last ((addr + width - 1) lsr page_bits) dyn
+
+(* Byte equality of [len] bytes at [a.(ao)] and [b.(bo)], a word at a
+   time. *)
+let equal_range a ao b bo len =
+  let rec words j =
+    j + 8 > len
+    || Bytes.get_int64_ne a (ao + j) = Bytes.get_int64_ne b (bo + j)
+       && words (j + 8)
+  in
+  let rec tail j =
+    j >= len || (Bytes.get a (ao + j) = Bytes.get b (bo + j) && tail (j + 1))
+  in
+  words 0 && tail (len land lnot 7)
+
+(* Index of page [p] in a snapshot sorted by page index, or -1. *)
+let find_page (image : (int * bytes) array) p =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let q = fst image.(mid) in
+      if q = p then mid else if q < p then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length image)
+
+(* A page outside both the dirty set and [image] equals the template on
+   both sides, so only those two sets are visited — after the page that
+   failed last time, which usually fails again. *)
+let equal_image t image ~live =
+  match t.undo with
+  | None -> invalid_arg "Memory.equal_image: not an undo-tracking memory"
+  | Some u ->
+      (* Page [p] against the image's copy [image.(k)], or the template's
+         when [k < 0]; a clean page of [t] holds the template's bytes. *)
+      let same p k =
+        (not (live p))
+        ||
+        let off = p lsl page_bits and len = page_len t p in
+        let ok =
+          if k < 0 then equal_range t.arena off u.template off len
+          else equal_range t.arena off (snd image.(k)) 0 len
+        in
+        if not ok then u.mismatch <- p;
+        ok
+      in
+      let rec dirty k =
+        k >= u.n_dirty
+        || (let p = u.dirty.(k) in
+            same p (find_page image p))
+           && dirty (k + 1)
+      in
+      let rec images k =
+        k >= Array.length image
+        || (let p = fst image.(k) in
+            Bytes.unsafe_get u.dirty_flag p <> '\000' || same p k)
+           && images (k + 1)
+      in
+      (u.mismatch < 0 || same u.mismatch (find_page image u.mismatch))
+      && dirty 0 && images 0
 
 let check t ~width ~addr =
   if addr < 0 || addr + width > t.size then raise (Trap.Trap Trap.Segfault);

@@ -50,6 +50,25 @@ val restore_pages : t -> (int * bytes) array -> unit
     them dirty, so a later [reset] rewinds them too).  Counted as a
     {e full} restore in {!restore_stats}. *)
 
+val pages : t -> int
+(** Number of {!page_size} pages covering the arena. *)
+
+val note_read : int array -> width:int -> addr:int -> int -> unit
+(** [note_read last ~width ~addr dyn] sets [last.(p)] to [dyn] for the
+    page of the access's first byte and the page of its last (an access
+    that straddles a boundary marks both).  [last] has {!pages} entries;
+    the access must already have passed its bounds check.  The
+    checkpoint recorder's per-page golden-read liveness. *)
+
+val equal_image : t -> (int * bytes) array -> live:(int -> bool) -> bool
+(** [equal_image t image ~live]: does [t] equal the template overlaid
+    with [image] (a {!snapshot_pages} result, of this memory or of
+    another run of the same template) on every page [p] with [live p]?
+    Visits only [t]'s dirty pages and [image]'s pages, since every other
+    page equals the template on both sides: O(dirty + image) pages, the
+    page that failed [t]'s previous comparison first.  Raises
+    [Invalid_argument] on a memory without undo tracking. *)
+
 val restore_stats : unit -> int * int
 (** [(full, 0)] — the process-wide count of full page-restores
     ({!restore_pages}) since process start, counted even when metrics
