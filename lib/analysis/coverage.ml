@@ -33,10 +33,10 @@ let compute ?(n = 200) ?(seed = 20170626L) ?(programs = default_programs) () =
       in
       let base_modl = entry.build () in
       let expected = entry.reference () in
+      let base = Core.Workload.make ~name ~expected_output:expected base_modl in
       let workload_of variant =
         match variant with
-        | Baseline ->
-            Core.Workload.make ~name ~expected_output:expected base_modl
+        | Baseline -> base
         | Swift_full ->
             Core.Workload.make ~name:(name ^ "+swift")
               ~expected_output:expected
@@ -49,9 +49,7 @@ let compute ?(n = 200) ?(seed = 20170626L) ?(programs = default_programs) () =
             Core.Workload.make ~name:(name ^ "+tmr") ~expected_output:expected
               (Harden.Tmr.apply base_modl)
       in
-      let base_dyn =
-        (workload_of Baseline).golden.dyn_count |> float_of_int
-      in
+      let base_dyn = float_of_int base.golden.dyn_count in
       List.concat_map
         (fun variant ->
           let w = workload_of variant in

@@ -77,6 +77,11 @@ let of_env ?(getenv = Sys.getenv_opt) () =
   let path name =
     match getenv name with Some p when p <> "" -> Some p | _ -> None
   in
+  let flag name fallback =
+    match getenv name with
+    | Some ("1" | "true" | "yes" | "on") -> true
+    | Some _ | None -> fallback
+  in
   {
     n = int "ONEBIT_N" default.n;
     seed =
@@ -98,20 +103,14 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       | Some s when s > 0 -> s
       | Some _ | None -> default.shard_size);
     store = path "ONEBIT_STORE";
-    progress =
-      (match getenv "ONEBIT_PROGRESS" with
-      | Some ("1" | "true" | "yes") -> true
-      | Some _ | None -> false);
+    progress = flag "ONEBIT_PROGRESS" default.progress;
     metrics = path "ONEBIT_METRICS";
     trace = path "ONEBIT_TRACE";
     backend =
       (match Option.bind (getenv "ONEBIT_BACKEND") backend_of_string with
       | Some b -> b
       | None -> default.backend);
-    incremental =
-      (match getenv "ONEBIT_INCREMENTAL" with
-      | Some ("1" | "true" | "yes" | "on") -> true
-      | Some _ | None -> default.incremental);
+    incremental = flag "ONEBIT_INCREMENTAL" default.incremental;
     coord = path "ONEBIT_COORD";
     lease_ttl =
       (match Option.bind (getenv "ONEBIT_LEASE_TTL") float_of_string_opt with
@@ -121,10 +120,7 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       (match Option.bind (getenv "ONEBIT_DOMAIN") Domain.of_string with
       | Some d -> d
       | None -> default.domain);
-    adaptive =
-      (match getenv "ONEBIT_ADAPTIVE" with
-      | Some ("1" | "true" | "yes" | "on") -> true
-      | Some _ | None -> default.adaptive);
+    adaptive = flag "ONEBIT_ADAPTIVE" default.adaptive;
     ci_target =
       (match Option.bind (getenv "ONEBIT_CI") float_of_string_opt with
       | Some t when t > 0. && t < 1. -> t
@@ -172,10 +168,10 @@ let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
       | Some _ | None -> t.ci_target);
   }
 
-(* Process-wide active backend: what [Experiment]/[Workload] dispatch on
-   when no configuration is threaded through explicitly.  Resolved
-   lazily from the environment on first read so library users who never
-   touch Config still honour ONEBIT_BACKEND. *)
+(* Process-wide active backend: what [Experiment] dispatches on when no
+   configuration is threaded through explicitly.  Resolved lazily from
+   the environment on first read so library users who never touch
+   Config still honour ONEBIT_BACKEND. *)
 let active = ref None
 let set_backend b = active := Some b
 

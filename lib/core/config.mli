@@ -16,7 +16,7 @@
       unset = 1
     - [ONEBIT_SHARD] — experiments per shard (default 25)
     - [ONEBIT_STORE] — result-store directory (empty = none)
-    - [ONEBIT_PROGRESS] — 1/true/yes = live stderr reporter
+    - [ONEBIT_PROGRESS] — 1/true/yes/on = live stderr reporter
     - [ONEBIT_METRICS] — metrics dump path, written at exit
       ("-"/"stderr" = stderr); setting it enables collection
     - [ONEBIT_TRACE] — JSONL span-trace path, written at exit; setting
@@ -133,9 +133,10 @@ val install : t -> unit
     backend. *)
 
 val active_backend : unit -> backend
-(** The process-wide backend {!Experiment} and {!Workload} dispatch on.
-    Resolved lazily from [ONEBIT_BACKEND] on first read unless
-    {!set_backend} or {!install} has fixed it. *)
+(** The process-wide backend {!Experiment} dispatches faulty runs on
+    ({!Workload.make}'s golden run is always compiled).  Resolved lazily
+    from [ONEBIT_BACKEND] on first read unless {!set_backend} or
+    {!install} has fixed it. *)
 
 val set_backend : backend -> unit
 (** Fix the process-wide backend (the differential tests switch to the

@@ -51,9 +51,8 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
         match Injector.domain inj with
         | Domain.Code ->
             (* Mutated experiments run on a throwaway fork; each image
-               flip is mirrored as a micro-op patch — the decode-cache
-               invalidation.  The digest-keyed cache only ever holds
-               pristine code. *)
+               flip is mirrored as a micro-op patch, and the workload's
+               code stays pristine. *)
             let image = Vm.Codeflip.image workload.prog in
             let fork = Vm.Code.fork workload.code in
             Injector.bind_code inj ~sites:workload.Workload.code_sites ~image
@@ -72,7 +71,7 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
          and consumes no injector randomness, so the suffix run is
          bit-identical to full execution. *)
       let set =
-        if checkpoint then Workload.ensure_checkpoints workload else None
+        if checkpoint then Some workload.Workload.checkpoints else None
       in
       let point =
         match (set, Injector.first_target inj) with

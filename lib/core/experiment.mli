@@ -20,7 +20,8 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     fault domain — [Mem] flips land in the calling domain's
     undo-tracking working memory, [Code] flips patch a private
     {!Vm.Code.fork} — and restores the golden prefix up to the first
-    flip from the workload's checkpoint set, executing only the suffix.
+    flip from the workload's checkpoint set ({!Workload.t}[.checkpoints]),
+    executing only the suffix.
     The same set arms {!Vm.Code}'s early exits once the last flip has
     landed: the golden-rejoin exit in [Reg] and [Mem] (a [Code] flip's
     patched instruction persists, so {!Vm.Code} keeps it off on a

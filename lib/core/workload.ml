@@ -8,6 +8,8 @@ type t = {
   golden : Vm.Exec.result;
   profile : int array array;
       (* golden-run execution count of each (function, block) *)
+  checkpoints : Vm.Checkpoint.set;
+      (* recorded by the golden run itself, shared like [code] *)
   budget : int;
   digest : string;
       (* md5 of the printed IR; part of every result-store key *)
@@ -22,8 +24,7 @@ type t = {
 
 let make ?(hang_factor = 10) ?expected_output ~name m =
   let prog = Vm.Program.load m in
-  let digest = Ir.Fingerprint.modl m in
-  let code = Vm.Code.compile ~digest prog in
+  let code = Vm.Code.compile prog in
   let profile =
     Array.map
       (fun (f : Vm.Program.lfunc) -> Array.make (Array.length f.blocks) 0)
@@ -32,11 +33,12 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
   let block_hook ~fidx ~bidx =
     profile.(fidx).(bidx) <- profile.(fidx).(bidx) + 1
   in
+  (* One execution yields the golden result, the block profile and the
+     checkpoint set; the registry golden differential pins it to the seed
+     interpreter. *)
+  let record = Vm.Checkpoint.recorder ~interval:Vm.Checkpoint.interval in
   let golden =
-    match Config.active_backend () with
-    | Config.Seed -> Vm.Exec.run ~block_hook ~budget:Vm.Exec.golden_budget prog
-    | Config.Compiled ->
-        Vm.Code.run ~block_hook ~budget:Vm.Exec.golden_budget code
+    Vm.Code.run ~block_hook ~record ~budget:Vm.Exec.golden_budget code
   in
   (match golden.status with
   | Finished -> ()
@@ -58,8 +60,9 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
     code;
     golden;
     profile;
+    checkpoints = Vm.Checkpoint.finish record;
     budget = (hang_factor * golden.dyn_count) + 1000;
-    digest;
+    digest = Ir.Fingerprint.modl m;
     mem_addrs = Vm.Memory.mapped_addrs prog.mem_template;
     code_sites = Vm.Codeflip.sites prog;
   }
@@ -76,18 +79,4 @@ let candidates t (spec : Spec.t) =
       | Technique.Write -> t.golden.write_cands)
   | Domain.Mem | Domain.Code -> t.golden.dyn_count
 
-(* Record golden-prefix checkpoints for this workload, once per digest
-   process-wide (engine domains share the set like they share compiled
-   code).  Lazy rather than part of [make] so the recording run — one
-   extra instrumented golden execution — is only paid when a
-   checkpointed experiment actually runs.  [None] on the seed
-   interpreter, which never restores. *)
-let ensure_checkpoints t =
-  if Config.active_backend () <> Config.Compiled then None
-  else
-    Vm.Checkpoint.ensure t.digest ~record:(fun () ->
-        let r = Vm.Checkpoint.recorder ~interval:Vm.Checkpoint.interval in
-        let g = Vm.Code.run ~record:r ~budget:Vm.Exec.golden_budget t.code in
-        match g.Vm.Exec.status with
-        | Finished -> Some (Vm.Checkpoint.finish r)
-        | Trapped _ | Hung -> None)
+let ensure_checkpoints t = Some t.checkpoints

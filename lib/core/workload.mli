@@ -2,8 +2,10 @@
 
     The golden run provides the reference output for SDC detection, the
     candidate counts the injector samples time-location pairs from
-    (Table II), and the dynamic instruction count the watchdog budget is
-    derived from. *)
+    (Table II), the dynamic instruction count the watchdog budget is
+    derived from, and the checkpoint set faulty runs restore from.  A
+    workload owns all of it: nothing is cached process-wide, so a second
+    [make] of the same module decodes and runs it again. *)
 
 type t = {
   name : string;
@@ -13,14 +15,19 @@ type t = {
           ([Ir.Fingerprint]) and propagation summaries *)
   prog : Vm.Program.t;
   code : Vm.Code.t;
-      (** the program's compiled form, decoded once at workload creation
-          (digest-keyed, so repeated loads of the same IR share it) and
-          used by the [Compiled] backend ({!Config.active_backend}) *)
+      (** the program's compiled form, decoded once at workload creation;
+          it runs the golden run, and every faulty run on the [Compiled]
+          backend ({!Config.active_backend}) *)
   golden : Vm.Exec.result;
   profile : int array array;
       (** golden-run execution count of each (function, block), indexed
           [fidx].[bidx]; feeds the static candidate predictor
           ([Dataflow.Candidates]) and the pruning study *)
+  checkpoints : Vm.Checkpoint.set;
+      (** golden-prefix checkpoints at {!Vm.Checkpoint.interval},
+          recorded by the golden run itself, so the set's [golden] is
+          this workload's [golden].  {!Experiment.run_raw} restores from
+          it and arms {!Vm.Code}'s early exits against it *)
   budget : int;
       (** watchdog budget for faulty runs: [hang_factor] x the golden
           dynamic count + 1000.  A run whose dynamic index reaches it
@@ -40,9 +47,11 @@ type t = {
 
 val make : ?hang_factor:int -> ?expected_output:string -> name:string ->
   Ir.Func.modl -> t
-(** Load the module, execute the golden run and derive the budget
-    ([hang_factor] x golden dynamic count + 1000, [hang_factor] 10 by
-    default — one order of magnitude, as LLFI's watchdog).
+(** Load and decode the module, execute the golden run once on the
+    compiled VM — recording the block profile and the checkpoint set as
+    it goes — and derive the budget ([hang_factor] x golden dynamic
+    count + 1000, [hang_factor] 10 by default — one order of magnitude,
+    as LLFI's watchdog).
 
     @raise Invalid_argument if the golden run does not finish normally, or
     if [expected_output] is given and differs from the golden output. *)
@@ -54,10 +63,5 @@ val candidates : t -> Spec.t -> int
     instructions). *)
 
 val ensure_checkpoints : t -> Vm.Checkpoint.set option
-(** The workload's golden-prefix checkpoint set ({!Vm.Checkpoint}),
-    recorded at {!Vm.Checkpoint.interval} on first use — one
-    instrumented golden run per digest, process-wide, shared across
-    engine domains.  [None] when the active backend is the seed
-    interpreter.  Cheap after the first call (lock-free cache lookup),
-    so callers may invoke it per experiment; the engine calls it once up
-    front so worker domains never contend on the recording lock. *)
+(** [Some t.checkpoints], always.  Kept for the benchmark, which calls
+    it; read [checkpoints] instead. *)

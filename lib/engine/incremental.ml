@@ -49,8 +49,9 @@ type stats = {
    The same run also records each read candidate's per-operand-slot
    equivalence-class weights (Barbosa et al., last-write distance) so a
    skipped partition's weighted sums can be synthesized without running
-   anything.  Cached per workload digest, like compiled code and
-   checkpoints. *)
+   anything.  Cached process-wide per workload digest, so the interpreter
+   pass runs once per program rather than once per spec; the table only
+   grows. *)
 let attribution : (string, int array * int array * int array array) Hashtbl.t =
   Hashtbl.create 8
 
@@ -385,8 +386,6 @@ let run ?(jobs = 1) ?shard_size ~store (w : Core.Workload.t)
       todo
   in
   let tasks = Array.of_list (List.rev !tasks) in
-  if Array.length tasks > 0 then
-    ignore (Core.Workload.ensure_checkpoints w : Vm.Checkpoint.set option);
   Pool.run ~jobs tasks;
   Array.iter
     (fun (fidx, slots) ->

@@ -66,19 +66,6 @@ let run ?(jobs = 1) ?store ?progress ?(keep_experiments = false) js =
           Progress.record_shard p ~from_store:true (Option.get results.(i)))
         hits
   | None -> ());
-  (* Warm each workload's golden-prefix checkpoint set (recorded once per
-     digest, process-wide) before spawning workers, so domains share it
-     from their first experiment instead of queueing on the recording
-     lock. *)
-  let warmed = Hashtbl.create 7 in
-  List.iter
-    (fun i ->
-      let w = js.(i).workload in
-      if not (Hashtbl.mem warmed w.digest) then begin
-        Hashtbl.add warmed w.digest ();
-        ignore (Core.Workload.ensure_checkpoints w : Vm.Checkpoint.set option)
-      end)
-    todo;
   let task i ~worker =
     let j = js.(i) in
     span_if_tracing

@@ -29,9 +29,8 @@ val run :
 (** Answer every job from the [store] when it holds the shard; run the
     rest with {!Core.Campaign.run_shard} on {!Pool.run} ([jobs] as in
     {!Core.Config.resolve_jobs}, default 1) and append each result to
-    the store as it finishes, under a writer lease.  Each workload's
-    checkpoint set is warmed once before the workers start; finished
-    shards are reported to [progress].  Returns the shards in job order
+    the store as it finishes, under a writer lease.  Finished shards are
+    reported to [progress].  Returns the shards in job order
     and the store/execution accounting, which is also folded into the
     [onebit_engine_*_total] counters.  [keep_experiments] runs bypass
     the store: per-experiment records are not persisted. *)

@@ -38,7 +38,6 @@ let compute_shard ~store ~workload (cell : Proto.cell) ~lo ~hi =
       shard
   | None ->
       let w = workload () in
-      ignore (Core.Workload.ensure_checkpoints w : Vm.Checkpoint.set option);
       let shard = Core.Campaign.run_shard w cell.c_spec ~seed:cell.c_seed ~lo ~hi in
       Obs.Metrics.incr m_computed;
       (match store with Some st -> Store.add st key shard | None -> ());

@@ -29,8 +29,8 @@ val canonical : Func.t -> Func.t
     result is printable but not necessarily validated. *)
 
 val modl : Func.modl -> string
-(** Whole-module digest: MD5 hex of [Pp.modl].  This is the digest the
-    workload cache and decode cache key on. *)
+(** Whole-module digest: MD5 hex of [Pp.modl].  This is the
+    [Core.Workload] digest that result-store keys carry. *)
 
 val callees : Func.t -> string list
 (** Direct callee names in first-occurrence order, deduplicated;

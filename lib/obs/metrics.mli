@@ -10,8 +10,9 @@
 
     All recording is gated on a process-global enabled flag: a disabled
     probe costs one atomic load and a branch, which is what keeps
-    always-present instrumentation essentially free (measured by
-    [bench/main.exe perf]). *)
+    always-present instrumentation essentially free (perfbench/ times
+    its workloads with collection off, so its figures include that
+    cost). *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit

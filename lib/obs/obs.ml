@@ -5,7 +5,8 @@
    other layer — vm, core, engine, store — can instrument itself without
    cycles.  Recording never influences the instrumented computation:
    campaign results are bit-identical with collection on or off (pinned
-   by test/suite_obs.ml and reported by `bench/main.exe perf`). *)
+   by test/suite_obs.ml; perfbench/ times its workloads with collection
+   off). *)
 
 module Metrics = Metrics
 module Trace = Trace

@@ -1,22 +1,22 @@
 (* Golden-prefix checkpoints for the compiled VM.
 
    Every experiment is fault-free up to its first flip, whose candidate
-   ordinal is drawn at injector creation.  A single instrumented golden
-   run per program records interval checkpoints of the complete VM state
-   (call stack with register files and last-write tables, dirty memory
-   pages, output length, dyn/candidate counters); an experiment then
-   restores the nearest checkpoint at-or-before its first target and
-   executes only the suffix.
+   ordinal is drawn at injector creation.  The workload's one golden run
+   (Core.Workload.make) records interval checkpoints of the complete VM
+   state (call stack with register files and last-write tables, dirty
+   memory pages, output length, dyn/candidate counters); an experiment
+   then restores the nearest checkpoint at-or-before its first target
+   and executes only the suffix.
 
    Checkpoints are captured at the top of the interpreter loop — before
    the dyn increment and before the instruction's candidate blocks — and
    annotated with both the read- and the write-candidate ordinal, so one
-   digest-keyed set serves both injection techniques.  Because the
-   injector draws no randomness and fires no events during the golden
-   prefix, resuming from a checkpoint is observationally identical to
-   full execution: same injections, outputs, counters.  The differential
-   suite (test/suite_checkpoint.ml) and the CI pipeline differential
-   enforce this bit-for-bit.
+   set serves both injection techniques.  Because the injector draws no
+   randomness and fires no events during the golden prefix, resuming
+   from a checkpoint is observationally identical to full execution:
+   same injections, outputs, counters.  The differential suite
+   (test/suite_checkpoint.ml) and the CI pipeline differential enforce
+   this bit-for-bit.
 
    A set also carries the reference for Code's early exits: the golden
    run's end state and, per memory page, its last read. *)
@@ -89,7 +89,6 @@ let points_total = Atomic.make 0
 let restores_total = Atomic.make 0
 let m_points = Obs.Metrics.counter "onebit_vm_checkpoints_total"
 let m_hits = Obs.Metrics.counter "onebit_vm_checkpoint_hits_total"
-let m_sets = Obs.Metrics.gauge "onebit_vm_checkpoint_cached_sets"
 
 let m_pages_saved =
   Obs.Metrics.counter "onebit_vm_checkpoint_pages_saved_total"
@@ -175,42 +174,6 @@ let select set ~axis ~target =
     done;
     Some pts.(!lo)
   end
-
-(* ---- process-wide cache, shared across engine domains ---- *)
-
-module SM = Map.Make (String)
-
-(* Lock-free lookups: an immutable map swapped by CAS.  Experiments hit
-   [find] once each, concurrently from every domain, so the read path
-   must not take the lock the (rare, once-per-digest) recording path
-   holds across its instrumented golden run. *)
-let cache : set SM.t Atomic.t = Atomic.make SM.empty
-let record_lock = Mutex.create ()
-
-let find digest = SM.find_opt digest (Atomic.get cache)
-
-let store digest set =
-  let rec swap () =
-    let m = Atomic.get cache in
-    if not (Atomic.compare_and_set cache m (SM.add digest set m)) then swap ()
-  in
-  swap ();
-  if Obs.Metrics.enabled () then
-    Obs.Metrics.set m_sets (float_of_int (SM.cardinal (Atomic.get cache)))
-
-let ensure digest ~record =
-  match find digest with
-  | Some s -> Some s
-  | None ->
-      Mutex.protect record_lock (fun () ->
-          match find digest with
-          | Some s -> Some s
-          | None -> (
-              match record () with
-              | Some s ->
-                  store digest s;
-                  Some s
-              | None -> None))
 
 (* ---- per-domain working memory ---- *)
 

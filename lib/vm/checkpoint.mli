@@ -1,20 +1,21 @@
 (** Golden-prefix checkpoints for the compiled VM.
 
     Every experiment is deterministic and fault-free up to its first
-    flip, whose candidate ordinal is known at injector creation.  One
-    instrumented golden run per program ({!Code.run} with a {!recorder})
-    captures the complete VM state every [interval] candidate
-    instructions; {!select} then finds the nearest checkpoint
-    at-or-before an experiment's first target and {!Code.resume}
-    executes only the suffix.
+    flip, whose candidate ordinal is known at injector creation.  The
+    workload's golden run ({!Code.run} with a {!recorder}, in
+    [Core.Workload.make]) captures the complete VM state every
+    [interval] candidate instructions, and the workload keeps the set;
+    {!select} then finds the nearest checkpoint at-or-before an
+    experiment's first target and {!Code.resume} executes only the
+    suffix.
 
     A checkpoint is taken at the top of the interpreter loop — before
     the instruction's dyn increment and candidate blocks — and carries
     {e both} the read- and write-candidate ordinals consumed so far, so
-    a single digest-keyed set serves both injection techniques.  The
-    golden prefix fires no injector events and consumes no randomness,
-    which is why a resumed run is bit-identical to a full one (enforced
-    by test/suite_checkpoint.ml and the CI pipeline differential).
+    a single set serves both injection techniques.  The golden prefix
+    fires no injector events and consumes no randomness, which is why a
+    resumed run is bit-identical to a full one (enforced by
+    test/suite_checkpoint.ml and the CI pipeline differential).
 
     The same recording run leaves what {!Code}'s early exits compare a
     faulty suffix against: the points double as the golden states a run
@@ -122,25 +123,11 @@ val stats : unit -> int * int
     the [onebit_vm_checkpoint_restore_distance] histogram and the
     saved/restored page counters. *)
 
-(** {1 Process-wide cache}
-
-    Like the decode cache, checkpoint sets are keyed by IR digest and
-    shared across engine domains.  Lookups are lock-free (an immutable
-    map behind an atomic); recording happens at most once per digest
-    under a lock. *)
-
-val find : string -> set option
-val store : string -> set -> unit
-
-val ensure : string -> record:(unit -> set option) -> set option
-(** [find], or run [record] (under the recording lock, double-checked)
-    and cache its result.  [record] returning [None] — e.g. a golden run
-    that did not finish — caches nothing and disables checkpointing for
-    this digest. *)
-
 val working_mem : digest:string -> Memory.t -> Memory.t
 (** The calling domain's reusable undo-tracking memory for [digest],
     created from [template] on first use (domain-local storage).  Callers
     must {!Memory.reset} or {!Memory.restore_pages} it before each run;
     domains execute their experiments sequentially, so one memory per
-    (domain, program) suffices. *)
+    (domain, program) suffices.  Entries are never evicted: a workload
+    cannot own its memories without one domain-local key per workload,
+    which would leak the same way. *)

@@ -374,26 +374,7 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
     site_writes;
   }
 
-(* ---- decode cache ---- *)
-
-(* Plain counters are maintained unconditionally (they are two atomics
-   per *decode*, not per instruction) so tests can observe cache
-   behaviour without enabling metrics; the Obs counters mirror them when
-   collection is on. *)
-let decode_count = Atomic.make 0
-let hit_count = Atomic.make 0
-let m_decodes = Obs.Metrics.counter "onebit_vm_decodes_total"
-let m_cache_hits = Obs.Metrics.counter "onebit_vm_decode_cache_hits_total"
-let m_cache_entries = Obs.Metrics.gauge "onebit_vm_decode_cache_entries"
-
-let cache : (string, t) Hashtbl.t = Hashtbl.create 16
-let cache_lock = Mutex.create ()
-
-let cache_stats () = (Atomic.get decode_count, Atomic.get hit_count)
-
-let compile_uncached (p : Program.t) : t =
-  Atomic.incr decode_count;
-  if Obs.Metrics.enabled () then Obs.Metrics.incr m_decodes;
+let compile (p : Program.t) : t =
   {
     funcs = Array.map (compile_func p) p.funcs;
     main = p.main;
@@ -402,34 +383,15 @@ let compile_uncached (p : Program.t) : t =
     patched = false;
   }
 
-let compile ?digest (p : Program.t) : t =
-  match digest with
-  | None -> compile_uncached p
-  | Some dg ->
-      Mutex.protect cache_lock (fun () ->
-          match Hashtbl.find_opt cache dg with
-          | Some c ->
-              Atomic.incr hit_count;
-              if Obs.Metrics.enabled () then Obs.Metrics.incr m_cache_hits;
-              c
-          | None ->
-              let c = compile_uncached p in
-              Hashtbl.replace cache dg c;
-              if Obs.Metrics.enabled () then
-                Obs.Metrics.set m_cache_entries
-                  (float_of_int (Hashtbl.length cache));
-              c)
-
 let site_reads t = Array.map (fun cf -> Array.copy cf.site_reads) t.funcs
 let site_writes t = Array.map (fun cf -> Array.copy cf.site_writes) t.funcs
 
 (* ---- code-domain mutation ---- *)
 
-(* A private copy whose uop arrays may be patched: the decode-cache
-   invalidation analog.  Everything else (flags, metas, inits, source)
-   is immutable and shared, so a fork costs one array copy per function.
-   The digest-keyed cache only ever holds pristine code — forks are
-   created per experiment and dropped. *)
+(* A private copy whose uop arrays may be patched.  Everything else
+   (flags, metas, inits, source) is immutable and shared, so a fork
+   costs one array copy per function.  The workload's code stays
+   pristine — forks are created per experiment and dropped. *)
 let fork t =
   {
     t with

@@ -7,7 +7,7 @@
     every operand read is one array load), call targets and block
     successors are integer indices, and the per-site candidate metadata
     ({!Meta.t}) plus packed candidate flags ride alongside each micro-op.
-    A program is decoded once — keyed by its IR digest — and the
+    A workload decodes its program once ([Core.Workload.make]) and the
     resulting code is immutable, shared freely across engine domains.
 
     {!run} executes compiled code with run-until-event fault scheduling:
@@ -73,10 +73,9 @@ type events = {
           refresh [ev_cand]/[ev_dyn] before returning. *)
 }
 
-val compile : ?digest:string -> Program.t -> t
-(** Lower a loaded program.  When [digest] (the workload's IR digest) is
-    given, compiled code is cached process-wide and shared: compiling the
-    same digest again returns the existing code.  Thread-safe. *)
+val compile : Program.t -> t
+(** Lower a loaded program.  Every call decodes afresh; the caller owns
+    the result and may share it across domains. *)
 
 val program : t -> Program.t
 (** The program this code was compiled from. *)
@@ -96,7 +95,9 @@ val run :
     [record] captures golden-prefix checkpoints into the recorder every
     time a candidate ordinal crosses its interval (see {!Checkpoint});
     recording runs execute on a private undo-tracking memory so each
-    point can snapshot its dirty pages.
+    point can snapshot its dirty pages.  [Core.Workload.make] passes it
+    together with [block_hook]: its one golden run yields the result,
+    the block profile and the checkpoint set.
 
     [mem] supplies the memory to execute against instead of cloning the
     template — it must be in template state ({!Memory.reset} /
@@ -136,12 +137,10 @@ val resume :
     [exits] is {!run}'s. *)
 
 val fork : t -> t
-(** A private copy whose micro-op arrays may be {!patch}ed — the
-    decode-cache invalidation analog of the code fault domain: the
-    digest-keyed decode cache only ever holds pristine code, and a
-    mutated experiment runs on a throwaway fork (one array copy per
-    function; flags, metas, constant pools and the source program are
-    shared). *)
+(** A private copy whose micro-op arrays may be {!patch}ed: the
+    workload's code stays pristine, and a mutated experiment of the code
+    fault domain runs on a throwaway fork (one array copy per function;
+    flags, metas, constant pools and the source program are shared). *)
 
 val patch :
   t ->
@@ -187,8 +186,3 @@ val exit_stats : unit -> exit_stats
     [onebit_vm_instructions_skipped_total{kind=...}].  A run that exits
     still counts its logical [dyn_count] in
     [onebit_vm_instructions_total]. *)
-
-val cache_stats : unit -> int * int
-(** [(decodes, cache_hits)] since process start; counted even when
-    metrics collection is disabled.  The Obs mirror counters are
-    [onebit_vm_decodes_total] and [onebit_vm_decode_cache_hits_total]. *)

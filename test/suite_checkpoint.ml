@@ -7,8 +7,9 @@
    ([Experiment.run_raw ~checkpoint:false]) or runs on the seed oracle,
    for every fault domain, technique, window size and multiplicity; and
    the dirty-page undo log must rewind memory exactly even after traps.
-   Each suite installs a dense checkpoint set ([Thelpers.with_checkpoints])
-   so restores land near every possible stack shape. *)
+   Each suite runs on a copy of its workload with a dense checkpoint set
+   ([Thelpers.with_checkpoints]), so restores land near every possible
+   stack shape. *)
 
 let with_checkpoints = Thelpers.with_checkpoints
 let on_oracle = Thelpers.on_oracle
@@ -83,7 +84,7 @@ let test_registry_differential () =
     (fun (name, interval) ->
       let w = registry_workload name in
       let base = Prng.of_seed 20260806L in
-      with_checkpoints ~interval w (fun _ ->
+      with_checkpoints ~interval w (fun w ->
           List.iter
             (fun domain ->
               List.iter
@@ -114,7 +115,7 @@ let prop_random_differential =
           true (* golden trapped/hung or no candidates: no workload *)
       | w ->
           let base = Prng.of_seed 7L in
-          with_checkpoints ~interval:2 w (fun _ ->
+          with_checkpoints ~interval:2 w (fun w ->
               List.for_all
                 (fun domain ->
                   List.for_all
@@ -158,12 +159,10 @@ let prop_random_differential =
                     [ Core.Technique.Read; Core.Technique.Write ])
                 Core.Domain.all))
 
-(* Whole campaigns, production vs the oracle, in every domain.  The
-   workload is made on the oracle (its golden run on the interpreter);
-   production records its checkpoints lazily all the same. *)
+(* Whole campaigns, production vs the oracle, in every domain. *)
 let test_campaign_differential () =
-  let w = on_oracle (fun () -> registry_workload "qsort") in
-  with_checkpoints ~interval:100 w (fun _ ->
+  let w = registry_workload "qsort" in
+  with_checkpoints ~interval:100 w (fun w ->
       List.iter
         (fun spec ->
           let run () =
@@ -187,7 +186,7 @@ let test_campaign_differential () =
    sequential campaign, in every domain. *)
 let test_engine_differential () =
   let w = registry_workload "crc32" in
-  with_checkpoints ~interval:200 w (fun _ ->
+  with_checkpoints ~interval:200 w (fun w ->
       List.iter
         (fun domain ->
           let spec = Core.Spec.multi ~domain Read ~max_mbf:3 ~win:(Fixed 10) in
@@ -209,6 +208,19 @@ let test_engine_differential () =
                 (Core.Campaign.equal_result oracle eng))
             [ 1; 4 ])
         Core.Domain.all)
+
+(* [Workload.make] runs its golden run compiled on either backend: a
+   workload made on the oracle has production's golden run, profile,
+   budget and checkpoint set. *)
+let test_oracle_workload () =
+  let prod = registry_workload "qsort" in
+  let oracle = on_oracle (fun () -> registry_workload "qsort") in
+  result_equal "golden" prod.golden oracle.golden;
+  Alcotest.(check bool) "profile" true (prod.profile = oracle.profile);
+  Alcotest.(check int) "budget" prod.budget oracle.budget;
+  let points (w : Core.Workload.t) = Array.length w.checkpoints.points in
+  Alcotest.(check bool) "production has points" true (points prod > 0);
+  Alcotest.(check int) "checkpoint points" (points prod) (points oracle)
 
 (* ---- dirty-page undo log ---- *)
 
@@ -263,7 +275,7 @@ let test_working_memory_after_traps () =
   let w = registry_workload "qsort" in
   let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 1) in
   let seen_trap = ref false in
-  with_checkpoints ~interval:64 w (fun _ ->
+  with_checkpoints ~interval:64 w (fun w ->
       let base = Prng.of_seed 11L in
       for i = 0 to 59 do
         let e = Core.Experiment.run w spec (Prng.split_at base i) in
@@ -288,7 +300,8 @@ let test_working_memory_after_traps () =
    ordinal, and recording monotonically orders both ordinal axes. *)
 let test_select () =
   let w = registry_workload "crc32" in
-  with_checkpoints ~interval:50 w (fun set ->
+  with_checkpoints ~interval:50 w (fun w ->
+      let set = w.Core.Workload.checkpoints in
       let pts = set.Vm.Checkpoint.points in
       Alcotest.(check bool) "has points" true (Array.length pts > 0);
       Array.iteri
@@ -317,7 +330,7 @@ let test_select () =
    runs. *)
 let test_reproduce_from_campaign_record () =
   let w = registry_workload "crc32" in
-  with_checkpoints ~interval:64 w (fun _ ->
+  with_checkpoints ~interval:64 w (fun w ->
       List.iter
         (fun domain ->
           let spec = Core.Spec.multi ~domain Write ~max_mbf:3 ~win:(Fixed 10) in
@@ -365,6 +378,8 @@ let suites =
           test_campaign_differential;
         Alcotest.test_case "engine differential" `Quick
           test_engine_differential;
+        Alcotest.test_case "workload made on the oracle" `Quick
+          test_oracle_workload;
         Alcotest.test_case "memory undo log" `Quick test_memory_undo;
         Alcotest.test_case "working memory after traps" `Quick
           test_working_memory_after_traps;

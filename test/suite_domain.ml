@@ -120,7 +120,7 @@ let test_campaign_determinism domain () =
     Thelpers.on_oracle (fun () ->
         Engine.run_campaign ~jobs:1 w spec ~n ~seed)
   in
-  Thelpers.with_checkpoints ~interval:64 w (fun _ ->
+  Thelpers.with_checkpoints ~interval:64 w (fun w ->
       let r1 = Engine.run_campaign ~jobs:1 w spec ~n ~seed in
       let r4 = Engine.run_campaign ~jobs:4 w spec ~n ~seed in
       Alcotest.(check bool) "jobs=1 == jobs=4" true
@@ -145,7 +145,7 @@ let test_code_resume_in_flight_calls () =
     Thelpers.on_oracle (fun () ->
         Engine.run_campaign ~jobs:1 w spec ~n:80 ~seed:11L)
   in
-  Thelpers.with_checkpoints ~interval:64 w (fun _ ->
+  Thelpers.with_checkpoints ~interval:64 w (fun w ->
       let on = Engine.run_campaign ~jobs:2 w spec ~n:80 ~seed:11L in
       Alcotest.(check bool) "ckpt resume == oracle" true
         (Core.Campaign.equal_result oracle on))

@@ -399,6 +399,8 @@ let test_config_env_parsing () =
     (resolve [ ("ONEBIT_STORE", "/tmp/s") ]).store;
   Alcotest.(check bool) "progress yes" true
     (resolve [ ("ONEBIT_PROGRESS", "yes") ]).progress;
+  Alcotest.(check bool) "progress on" true
+    (resolve [ ("ONEBIT_PROGRESS", "on") ]).progress;
   Alcotest.(check bool) "progress 0 is off" false
     (resolve [ ("ONEBIT_PROGRESS", "0") ]).progress;
   Alcotest.(check (option string)) "metrics sink" (Some "-")
@@ -431,17 +433,6 @@ let test_config_override_precedence () =
   Alcotest.(check int) "resolve_jobs 0"
     (Domain.recommended_domain_count ())
     (resolve_jobs 0)
-
-let test_deprecated_wrappers_follow_config () =
-  (* The deprecated Engine wrappers are thin views over Core.Config's
-     environment resolution; with a clean environment both sides must
-     agree. *)
-  let c = Core.Config.of_env () in
-  Alcotest.(check int) "shard wrapper"
-    c.Core.Config.shard_size
-    ((fun () -> (Core.Config.of_env ()).Core.Config.shard_size) ());
-  Alcotest.(check int) "jobs wrapper" c.Core.Config.jobs
-    ((fun () -> (Core.Config.of_env ()).Core.Config.jobs) ())
 
 let suites =
   [
@@ -482,7 +473,5 @@ let suites =
         Alcotest.test_case "env parsing" `Quick test_config_env_parsing;
         Alcotest.test_case "override precedence" `Quick
           test_config_override_precedence;
-        Alcotest.test_case "wrappers follow config" `Quick
-          test_deprecated_wrappers_follow_config;
       ] );
   ]

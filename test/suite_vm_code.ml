@@ -11,13 +11,15 @@ let golden_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check int) (name ^ " read cands") a.read_cands b.read_cands;
   Alcotest.(check int) (name ^ " write cands") a.write_cands b.write_cands
 
-(* Every registry program (small and large inputs): golden runs, block
-   profiles and packed site tables agree between backends. *)
+(* Every registry program (small and large inputs): golden runs and
+   block profiles agree between backends, for a plain compiled run and
+   for the production one — [Workload.make]'s, with the checkpoint
+   recorder attached — whose set ends in that same golden result. *)
 let test_registry_golden () =
   List.iter
     (fun (d : Bench_suite.Desc.t) ->
-      let p = Vm.Program.load (d.build ()) in
-      let code = Vm.Code.compile p in
+      let w = Core.Workload.make ~name:d.name (d.build ()) in
+      let p = w.prog in
       let profile_of run =
         let profile =
           Array.map
@@ -35,10 +37,15 @@ let test_registry_golden () =
       in
       let comp, cp =
         profile_of (fun ~block_hook ->
-            Vm.Code.run ~block_hook ~budget:Vm.Exec.golden_budget code)
+            Vm.Code.run ~block_hook ~budget:Vm.Exec.golden_budget w.code)
       in
       golden_equal d.name seed comp;
-      Alcotest.(check bool) (d.name ^ " profile") true (sp = cp))
+      Alcotest.(check bool) (d.name ^ " profile") true (sp = cp);
+      golden_equal (d.name ^ " workload") seed w.golden;
+      Alcotest.(check bool) (d.name ^ " workload profile") true
+        (sp = w.profile);
+      golden_equal (d.name ^ " checkpoint set") w.golden
+        w.checkpoints.golden)
     (Bench_suite.Registry.all @ Bench_suite.Registry.large)
 
 (* The packed per-block site tables must reproduce what a walk over the
@@ -187,25 +194,6 @@ let test_campaign_differential () =
           Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
         ])
 
-(* ---- decode cache ---- *)
-
-let test_decode_cache () =
-  let d = Option.get (Bench_suite.Registry.find "fft") in
-  let m = d.build () in
-  let digest = Digest.to_hex (Digest.string (Ir.Pp.modl m)) in
-  let decodes0, hits0 = Vm.Code.cache_stats () in
-  let c1 = Vm.Code.compile ~digest (Vm.Program.load m) in
-  let c2 = Vm.Code.compile ~digest (Vm.Program.load (d.build ())) in
-  let decodes1, hits1 = Vm.Code.cache_stats () in
-  Alcotest.(check bool) "cache returns same code" true (c1 == c2);
-  Alcotest.(check bool) "at most one decode" true (decodes1 <= decodes0 + 1);
-  Alcotest.(check bool) "at least one hit" true (hits1 >= hits0 + 1);
-  (* uncached compiles always decode *)
-  let p = Vm.Program.load m in
-  let _ = Vm.Code.compile p and _ = Vm.Code.compile p in
-  let decodes2, _ = Vm.Code.cache_stats () in
-  Alcotest.(check int) "uncached compiles decode" (decodes1 + 2) decodes2
-
 let suites =
   [
     ( "vm_code",
@@ -218,6 +206,5 @@ let suites =
           test_experiments_differential;
         Alcotest.test_case "campaign differential" `Quick
           test_campaign_differential;
-        Alcotest.test_case "decode cache" `Quick test_decode_cache;
       ] );
   ]

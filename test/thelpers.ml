@@ -39,34 +39,13 @@ let on_oracle f =
   Core.Config.set_backend Core.Config.Seed;
   Fun.protect ~finally:(fun () -> Core.Config.set_backend saved) f
 
-(* Run [f] on a checkpoint set recorded every [interval] candidate
-   instructions, installed for the workload's digest, then put the
-   production set back.  The process-wide cache is keyed by IR digest
-   only, so a suite that wants a denser set than production's must
-   install it itself.  [f] receives the installed set; the helper then
-   asserts that the cache still held that set, i.e. that every
-   checkpointed run inside [f] restored from it. *)
+(* Run [f] on a copy of the workload whose checkpoint set is recorded
+   every [interval] candidate instructions: a set denser than
+   production's puts restores near every possible stack shape.  Callers
+   must run their experiments on the workload [f] receives. *)
 let with_checkpoints ~interval (w : Core.Workload.t) f =
-  let default =
-    match Core.Workload.ensure_checkpoints w with
-    | Some set -> set
-    | None -> Alcotest.fail "with_checkpoints: no production checkpoint set"
-  in
   let r = Vm.Checkpoint.recorder ~interval in
   let g = Vm.Code.run ~record:r ~budget:Vm.Exec.golden_budget w.code in
   if g.status <> Vm.Exec.Finished then
     Alcotest.fail "with_checkpoints: recording run did not finish";
-  let set = Vm.Checkpoint.finish r in
-  Vm.Checkpoint.store w.digest set;
-  Fun.protect
-    ~finally:(fun () -> Vm.Checkpoint.store w.digest default)
-    (fun () ->
-      let v = f set in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s ran on the installed interval-%d set" w.name
-           interval)
-        true
-        (match Core.Workload.ensure_checkpoints w with
-        | Some s -> s == set
-        | None -> false);
-      v)
+  f { w with checkpoints = Vm.Checkpoint.finish r }
