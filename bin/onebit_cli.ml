@@ -223,22 +223,66 @@ let ci_target_arg =
            proportion in (0, 1), at which a cell stops sampling (overrides \
            $(b,ONEBIT_CI); default 0.02).")
 
-(* Incremental composition needs somewhere to cache the profiles. *)
-let require_incremental_store = function
-  | Some st -> st
-  | None ->
-      Printf.eprintf
-        "--incremental requires a result store; pass --store DIR or set \
-         ONEBIT_STORE\n";
-      exit 2
-
-let report_incremental (s : Engine.Incremental.stats) =
-  Printf.eprintf
-    "incremental: reused %d experiments (%d/%d functions), skipped %d \
-     experiments as provably benign (%d functions), re-ran %d experiments \
-     (%d functions)\n"
-    s.exps_reused s.funcs_reused s.funcs_total s.exps_skipped s.funcs_skipped
-    s.exps_recomputed s.funcs_recomputed
+(* The one choice between the campaign modes, shared by [campaign] and
+   [run-ir] so both honour the same configuration: adaptive rounds ([n]
+   is the cap), incremental composition (which needs a store to cache
+   its profiles), or a fixed-N campaign.  Adaptive and incremental
+   exclude each other.  Summaries go to stderr. *)
+let run_configured (cfg : Core.Config.t) w spec ~n ~seed =
+  if cfg.adaptive && cfg.incremental then begin
+    Printf.eprintf "--adaptive and --incremental are mutually exclusive\n";
+    exit 2
+  end;
+  with_store cfg.store (fun store ->
+      if cfg.adaptive then begin
+        let cell =
+          {
+            Engine.Adaptive.c_workload = w;
+            c_spec = spec;
+            c_cap = n;
+            c_seed = seed;
+          }
+        in
+        let results, stats =
+          Engine.Adaptive.run_grid ~jobs:cfg.jobs ?store
+            ~log:(fun line -> Printf.eprintf "%s\n%!" line)
+            ~target:cfg.ci_target [ cell ]
+        in
+        let cr = List.hd results in
+        Printf.eprintf
+          "adaptive: closed at n=%d of cap %d (%s, half-width target %g) \
+           after %d rounds; %d experiments saved, %d from store\n"
+          cr.r_closed_at n
+          (if cr.r_met then "CI target met" else "cap exhausted")
+          cfg.ci_target stats.g_rounds stats.g_saved stats.g_from_store;
+        cr.r_result
+      end
+      else if cfg.incremental then begin
+        let store =
+          match store with
+          | Some st -> st
+          | None ->
+              Printf.eprintf
+                "--incremental requires a result store; pass --store DIR or \
+                 set ONEBIT_STORE\n";
+              exit 2
+        in
+        let r, s =
+          Engine.Incremental.run ~jobs:cfg.jobs ~store w spec ~n ~seed
+        in
+        Printf.eprintf
+          "incremental: reused %d experiments (%d/%d functions), skipped %d \
+           experiments as provably benign (%d functions), re-ran %d \
+           experiments (%d functions)\n"
+          s.exps_reused s.funcs_reused s.funcs_total s.exps_skipped
+          s.funcs_skipped s.exps_recomputed s.funcs_recomputed;
+        r
+      end
+      else
+        let progress = Engine.Progress.create () in
+        Engine.Progress.with_reporter progress (fun () ->
+            Engine.run_campaign ~jobs:cfg.jobs ?store ~progress w spec ~n
+              ~seed))
 
 (* ---- list ---- *)
 
@@ -309,53 +353,7 @@ let campaign_cmd =
     in
     let w = load_workload program in
     let spec = spec_of ~domain:cfg.Core.Config.domain technique max_mbf win in
-    let r =
-      with_store cfg.Core.Config.store (fun store ->
-          if cfg.Core.Config.adaptive then begin
-            if cfg.Core.Config.incremental then begin
-              Printf.eprintf
-                "--adaptive and --incremental are mutually exclusive\n";
-              exit 2
-            end;
-            let cell =
-              {
-                Engine.Adaptive.c_workload = w;
-                c_spec = spec;
-                c_cap = n;
-                c_seed = seed;
-              }
-            in
-            let results, stats =
-              Engine.Adaptive.run_grid ~jobs:cfg.Core.Config.jobs ?store
-                ~log:(fun line -> Printf.eprintf "%s\n%!" line)
-                ~target:cfg.Core.Config.ci_target [ cell ]
-            in
-            let cr = List.hd results in
-            Printf.eprintf
-              "adaptive: closed at n=%d of cap %d (%s, half-width target \
-               %g) after %d rounds; %d experiments saved, %d from store\n"
-              cr.Engine.Adaptive.r_closed_at n
-              (if cr.Engine.Adaptive.r_met then "CI target met"
-               else "cap exhausted")
-              cfg.Core.Config.ci_target stats.Engine.Adaptive.g_rounds
-              stats.Engine.Adaptive.g_saved stats.Engine.Adaptive.g_from_store;
-            cr.Engine.Adaptive.r_result
-          end
-          else if cfg.Core.Config.incremental then begin
-            let store = require_incremental_store store in
-            let r, stats =
-              Engine.Incremental.run ~jobs:cfg.Core.Config.jobs ~store w spec
-                ~n ~seed
-            in
-            report_incremental stats;
-            r
-          end
-          else
-            let progress = Engine.Progress.create () in
-            Engine.Progress.with_reporter progress (fun () ->
-                Engine.run_campaign ~jobs:cfg.Core.Config.jobs ?store
-                  ~progress w spec ~n ~seed))
-    in
+    let r = run_configured cfg w spec ~n ~seed in
     if csv then (
       print_endline Core.Csv.header;
       print_endline (Core.Csv.row r))
@@ -606,27 +604,13 @@ let run_ir_cmd =
         w.golden.read_cands w.golden.write_cands;
     if n > 0 then begin
       let spec = spec_of ~domain:cfg.Core.Config.domain technique max_mbf win in
-      let r =
-        with_store cfg.Core.Config.store (fun store ->
-            if cfg.Core.Config.incremental then begin
-              let store = require_incremental_store store in
-              let r, stats =
-                Engine.Incremental.run ~jobs:cfg.Core.Config.jobs ~store w
-                  spec ~n ~seed
-              in
-              report_incremental stats;
-              r
-            end
-            else
-              Engine.run_campaign ~jobs:cfg.Core.Config.jobs ?store w spec ~n
-                ~seed)
-      in
+      let r = run_configured cfg w spec ~n ~seed in
       if csv then begin
         print_endline Core.Csv.header;
         print_endline (Core.Csv.row r)
       end
       else begin
-        Printf.printf "%s over %d experiments:\n" (Core.Spec.label spec) n;
+        Printf.printf "%s over %d experiments:\n" (Core.Spec.label spec) r.n;
         Printf.printf
           "  benign=%d detected=%d hang=%d no-output=%d sdc=%d (%.1f%%)\n"
           r.benign r.detected r.hang r.no_output r.sdc
@@ -641,7 +625,11 @@ let run_ir_cmd =
     Arg.(
       value & opt int 0
       & info [ "n" ] ~docv:"N"
-          ~doc:"Also run an N-experiment campaign (0 = golden run only).")
+          ~doc:
+            "Also run an N-experiment campaign (0 = golden run only), \
+             chosen as $(b,campaign) chooses it: adaptive under \
+             $(b,ONEBIT_ADAPTIVE) (N is then the cap), incremental under \
+             $(b,--incremental) or $(b,ONEBIT_INCREMENTAL), else fixed-N.")
   in
   let csv_arg =
     Arg.(

@@ -104,7 +104,9 @@ let compute ?(validate_n = 40) ?(seed = 0x5EED_0BADL) (study : Study.t) =
               (Printf.sprintf "Prune_static: %s is not a registry program"
                  w.name)
       in
-      let summary = Dataflow.Prune.summarise m ~profile:w.profile in
+      let summary =
+        Dataflow.Prune.summarise m ~profile:(Core.Workload.profile w)
+      in
       let prunes =
         Array.of_list (List.map Dataflow.Prune.analyse m.m_funcs)
       in

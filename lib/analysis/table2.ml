@@ -13,12 +13,8 @@ let compute (study : Study.t) =
   List.map
     (fun (w : Core.Workload.t) ->
       let pred =
-        (* The workload's compiled code already carries per-block site
-           tables; no need to rebuild and re-walk the IR. *)
-        Dataflow.Candidates.predict_sites
-          ~reads:(Vm.Code.site_reads w.code)
-          ~writes:(Vm.Code.site_writes w.code)
-          ~profile:w.profile
+        Dataflow.Candidates.predict w.modl
+          ~profile:(Core.Workload.profile w)
       in
       let package, suite =
         match Bench_suite.Registry.find w.name with

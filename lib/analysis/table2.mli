@@ -7,9 +7,10 @@
     must hold for every program.
 
     [pred_reads]/[pred_writes] are the {e static} counts predicted by
-    {!Dataflow.Candidates} from the program's CFG weighted by the
-    golden-run block profile; they must equal the dynamic counts exactly
-    (or are [-1] for programs not in the registry). *)
+    {!Dataflow.Candidates.predict} from the program's IR weighted by the
+    golden-run block profile; they must equal the dynamic counts exactly.
+    {!compute} runs each program's golden run once more on the seed
+    interpreter to count its blocks ({!Core.Workload.profile}). *)
 
 type row = {
   program : string;

@@ -88,7 +88,18 @@ let of_env ?(getenv = Sys.getenv_opt) () =
       (match Option.bind (getenv "ONEBIT_SEED") Int64.of_string_opt with
       | Some s -> s
       | None -> default.seed);
-    programs = Option.map (String.split_on_char ',') (getenv "ONEBIT_PROGRAMS");
+    programs =
+      (* Items are trimmed and empty ones dropped; an empty list is unset,
+         like every other empty ONEBIT_* variable. *)
+      (match getenv "ONEBIT_PROGRAMS" with
+      | None -> None
+      | Some s -> (
+          match
+            List.filter (( <> ) "")
+              (List.map String.trim (String.split_on_char ',' s))
+          with
+          | [] -> None
+          | names -> Some names));
     cap = int "ONEBIT_CAP" default.cap;
     prune_n = int "ONEBIT_PRUNE_N" default.prune_n;
     jobs =
@@ -136,24 +147,18 @@ let resolve_shard_size = function
   | Some s when s > 0 -> s
   | Some _ | None -> (of_env ()).shard_size
 
-let override ?n ?seed ?programs ?cap ?prune_n ?jobs ?shard_size ?store
-    ?progress ?metrics ?trace ?backend ?incremental ?coord ?lease_ttl ?domain
-    ?adaptive ?ci_target t =
+let override ?n ?jobs ?shard_size ?store ?metrics ?trace ?incremental ?coord
+    ?lease_ttl ?domain ?adaptive ?ci_target t =
   let opt v fallback = Option.value v ~default:fallback in
   {
+    t with
     n = opt n t.n;
-    seed = opt seed t.seed;
-    programs = (match programs with Some p -> Some p | None -> t.programs);
-    cap = opt cap t.cap;
-    prune_n = opt prune_n t.prune_n;
     jobs = (match jobs with Some j -> resolve_jobs j | None -> t.jobs);
     shard_size =
       (match shard_size with Some s when s > 0 -> s | Some _ -> t.shard_size | None -> t.shard_size);
     store = (match store with Some d -> Some d | None -> t.store);
-    progress = opt progress t.progress;
     metrics = (match metrics with Some p -> Some p | None -> t.metrics);
     trace = (match trace with Some p -> Some p | None -> t.trace);
-    backend = opt backend t.backend;
     incremental = opt incremental t.incremental;
     coord = (match coord with Some c -> Some c | None -> t.coord);
     lease_ttl =

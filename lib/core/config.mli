@@ -9,7 +9,8 @@
     Variables covered:
     - [ONEBIT_N] — experiments per campaign (bench; default 100)
     - [ONEBIT_SEED] — base campaign seed (default 20170626)
-    - [ONEBIT_PROGRAMS] — comma-separated program subset (bench)
+    - [ONEBIT_PROGRAMS] — comma-separated program subset (bench); items
+      are trimmed, empty items dropped, and an empty list means unset
     - [ONEBIT_CAP] — Table IV replay cap (default 400)
     - [ONEBIT_PRUNE_N] — prune-static validation injections (default 40)
     - [ONEBIT_JOBS] — worker domains; 0 or unparsable = one per core,
@@ -93,17 +94,11 @@ val of_env : ?getenv:(string -> string option) -> unit -> t
 
 val override :
   ?n:int ->
-  ?seed:int64 ->
-  ?programs:string list ->
-  ?cap:int ->
-  ?prune_n:int ->
   ?jobs:int ->
   ?shard_size:int ->
   ?store:string ->
-  ?progress:bool ->
   ?metrics:string ->
   ?trace:string ->
-  ?backend:backend ->
   ?incremental:bool ->
   ?coord:string ->
   ?lease_ttl:float ->
@@ -114,7 +109,9 @@ val override :
 (** Layer explicit values (CLI flags) over a resolved configuration.
     [jobs <= 0] means one worker per recommended domain; a
     non-positive [shard_size] or [lease_ttl] is ignored, as is a
-    [ci_target] outside (0, 1). *)
+    [ci_target] outside (0, 1).  The fields it does not take ([seed],
+    [programs], [cap], [prune_n], [progress], [backend]) keep their
+    environment resolution. *)
 
 val resolve_jobs : int -> int
 (** [resolve_jobs j] is [j] if positive, else the recommended domain

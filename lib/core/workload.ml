@@ -6,8 +6,6 @@ type t = {
   code : Vm.Code.t;
       (* decoded once here, shared immutably across engine domains *)
   golden : Vm.Exec.result;
-  profile : int array array;
-      (* golden-run execution count of each (function, block) *)
   checkpoints : Vm.Checkpoint.set;
       (* recorded by the golden run itself, shared like [code] *)
   budget : int;
@@ -25,21 +23,10 @@ type t = {
 let make ?(hang_factor = 10) ?expected_output ~name m =
   let prog = Vm.Program.load m in
   let code = Vm.Code.compile prog in
-  let profile =
-    Array.map
-      (fun (f : Vm.Program.lfunc) -> Array.make (Array.length f.blocks) 0)
-      prog.funcs
-  in
-  let block_hook ~fidx ~bidx =
-    profile.(fidx).(bidx) <- profile.(fidx).(bidx) + 1
-  in
-  (* One execution yields the golden result, the block profile and the
-     checkpoint set; the registry golden differential pins it to the seed
-     interpreter. *)
+  (* One execution yields the golden result and the checkpoint set; the
+     registry golden differential pins it to the seed interpreter. *)
   let record = Vm.Checkpoint.recorder ~interval:Vm.Checkpoint.interval in
-  let golden =
-    Vm.Code.run ~block_hook ~record ~budget:Vm.Exec.golden_budget code
-  in
+  let golden = Vm.Code.run ~record ~budget:Vm.Exec.golden_budget code in
   (match golden.status with
   | Finished -> ()
   | Trapped trap ->
@@ -59,7 +46,6 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
     prog;
     code;
     golden;
-    profile;
     checkpoints = Vm.Checkpoint.finish record;
     budget = (hang_factor * golden.dyn_count) + 1000;
     digest = Ir.Fingerprint.modl m;
@@ -80,3 +66,19 @@ let candidates t (spec : Spec.t) =
   | Domain.Mem | Domain.Code -> t.golden.dyn_count
 
 let ensure_checkpoints t = Some t.checkpoints
+
+(* Analysis-only: the golden run again, on the seed interpreter, counting
+   block entries.  Nothing is kept, so campaigns never carry it. *)
+let profile t =
+  let counts =
+    Array.map
+      (fun (f : Vm.Program.lfunc) -> Array.make (Array.length f.blocks) 0)
+      t.prog.funcs
+  in
+  let block_hook ~fidx ~bidx =
+    counts.(fidx).(bidx) <- counts.(fidx).(bidx) + 1
+  in
+  ignore
+    (Vm.Exec.run ~block_hook ~budget:Vm.Exec.golden_budget t.prog
+      : Vm.Exec.result);
+  counts

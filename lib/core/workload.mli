@@ -19,10 +19,6 @@ type t = {
           it runs the golden run, and every faulty run on the [Compiled]
           backend ({!Config.active_backend}) *)
   golden : Vm.Exec.result;
-  profile : int array array;
-      (** golden-run execution count of each (function, block), indexed
-          [fidx].[bidx]; feeds the static candidate predictor
-          ([Dataflow.Candidates]) and the pruning study *)
   checkpoints : Vm.Checkpoint.set;
       (** golden-prefix checkpoints at {!Vm.Checkpoint.interval},
           recorded by the golden run itself, so the set's [golden] is
@@ -48,10 +44,10 @@ type t = {
 val make : ?hang_factor:int -> ?expected_output:string -> name:string ->
   Ir.Func.modl -> t
 (** Load and decode the module, execute the golden run once on the
-    compiled VM — recording the block profile and the checkpoint set as
-    it goes — and derive the budget ([hang_factor] x golden dynamic
-    count + 1000, [hang_factor] 10 by default — one order of magnitude,
-    as LLFI's watchdog).
+    compiled VM — recording the checkpoint set as it goes — and derive
+    the budget ([hang_factor] x golden dynamic count + 1000,
+    [hang_factor] 10 by default — one order of magnitude, as LLFI's
+    watchdog).
 
     @raise Invalid_argument if the golden run does not finish normally, or
     if [expected_output] is given and differs from the golden output. *)
@@ -65,3 +61,11 @@ val candidates : t -> Spec.t -> int
 val ensure_checkpoints : t -> Vm.Checkpoint.set option
 (** [Some t.checkpoints], always.  Kept for the benchmark, which calls
     it; read [checkpoints] instead. *)
+
+val profile : t -> int array array
+(** The golden run's execution count of each (function, block), indexed
+    [fidx].[bidx].  Each call runs the golden run again on the seed
+    interpreter ({!Vm.Exec.run}'s [block_hook]) and keeps nothing.  No
+    experiment reads it: only the static analyses do — Table II's
+    candidate prediction ([Dataflow.Candidates.predict]) and the pruning
+    study ([Dataflow.Prune.summarise]). *)

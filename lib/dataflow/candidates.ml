@@ -24,24 +24,6 @@ let static_counts (m : Ir.Func.modl) =
     (fun acc f -> Array.fold_left add acc (func_counts f))
     zero m.m_funcs
 
-(* Same weighting as [predict], but over pre-counted per-block site
-   tables (e.g. Vm.Code's packed tables) instead of a fresh IR walk.
-   Plain int arrays keep this library independent of the VM. *)
-let predict_sites ~(reads : int array array) ~(writes : int array array)
-    ~(profile : int array array) =
-  let acc = ref zero in
-  Array.iteri
-    (fun fidx per_block ->
-      Array.iteri
-        (fun bidx r ->
-          let k = profile.(fidx).(bidx) in
-          acc :=
-            add !acc
-              { reads = k * r; writes = k * writes.(fidx).(bidx) })
-        per_block)
-    reads;
-  !acc
-
 let predict (m : Ir.Func.modl) ~(profile : int array array) =
   List.fold_left
     (fun acc (fidx, f) ->

@@ -19,15 +19,7 @@ val static_counts : Ir.Func.modl -> counts
 (** Unweighted totals over all blocks (each static site counted once). *)
 
 val predict : Ir.Func.modl -> profile:int array array -> counts
-(** Static per-block counts weighted by the golden-run block execution
-    frequencies recorded in [Core.Workload.profile]. *)
-
-val predict_sites :
-  reads:int array array ->
-  writes:int array array ->
-  profile:int array array ->
-  counts
-(** Like {!predict}, but consuming pre-counted per-block site tables
-    (indexed [fidx].[bidx], as produced by [Vm.Code.site_reads]/
-    [site_writes]) instead of re-walking the IR; plain arrays so this
-    library stays VM-independent. *)
+(** Static per-block counts, from a walk over the IR, weighted by the
+    golden-run block execution frequencies [profile] (indexed
+    [fidx].[bidx], as [Core.Workload.profile] returns them).  Table II's
+    prediction ([Analysis.Table2]) calls it. *)

@@ -57,7 +57,8 @@ type summary = {
 
 val summarise : Ir.Func.modl -> profile:int array array -> summary
 (** Weight every static site by its golden-run execution frequency (the
-    [Core.Workload.profile] matrix) so the totals measure the {e dynamic}
+    matrix [Core.Workload.profile] computes on demand, indexed
+    [fidx].[bidx]) so the totals measure the {e dynamic}
     single-bit error space the injector samples from.  [benign] and
     [redundant] are disjoint: a pruned element is counted as benign when
     its bit is provably dead and as redundant otherwise. *)

@@ -223,13 +223,12 @@ type grid_stats = {
   g_saved : int;  (* sum over cells of cap - closed_at *)
 }
 
-let run_grid ?jobs ?shard_size ?store ?initial ?round_budget ?log ~target
-    cells =
+let run_grid ?jobs ?shard_size ?store ?log ~target cells =
   if cells = [] then invalid_arg "Adaptive.run_grid: empty grid";
   let shard_size = Core.Config.resolve_shard_size shard_size in
   let cells = Array.of_list cells in
   let ctl =
-    Control.create ?initial ?round_budget ~target ~shard_size
+    Control.create ~target ~shard_size
       (Array.map (fun c -> c.c_cap) cells)
   in
   (* Completed shards per cell: its granted prefix, in any order. *)

@@ -93,8 +93,6 @@ val run_grid :
   ?jobs:int ->
   ?shard_size:int ->
   ?store:Store.t ->
-  ?initial:int ->
-  ?round_budget:int ->
   ?log:(string -> unit) ->
   target:float ->
   cell list ->
@@ -107,5 +105,7 @@ val run_grid :
     cell's cap), so a killed adaptive run resumes: the re-run replays
     the same deterministic round schedule and hits the store for
     everything that completed.  [log], when given, receives one progress
-    line per round.  Raises [Invalid_argument] on an empty grid, a
-    non-positive cap, or a [target] outside (0, 1). *)
+    line per round.  The controller runs at its defaults ({!Control.create}
+    without [initial] or [round_budget]), as the fleet coordinator's
+    does, so both produce the same schedule.  Raises [Invalid_argument]
+    on an empty grid, a non-positive cap, or a [target] outside (0, 1). *)

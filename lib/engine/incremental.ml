@@ -43,77 +43,62 @@ type stats = {
   exps_skipped : int;
 }
 
-(* Candidate-ordinal -> owning function index, for both techniques, from
-   one instrumented fault-free run on the seed interpreter (its hooks
-   fire once per candidate, carrying the instruction's static identity).
-   The same run also records each read candidate's per-operand-slot
-   equivalence-class weights (Barbosa et al., last-write distance) so a
-   skipped partition's weighted sums can be synthesized without running
-   anything.  Cached process-wide per workload digest, so the interpreter
-   pass runs once per program rather than once per spec; the table only
-   grows. *)
-let attribution : (string, int array * int array * int array array) Hashtbl.t =
-  Hashtbl.create 8
+(* Candidate-ordinal -> owning function index, for both techniques, plus
+   each read candidate's per-operand-slot equivalence-class weights
+   (Barbosa et al., last-write distance), so a skipped partition's
+   weighted sums can be synthesized without running anything. *)
+type attribution = {
+  reads : int array;
+  writes : int array;
+  rweights : int array array;
+}
 
-let attribution_lock = Mutex.create ()
-
-let owners (w : Core.Workload.t) =
-  Mutex.lock attribution_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock attribution_lock)
-    (fun () ->
-      match Hashtbl.find_opt attribution w.digest with
-      | Some o -> o
-      | None ->
-          let reads = Array.make (max 1 w.golden.read_cands) (-1) in
-          let writes = Array.make (max 1 w.golden.write_cands) (-1) in
-          let rweights = Array.make (max 1 w.golden.read_cands) [||] in
-          let nr = ref 0 and nw = ref 0 in
-          let hooks =
-            {
-              Vm.Exec.pre =
-                (fun ~dyn (frame : Vm.Exec.frame) (m : Vm.Meta.t) ->
-                  reads.(!nr) <- m.fidx;
-                  rweights.(!nr) <-
-                    Array.map
-                      (fun reg ->
-                        let lw = frame.Vm.Exec.last_write.(reg) in
-                        if lw < 0 then dyn + 1 else max 1 (dyn - lw))
-                      m.srcs;
-                  incr nr);
-              post =
-                (fun ~dyn:_ _ (m : Vm.Meta.t) ->
-                  writes.(!nw) <- m.fidx;
-                  incr nw);
-              at = Vm.Exec.no_hook;
-            }
-          in
-          let r = Vm.Exec.run ~hooks ~budget:Vm.Exec.golden_budget w.prog in
-          if
-            r.status <> Vm.Exec.Finished
-            || !nr <> w.golden.read_cands
-            || !nw <> w.golden.write_cands
-          then
-            invalid_arg
-              ("Incremental.owners: attribution run diverged from the \
-                golden run of " ^ w.name);
-          Hashtbl.replace attribution w.digest (reads, writes, rweights);
-          (reads, writes, rweights))
-
-let owners_of w (technique : Core.Technique.t) =
-  let reads, writes, _ = owners w in
-  match technique with Read -> reads | Write -> writes
-
-let read_weights w =
-  let _, _, rweights = owners w in
-  rweights
+(* One instrumented fault-free run on the seed interpreter: its hooks
+   fire once per candidate, carrying the instruction's static identity.
+   Computed once per [run] and passed down; nothing is kept. *)
+let attribution (w : Core.Workload.t) =
+  let reads = Array.make (max 1 w.golden.read_cands) (-1) in
+  let writes = Array.make (max 1 w.golden.write_cands) (-1) in
+  let rweights = Array.make (max 1 w.golden.read_cands) [||] in
+  let nr = ref 0 and nw = ref 0 in
+  let hooks =
+    {
+      Vm.Exec.pre =
+        (fun ~dyn (frame : Vm.Exec.frame) (m : Vm.Meta.t) ->
+          reads.(!nr) <- m.fidx;
+          rweights.(!nr) <-
+            Array.map
+              (fun reg ->
+                let lw = frame.Vm.Exec.last_write.(reg) in
+                if lw < 0 then dyn + 1 else max 1 (dyn - lw))
+              m.srcs;
+          incr nr);
+      post =
+        (fun ~dyn:_ _ (m : Vm.Meta.t) ->
+          writes.(!nw) <- m.fidx;
+          incr nw);
+      at = Vm.Exec.no_hook;
+    }
+  in
+  let r = Vm.Exec.run ~hooks ~budget:Vm.Exec.golden_budget w.prog in
+  if
+    r.status <> Vm.Exec.Finished
+    || !nr <> w.golden.read_cands
+    || !nw <> w.golden.write_cands
+  then
+    invalid_arg
+      ("Incremental.attribution: the instrumented run diverged from the \
+        golden run of " ^ w.name);
+  { reads; writes; rweights }
 
 (* Experiment indices of each function's partition, in index order;
    result.(fidx) lists the experiments whose first flip lands on an
    instruction of function fidx. *)
-let partition (w : Core.Workload.t) (spec : Core.Spec.t) ~n ~seed =
+let partition_with att (w : Core.Workload.t) (spec : Core.Spec.t) ~n ~seed =
   if n <= 0 then invalid_arg "Incremental.partition: n must be positive";
-  let own = owners_of w spec.technique in
+  let own =
+    match spec.technique with Read -> att.reads | Write -> att.writes
+  in
   let candidates = Core.Workload.candidates w spec in
   let base = Prng.of_seed seed in
   let nfuncs = Array.length w.prog.funcs in
@@ -127,6 +112,8 @@ let partition (w : Core.Workload.t) (spec : Core.Spec.t) ~n ~seed =
     | None -> assert false (* drawn at creation, nothing has fired *)
   done;
   Array.map Array.of_list parts
+
+let partition w spec ~n ~seed = partition_with (attribution w) w spec ~n ~seed
 
 (* --- Provably-benign partition skipping ------------------------------
 
@@ -228,20 +215,19 @@ let loops_free summaries (s : Dataflow.Summary.t) =
    run's recorded weights with the same PRNG draws [Injector.create] and
    its first-flip slot choice would make (weights are small integers, so
    the float sums are exact in any order). *)
-let synth_profile (w : Core.Workload.t) (spec : Core.Spec.t) ~seed part =
+let synth_profile att (w : Core.Workload.t) (spec : Core.Spec.t) ~seed part =
   let nexp = Array.length part in
   let weighted_total =
     match spec.Core.Spec.technique with
     | Core.Technique.Write -> float_of_int nexp
     | Core.Technique.Read ->
-        let rweights = read_weights w in
         let candidates = Core.Workload.candidates w spec in
         let base = Prng.of_seed seed in
         Array.fold_left
           (fun acc i ->
             let rng = Prng.split_at base i in
             let target = Prng.int rng candidates in
-            let ws = rweights.(target) in
+            let ws = att.rweights.(target) in
             let slot =
               if Array.length ws = 1 then 0 else Prng.int rng (Array.length ws)
             in
@@ -307,7 +293,8 @@ let run ?(jobs = 1) ?shard_size ~store (w : Core.Workload.t)
     invalid_arg "Incremental.run: module/program function mismatch";
   let env = Ir.Fingerprint.environment w.modl in
   let fdigests = Array.map Ir.Fingerprint.func funcs in
-  let parts = partition w spec ~n ~seed in
+  let att = attribution w in
+  let parts = partition_with att w spec ~n ~seed in
   let key_of fidx =
     Store.profile_key ~program:w.name
       ~func:(funcs.(fidx) : Ir.Func.t).f_name ~fdigest:fdigests.(fidx) ~env
@@ -344,7 +331,7 @@ let run ?(jobs = 1) ?shard_size ~store (w : Core.Workload.t)
     if skippable fidx then begin
       (* Synthesize and cache like any computed profile, so warm runs
          and [diff-campaign] compose it the ordinary way. *)
-      let p = synth_profile w spec ~seed parts.(fidx) in
+      let p = synth_profile att w spec ~seed parts.(fidx) in
       Store.add_profile store (key_of fidx) p;
       profiles.(fidx) <- Some p;
       incr funcs_skipped;

@@ -36,20 +36,17 @@ type stats = {
   exps_skipped : int;  (** experiments covered by synthesized profiles *)
 }
 
-val owners_of : Core.Workload.t -> Core.Technique.t -> int array
-(** Candidate-ordinal -> owning function index for a technique, from one
-    instrumented fault-free run (cached per workload digest,
-    process-wide).
-
-    @raise Invalid_argument if the instrumented run diverges from the
-    workload's golden run (it cannot, short of a VM bug). *)
-
 val partition :
   Core.Workload.t -> Core.Spec.t -> n:int -> seed:int64 -> int array array
 (** [partition w spec ~n ~seed].(fidx) lists, in increasing order, the
     experiment indices whose first flip lands on an instruction of
     function [fidx].  Depends only on [(w, spec, n, seed)] — the same
-    draw [Campaign.run] would make. *)
+    draw [Campaign.run] would make.  Each call runs its own attribution
+    pass: one instrumented fault-free run on the seed interpreter that
+    maps every candidate ordinal to its instruction's function.
+
+    @raise Invalid_argument if the instrumented run diverges from the
+    workload's golden run (it cannot, short of a VM bug). *)
 
 val run :
   ?jobs:int ->
@@ -64,7 +61,10 @@ val run :
     functions with no valid cached profile (in parallel, [shard_size]
     experiments per task, resolved by {!Core.Config.resolve_shard_size}).
     A mem or code spec runs the fixed-N engine path instead, without the
-    store, and counts every function and experiment as recomputed.  The
+    store, and counts every function and experiment as recomputed.  A
+    reg spec runs one attribution pass (see {!partition}) per call and
+    shares it between the partition and every synthesized profile;
+    nothing is cached across calls.  The
     composed result equals [Campaign.run ~keep_experiments:false]
     exactly — same counters, trap breakdown, activation histogram and
     weighted sums. *)

@@ -162,13 +162,8 @@ let render s =
     s.experiments s.from_store s.benign s.detected s.hang s.no_output s.sdc
     util (obs_suffix s.elapsed)
 
-let with_reporter ?(interval = 0.5) ?enabled t f =
-  let enabled =
-    match enabled with
-    | Some e -> e
-    | None -> (Core.Config.of_env ()).Core.Config.progress
-  in
-  if not enabled then f ()
+let with_reporter ?(interval = 0.5) t f =
+  if not (Core.Config.of_env ()).Core.Config.progress then f ()
   else begin
     let stop = Atomic.make false in
     let reporter =

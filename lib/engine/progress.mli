@@ -38,8 +38,8 @@ type snapshot = {
 val snapshot : t -> snapshot
 val render : snapshot -> string
 
-val with_reporter : ?interval:float -> ?enabled:bool -> t -> (unit -> 'a) -> 'a
+val with_reporter : ?interval:float -> t -> (unit -> 'a) -> 'a
 (** Run [f] with a stderr progress line refreshed every [interval]
-    seconds (default 0.5); [enabled] defaults to the [ONEBIT_PROGRESS]
-    resolution of {!Core.Config.of_env}.  Always prints a final snapshot
-    line when enabled. *)
+    seconds (default 0.5), when the [ONEBIT_PROGRESS] resolution of
+    {!Core.Config.of_env} enables it; otherwise just run [f].  Always
+    prints a final snapshot line when enabled. *)

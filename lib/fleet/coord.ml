@@ -123,8 +123,7 @@ let advance_locked t =
               Array.append t.slots (Array.of_list (List.rev !fresh))
       done
 
-let create ?(ttl = 30.) ?shard_size ?store ?ci_target ?initial ?round_budget
-    ~cells () =
+let create ?(ttl = 30.) ?shard_size ?store ?ci_target ~cells () =
   if cells = [] then invalid_arg "Coord.create: empty grid";
   if ttl <= 0. then invalid_arg "Coord.create: ttl must be positive";
   let shard_size = Core.Config.resolve_shard_size shard_size in
@@ -138,8 +137,7 @@ let create ?(ttl = 30.) ?shard_size ?store ?ci_target ?initial ?round_budget
     | None -> None
     | Some target ->
         Some
-          (Engine.Adaptive.Control.create ?initial ?round_budget ~target
-             ~shard_size
+          (Engine.Adaptive.Control.create ~target ~shard_size
              (Array.map (fun (c : Proto.cell) -> c.c_n) cells))
   in
   let slots = ref [] in

@@ -25,8 +25,6 @@ val create :
   ?shard_size:int ->
   ?store:Store.t ->
   ?ci_target:float ->
-  ?initial:int ->
-  ?round_budget:int ->
   cells:Proto.cell list ->
   unit -> t
 (** [ttl] (default 30s) is the lease deadline extended by heartbeats;
@@ -42,9 +40,9 @@ val create :
     [ci_target] and appends the next round's grants.  Allocation reads
     only merged prefix results at barriers, so any fleet shape or kill
     history produces the identical experiment set, equal to the
-    in-process {!Engine.Adaptive.run_grid} schedule.  [initial] and
-    [round_budget] are the controller's knobs; the wire protocol is
-    unchanged (workers cannot tell the modes apart).
+    in-process {!Engine.Adaptive.run_grid} schedule: both run the
+    controller at its defaults.  The wire protocol is unchanged (workers
+    cannot tell the modes apart).
 
     @raise Invalid_argument on an empty grid or a non-positive [n]. *)
 

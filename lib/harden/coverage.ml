@@ -18,13 +18,12 @@ type row = {
 
 let pct part whole = 100. *. float_of_int part /. float_of_int (max 1 whole)
 
-let measure ?(technique = Core.Technique.Write) ?(domains = Core.Domain.all)
-    ~variants ~n ~seed () =
+let measure ?(domains = Core.Domain.all) ~variants ~n ~seed () =
   List.concat_map
     (fun (name, w) ->
       List.map
         (fun domain ->
-          let spec = Core.Spec.single ~domain technique in
+          let spec = Core.Spec.single ~domain Core.Technique.Write in
           let r = Core.Campaign.run w spec ~n ~seed in
           {
             cv_variant = name;

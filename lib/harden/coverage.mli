@@ -20,16 +20,16 @@ type row = {
 }
 
 val measure :
-  ?technique:Core.Technique.t ->
   ?domains:Core.Domain.t list ->
   variants:(string * Core.Workload.t) list ->
   n:int ->
   seed:int64 ->
   unit ->
   row list
-(** One [n]-experiment single-flip campaign per (variant, domain), with
-    [technique] (default [Write]; ignored at runtime by the non-register
-    domains) and [domains] defaulting to {!Core.Domain.all}.  Rows come
+(** One [n]-experiment single-flip inject-on-write campaign per
+    (variant, domain) — the technique is ignored at runtime by the
+    non-register domains — with [domains] defaulting to
+    {!Core.Domain.all}.  Rows come
     back variant-major in the order given. *)
 
 val header : string list

@@ -100,8 +100,8 @@ type uop =
   | Uguard_i of int * int
   | Uguard_f of int * int
   | Uabort (* Abort instruction and Unreachable terminator *)
-  | Ujmp of int * int (* pc, bidx *)
-  | Ucbr of int * int * int * int * int (* cond, tpc, tbidx, fpc, fbidx *)
+  | Ujmp of int (* pc *)
+  | Ucbr of int * int * int (* cond, tpc, fpc *)
   | Uret
   | Uret_i of int
   | Uret_f of int
@@ -127,8 +127,6 @@ type cfunc = {
   flt_init : float array;
   lw_init : int array; (* nregs of -1 *)
   reg_ty : Ir.Ty.t array; (* the real registers only *)
-  site_reads : int array; (* per block: static read-candidate sites *)
-  site_writes : int array;
 }
 
 type t = {
@@ -319,10 +317,9 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
   in
   let decode_term (t : Ir.Instr.terminator) : uop =
     match t with
-    | Br l -> Ujmp (block_off.(l), l)
+    | Br l -> Ujmp block_off.(l)
     | Cbr { cond; if_true; if_false } ->
-        Ucbr (islot cond, block_off.(if_true), if_true, block_off.(if_false),
-              if_false)
+        Ucbr (islot cond, block_off.(if_true), block_off.(if_false))
     | Ret None -> Uret
     | Ret (Some v) -> (
         match f.ret with
@@ -334,9 +331,6 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
   let uops = Array.make !total Uret in
   let metas = Array.make !total Meta.no_operands in
   let flags = Array.make !total 0 in
-  let nblocks = Array.length f.blocks in
-  let site_reads = Array.make nblocks 0 in
-  let site_writes = Array.make nblocks 0 in
   Array.iteri
     (fun b (blk : Program.lblock) ->
       let off = block_off.(b) in
@@ -350,9 +344,7 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
         metas.(off + k) <- m;
         let rd = if Array.length m.srcs > 0 then 1 else 0 in
         let wr = if m.dst >= 0 then 2 else 0 in
-        flags.(off + k) <- rd lor wr lor ((m.dst + 1) lsl 2);
-        site_reads.(b) <- site_reads.(b) + rd;
-        if wr <> 0 then site_writes.(b) <- site_writes.(b) + 1
+        flags.(off + k) <- rd lor wr lor ((m.dst + 1) lsl 2)
       done)
     f.blocks;
   let nslots = !next in
@@ -370,8 +362,6 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
     flt_init;
     lw_init = Array.make nregs (-1);
     reg_ty = f.reg_ty;
-    site_reads;
-    site_writes;
   }
 
 let compile (p : Program.t) : t =
@@ -382,9 +372,6 @@ let compile (p : Program.t) : t =
     source = p;
     patched = false;
   }
-
-let site_reads t = Array.map (fun cf -> Array.copy cf.site_reads) t.funcs
-let site_writes t = Array.map (fun cf -> Array.copy cf.site_writes) t.funcs
 
 (* ---- code-domain mutation ---- *)
 
@@ -601,17 +588,14 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
    call's write-candidate post-block using the call's own dynamic index)
    before that frame continues at the following pc.  [st.ret_i]/[st.ret_f]
    are dead at the top of the loop, so zero-initialising them is exact. *)
-let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
-    ~budget (code : t) =
+let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
+    (code : t) =
   let rec_on = Option.is_some record in
-  let has_bh = Option.is_some block_hook in
-  (* A recording run is the golden run itself, and a block hook must see
-     every block, so neither arms the exits. *)
+  (* A recording run is the golden run itself, so it arms no exit. *)
   let exits =
     match exits with
     | Some (set : Checkpoint.set)
-      when set.golden.Exec.status = Exec.Finished && (not rec_on)
-           && not has_bh ->
+      when set.golden.Exec.status = Exec.Finished && not rec_on ->
         exits
     | _ -> None
   in
@@ -640,9 +624,6 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
     match events with
     | Some e -> (e.watch = `Read, e.watch = `Write, e.watch = `Dyn, e)
     | None -> (false, false, false, no_events)
-  in
-  let bh =
-    match block_hook with Some h -> h | None -> fun ~fidx:_ ~bidx:_ -> ()
   in
   let recd =
     match record with Some r -> r | None -> Checkpoint.null_recorder
@@ -816,13 +797,12 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
     ev.handle ~dyn ~cand frame meta;
     arm_when_done ()
   in
-  let rec exec_fn fidx (frame : Exec.frame) depth ~start ~hook0 =
+  let rec exec_fn fidx (frame : Exec.frame) depth ~start =
     let cf = Array.unsafe_get funcs fidx in
     let uops = cf.uops and flags = cf.flags and metas = cf.metas in
     let ints = frame.Exec.ints
     and flts = frame.Exec.flts
     and lw = frame.Exec.last_write in
-    if has_bh && hook0 then bh ~fidx ~bidx:0;
     let pc = ref start in
     let running = ref true in
     while !running do
@@ -1058,7 +1038,7 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
             else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
           done;
           if shadow then rstack := (fidx, frame, i, d) :: !rstack;
-          exec_fn cr.c_callee cframe (depth + 1) ~start:0 ~hook0:true;
+          exec_fn cr.c_callee cframe (depth + 1) ~start:0;
           if shadow then rstack := List.tl !rstack;
           if cr.c_dst >= 0 then
             if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
@@ -1096,18 +1076,9 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
           then raise (Trap.Trap Guard_violation);
           pc := i + 1
       | Uabort -> raise (Trap.Trap Abort_called)
-      | Ujmp (p, bidx) ->
-          pc := p;
-          if has_bh then bh ~fidx ~bidx
-      | Ucbr (c, tpc, tb, fpc, fb) ->
-          if Array.unsafe_get ints c <> 0 then begin
-            pc := tpc;
-            if has_bh then bh ~fidx ~bidx:tb
-          end
-          else begin
-            pc := fpc;
-            if has_bh then bh ~fidx ~bidx:fb
-          end
+      | Ujmp p -> pc := p
+      | Ucbr (c, tpc, fpc) ->
+          pc := if Array.unsafe_get ints c <> 0 then tpc else fpc
       | Uret -> running := false
       | Uret_i s ->
           st.ret_i <- Array.unsafe_get ints s;
@@ -1120,13 +1091,10 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
           pc := i + 1
       | Uinterp_t tm -> (
           match tm with
-          | Br l ->
-              pc := cf.block_off.(l);
-              if has_bh then bh ~fidx ~bidx:l
+          | Br l -> pc := cf.block_off.(l)
           | Cbr { cond; if_true; if_false } ->
               let l = if igeti frame cond <> 0 then if_true else if_false in
-              pc := cf.block_off.(l);
-              if has_bh then bh ~fidx ~bidx:l
+              pc := cf.block_off.(l)
           | Ret None -> running := false
           | Ret (Some v) ->
               (match code.source.Program.funcs.(fidx).Program.ret with
@@ -1225,7 +1193,7 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
                 else cframe.Exec.ints.(j) <- igeti frame arg)
               args;
             if shadow then rstack := (fidx, frame, i, d) :: !rstack;
-            exec_fn cidx cframe (depth + 1) ~start:0 ~hook0:true;
+            exec_fn cidx cframe (depth + 1) ~start:0;
             if shadow then rstack := List.tl !rstack;
             (match (dst, src.Program.ret) with
             | Some d, Some rt ->
@@ -1292,7 +1260,6 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
     | [] -> assert false
     | [ (inner : Checkpoint.frame_snap) ] ->
         exec_fn inner.fs_fidx (rebuild inner) depth ~start:inner.fs_pc
-          ~hook0:false
     | (outer : Checkpoint.frame_snap) :: rest ->
         let frame = rebuild outer in
         if shadow then
@@ -1302,7 +1269,6 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
         if shadow then rstack := List.tl !rstack;
         complete_call outer.fs_fidx frame outer.fs_pc outer.fs_call_dyn;
         exec_fn outer.fs_fidx frame depth ~start:(outer.fs_pc + 1)
-          ~hook0:false
   in
   arm_when_done ();
   let ended status =
@@ -1328,7 +1294,7 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
               last_write = Array.copy mainf.lw_init;
             }
           in
-          exec_fn code.main frame 0 ~start:0 ~hook0:true
+          exec_fn code.main frame 0 ~start:0
     with
     | () -> ended Exec.Finished
     | exception Trap.Trap t -> ended (Exec.Trapped t)
@@ -1339,8 +1305,8 @@ let run_internal ?events ?block_hook ?record ?mem ?resume ?orig ?exits
   Exec.record_run result;
   result
 
-let run ?events ?block_hook ?record ?mem ?exits ~budget code =
-  run_internal ?events ?block_hook ?record ?mem ?exits ~budget code
+let run ?events ?record ?mem ?exits ~budget code =
+  run_internal ?events ?record ?mem ?exits ~budget code
 
 let resume ~events ~mem ~(point : Checkpoint.point) ?orig ?exits ~budget code
     =

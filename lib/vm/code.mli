@@ -46,9 +46,11 @@
     cycle: its depth grows until it traps [Stack_overflow].
 
     Behaviour is bit-identical to the seed interpreter {!Exec.run}: same
-    outputs, statuses, dynamic counts, candidate ordinals, [last_write]
-    contents at every hook, and [block_hook] call sequence.  The
-    differential suite and CI pipeline smoke enforce this. *)
+    outputs, statuses, dynamic counts, candidate ordinals and
+    [last_write] contents at every hook.  The differential suite and CI
+    pipeline smoke enforce this.  There is no per-block callback: the
+    block profile is analysis-only and comes from the seed interpreter
+    ([Core.Workload.profile]). *)
 
 type t
 (** Compiled form of a program.  Immutable — except through {!patch} on
@@ -82,7 +84,6 @@ val program : t -> Program.t
 
 val run :
   ?events:events ->
-  ?block_hook:(fidx:int -> bidx:int -> unit) ->
   ?record:Checkpoint.recorder ->
   ?mem:Memory.t ->
   ?exits:Checkpoint.set ->
@@ -95,9 +96,8 @@ val run :
     [record] captures golden-prefix checkpoints into the recorder every
     time a candidate ordinal crosses its interval (see {!Checkpoint});
     recording runs execute on a private undo-tracking memory so each
-    point can snapshot its dirty pages.  [Core.Workload.make] passes it
-    together with [block_hook]: its one golden run yields the result,
-    the block profile and the checkpoint set.
+    point can snapshot its dirty pages.  [Core.Workload.make] passes it:
+    its one golden run yields the result and the checkpoint set.
 
     [mem] supplies the memory to execute against instead of cloning the
     template — it must be in template state ({!Memory.reset} /
@@ -109,8 +109,7 @@ val run :
     (only the cycle exit on a patched {!fork}).  They need an
     undo-tracking [mem] ([Invalid_argument] otherwise; one is made when
     [mem] is omitted) and a golden run that finished, and they stay off
-    in recording runs and runs with a [block_hook], which must see every
-    instruction. *)
+    in recording runs. *)
 
 val resume :
   events:events ->
@@ -158,15 +157,6 @@ val patch :
     while execution follows the mutated instruction — mirroring the seed
     interpreter on a {!Codeflip} image, with which it stays
     bit-identical.  Only call on a {!fork}. *)
-
-val site_reads : t -> int array array
-(** [site_reads code].(fidx).(bidx) is the number of static
-    inject-on-read candidate sites in that block (instructions and
-    terminator with at least one register source). *)
-
-val site_writes : t -> int array array
-(** Static inject-on-write candidate sites per block (instructions with a
-    destination register). *)
 
 val cycle_window : int
 (** Instructions the cycle exit searches past the golden run's length

@@ -61,7 +61,12 @@ val run :
     depth beyond 1000 frames traps as [Stack_overflow].  [mem], when
     given, is executed against directly instead of a fresh clone of the
     program's template — the memory-domain injector passes a
-    pre-faulted or undo-tracking memory here. *)
+    pre-faulted or undo-tracking memory here.
+
+    [block_hook] fires on entry to every basic block, with its function
+    and block indices.  It is the only source of a block profile
+    ([Core.Workload.profile]): the compiled pipeline has no block hook,
+    so campaigns never pay for one. *)
 
 val golden_budget : int
 (** A generous default budget for fault-free runs (100M instructions). *)

@@ -210,13 +210,12 @@ let test_engine_differential () =
         Core.Domain.all)
 
 (* [Workload.make] runs its golden run compiled on either backend: a
-   workload made on the oracle has production's golden run, profile,
-   budget and checkpoint set. *)
+   workload made on the oracle has production's golden run, budget and
+   checkpoint set. *)
 let test_oracle_workload () =
   let prod = registry_workload "qsort" in
   let oracle = on_oracle (fun () -> registry_workload "qsort") in
   result_equal "golden" prod.golden oracle.golden;
-  Alcotest.(check bool) "profile" true (prod.profile = oracle.profile);
   Alcotest.(check int) "budget" prod.budget oracle.budget;
   let points (w : Core.Workload.t) = Array.length w.checkpoints.points in
   Alcotest.(check bool) "production has points" true (points prod > 0);

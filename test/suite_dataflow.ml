@@ -355,7 +355,10 @@ let test_candidates_exact () =
   List.iter
     (fun (e : Bench_suite.Desc.t) ->
       let w = Core.Workload.make ~name:e.name (e.build ()) in
-      let c = Dataflow.Candidates.predict (e.build ()) ~profile:w.profile in
+      let c =
+        Dataflow.Candidates.predict (e.build ())
+          ~profile:(Core.Workload.profile w)
+      in
       Alcotest.(check int)
         (e.name ^ " reads") w.golden.read_cands c.reads;
       Alcotest.(check int)

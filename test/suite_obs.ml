@@ -382,6 +382,14 @@ let test_config_env_parsing () =
   Alcotest.(check (option (list string))) "programs split on comma"
     (Some [ "a"; "b" ])
     (resolve [ ("ONEBIT_PROGRAMS", "a,b") ]).programs;
+  Alcotest.(check (option (list string))) "empty programs means unset" None
+    (resolve [ ("ONEBIT_PROGRAMS", "") ]).programs;
+  Alcotest.(check (option (list string))) "empty program items dropped"
+    (Some [ "crc32" ])
+    (resolve [ ("ONEBIT_PROGRAMS", "crc32,") ]).programs;
+  Alcotest.(check (option (list string))) "program items trimmed"
+    (Some [ "crc32"; "qsort" ])
+    (resolve [ ("ONEBIT_PROGRAMS", " crc32 , qsort ") ]).programs;
   Alcotest.(check int) "positive jobs literal" 3
     (resolve [ ("ONEBIT_JOBS", "3") ]).jobs;
   Alcotest.(check int) "jobs=0 means one per core"

@@ -11,64 +11,37 @@ let golden_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check int) (name ^ " read cands") a.read_cands b.read_cands;
   Alcotest.(check int) (name ^ " write cands") a.write_cands b.write_cands
 
-(* Every registry program (small and large inputs): golden runs and
-   block profiles agree between backends, for a plain compiled run and
-   for the production one — [Workload.make]'s, with the checkpoint
-   recorder attached — whose set ends in that same golden result. *)
+(* Every registry program (small and large inputs): golden runs agree
+   between backends, for a plain compiled run and for the production one
+   — [Workload.make]'s, with the checkpoint recorder attached — whose set
+   ends in that same golden result.  The analysis-only block profile
+   accounts for every dynamic instruction: each block entry executes the
+   block's instructions and its terminator. *)
 let test_registry_golden () =
   List.iter
     (fun (d : Bench_suite.Desc.t) ->
       let w = Core.Workload.make ~name:d.name (d.build ()) in
       let p = w.prog in
-      let profile_of run =
-        let profile =
-          Array.map
-            (fun (f : Vm.Program.lfunc) -> Array.make (Array.length f.blocks) 0)
-            p.funcs
-        in
-        let block_hook ~fidx ~bidx =
-          profile.(fidx).(bidx) <- profile.(fidx).(bidx) + 1
-        in
-        (run ~block_hook, profile)
-      in
-      let seed, sp =
-        profile_of (fun ~block_hook ->
-            Vm.Exec.run ~block_hook ~budget:Vm.Exec.golden_budget p)
-      in
-      let comp, cp =
-        profile_of (fun ~block_hook ->
-            Vm.Code.run ~block_hook ~budget:Vm.Exec.golden_budget w.code)
-      in
+      let seed = Vm.Exec.run ~budget:Vm.Exec.golden_budget p in
+      let comp = Vm.Code.run ~budget:Vm.Exec.golden_budget w.code in
       golden_equal d.name seed comp;
-      Alcotest.(check bool) (d.name ^ " profile") true (sp = cp);
       golden_equal (d.name ^ " workload") seed w.golden;
-      Alcotest.(check bool) (d.name ^ " workload profile") true
-        (sp = w.profile);
       golden_equal (d.name ^ " checkpoint set") w.golden
-        w.checkpoints.golden)
-    (Bench_suite.Registry.all @ Bench_suite.Registry.large)
-
-(* The packed per-block site tables must reproduce what a walk over the
-   loaded program's metadata counts. *)
-let test_site_tables () =
-  let d = Option.get (Bench_suite.Registry.find "crc32") in
-  let p = Vm.Program.load (d.build ()) in
-  let code = Vm.Code.compile p in
-  let reads = Vm.Code.site_reads code and writes = Vm.Code.site_writes code in
-  Array.iteri
-    (fun fidx (f : Vm.Program.lfunc) ->
+        w.checkpoints.golden;
+      let profile = Core.Workload.profile w in
+      let profiled = ref 0 in
       Array.iteri
-        (fun bidx (b : Vm.Program.lblock) ->
-          let r = ref 0 and w = ref 0 in
-          Array.iter
-            (fun (m : Vm.Meta.t) ->
-              if Array.length m.srcs > 0 then incr r;
-              if m.dst >= 0 then incr w)
-            b.metas;
-          Alcotest.(check int) "site reads" !r reads.(fidx).(bidx);
-          Alcotest.(check int) "site writes" !w writes.(fidx).(bidx))
-        f.blocks)
-    p.funcs
+        (fun fidx (f : Vm.Program.lfunc) ->
+          Array.iteri
+            (fun bidx (b : Vm.Program.lblock) ->
+              profiled :=
+                !profiled
+                + (profile.(fidx).(bidx) * (Array.length b.instrs + 1)))
+            f.blocks)
+        p.funcs;
+      Alcotest.(check int) (d.name ^ " profile covers every instruction")
+        w.golden.dyn_count !profiled)
+    (Bench_suite.Registry.all @ Bench_suite.Registry.large)
 
 (* Random straight-line programs (the generator of the seed-vs-evaluator
    differential suite) through both backends. *)
@@ -200,7 +173,6 @@ let suites =
       [
         Alcotest.test_case "registry golden differential" `Quick
           test_registry_golden;
-        Alcotest.test_case "packed site tables" `Quick test_site_tables;
         QCheck_alcotest.to_alcotest prop_random_programs;
         Alcotest.test_case "experiment differential" `Quick
           test_experiments_differential;
