@@ -43,75 +43,102 @@ type profile = {
   p_weighted_total : float;
 }
 
-let sort_traps traps = List.sort compare traps
+(* Trap counts, canonically sorted so hash-table order cannot leak into
+   results. *)
+let traps_of tbl =
+  List.sort compare (Hashtbl.fold (fun t c l -> (t, c) :: l) tbl [])
 
-(* Shared outcome accumulator behind [run_shard] and [run_profile]: both
-   classify the same experiment stream, only the index sets differ. *)
-type acc = {
-  mutable a_exps : int;
-  mutable a_benign : int;
-  mutable a_detected : int;
-  mutable a_hang : int;
-  mutable a_no_output : int;
-  mutable a_sdc : int;
-  a_traps : (Vm.Trap.t, int) Hashtbl.t;
-  a_activation : Stats.Histogram.t;
-  mutable a_weighted_sdc : float;
-  mutable a_weighted_total : float;
-}
+let bump tbl key count =
+  Hashtbl.replace tbl key
+    (count + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
-let acc_create () =
+(* The one fold from experiments to outcome counts, behind [run_shard]
+   and [run_profile]: both classify the same experiment stream, only the
+   index sets differ. *)
+let profile_of_experiments (exps : Experiment.t array) =
+  let benign = ref 0 and detected = ref 0 and hang = ref 0 in
+  let no_output = ref 0 and sdc = ref 0 in
+  let traps = Hashtbl.create 8 and activation = Stats.Histogram.create () in
+  let weighted_sdc = ref 0.0 and weighted_total = ref 0.0 in
+  Array.iter
+    (fun (e : Experiment.t) ->
+      (match e.outcome with
+      | Benign -> incr benign
+      | Detected trap ->
+          incr detected;
+          bump traps trap 1
+      | Hang -> incr hang
+      | No_output -> incr no_output
+      | Sdc -> incr sdc);
+      Stats.Histogram.add activation e.activated;
+      match e.first with
+      | Some inj ->
+          let w = float_of_int inj.inj_weight in
+          weighted_total := !weighted_total +. w;
+          if Outcome.is_sdc e.outcome then weighted_sdc := !weighted_sdc +. w
+      | None -> ())
+    exps;
   {
-    a_exps = 0;
-    a_benign = 0;
-    a_detected = 0;
-    a_hang = 0;
-    a_no_output = 0;
-    a_sdc = 0;
-    a_traps = Hashtbl.create 8;
-    a_activation = Stats.Histogram.create ();
-    a_weighted_sdc = 0.0;
-    a_weighted_total = 0.0;
+    p_exps = Array.length exps;
+    p_benign = !benign;
+    p_detected = !detected;
+    p_hang = !hang;
+    p_no_output = !no_output;
+    p_sdc = !sdc;
+    p_traps = traps_of traps;
+    p_activation = Stats.Histogram.to_alist activation;
+    p_weighted_sdc = !weighted_sdc;
+    p_weighted_total = !weighted_total;
   }
 
-let acc_add acc (e : Experiment.t) =
-  acc.a_exps <- acc.a_exps + 1;
-  (match e.outcome with
-  | Benign -> acc.a_benign <- acc.a_benign + 1
-  | Detected trap ->
-      acc.a_detected <- acc.a_detected + 1;
-      Hashtbl.replace acc.a_traps trap
-        (1 + Option.value ~default:0 (Hashtbl.find_opt acc.a_traps trap))
-  | Hang -> acc.a_hang <- acc.a_hang + 1
-  | No_output -> acc.a_no_output <- acc.a_no_output + 1
-  | Sdc -> acc.a_sdc <- acc.a_sdc + 1);
-  Stats.Histogram.add acc.a_activation e.activated;
-  match e.first with
-  | Some inj ->
-      let w = float_of_int inj.inj_weight in
-      acc.a_weighted_total <- acc.a_weighted_total +. w;
-      if Outcome.is_sdc e.outcome then
-        acc.a_weighted_sdc <- acc.a_weighted_sdc +. w
-  | None -> ()
+let empty_profile = profile_of_experiments [||]
 
-let acc_traps acc =
-  sort_traps (Hashtbl.fold (fun t c l -> (t, c) :: l) acc.a_traps [])
-
-let acc_profile acc =
+let shard_of_profile ~lo ~hi ~experiments p =
+  if p.p_exps <> hi - lo then
+    invalid_arg "Campaign.shard_of_profile: profile size differs from range";
   {
-    p_exps = acc.a_exps;
-    p_benign = acc.a_benign;
-    p_detected = acc.a_detected;
-    p_hang = acc.a_hang;
-    p_no_output = acc.a_no_output;
-    p_sdc = acc.a_sdc;
-    p_traps = acc_traps acc;
-    p_activation = Stats.Histogram.to_alist acc.a_activation;
-    p_weighted_sdc = acc.a_weighted_sdc;
-    p_weighted_total = acc.a_weighted_total;
+    lo;
+    hi;
+    s_benign = p.p_benign;
+    s_detected = p.p_detected;
+    s_hang = p.p_hang;
+    s_no_output = p.p_no_output;
+    s_sdc = p.p_sdc;
+    s_traps = p.p_traps;
+    s_activation = p.p_activation;
+    s_weighted_sdc = p.p_weighted_sdc;
+    s_weighted_total = p.p_weighted_total;
+    s_experiments = experiments;
   }
 
-let empty_profile = acc_profile (acc_create ())
+let profile_of_shard s =
+  {
+    p_exps = s.hi - s.lo;
+    p_benign = s.s_benign;
+    p_detected = s.s_detected;
+    p_hang = s.s_hang;
+    p_no_output = s.s_no_output;
+    p_sdc = s.s_sdc;
+    p_traps = s.s_traps;
+    p_activation = s.s_activation;
+    p_weighted_sdc = s.s_weighted_sdc;
+    p_weighted_total = s.s_weighted_total;
+  }
+
+let consistent p =
+  let nonneg = List.for_all (fun c -> c >= 0) in
+  let total = List.fold_left ( + ) 0 in
+  let outcomes =
+    [ p.p_benign; p.p_detected; p.p_hang; p.p_no_output; p.p_sdc ]
+  in
+  let traps = List.map snd p.p_traps and acts = List.map snd p.p_activation in
+  nonneg outcomes
+  && total outcomes = p.p_exps
+  && nonneg traps
+  && total traps = p.p_detected
+  && List.for_all (fun (k, _) -> k >= 0) p.p_activation
+  && nonneg acts
+  && total acts = p.p_exps
 
 (* Execute a set of campaign indices; result [k] is experiment
    [indices.(k)], on its private generator. *)
@@ -123,70 +150,54 @@ let run_indices ?spacing workload spec ~seed ~indices =
 
 let run_shard ?(keep_experiments = false) ?spacing workload spec ~seed ~lo ~hi =
   if lo < 0 || hi <= lo then invalid_arg "Campaign.run_shard: bad range";
-  let acc = acc_create () in
   let indices = Array.init (hi - lo) (fun k -> lo + k) in
   let exps = run_indices ?spacing workload spec ~seed ~indices in
-  Array.iter (acc_add acc) exps;
-  let s_experiments = if keep_experiments then exps else [||] in
-  {
-    lo;
-    hi;
-    s_benign = acc.a_benign;
-    s_detected = acc.a_detected;
-    s_hang = acc.a_hang;
-    s_no_output = acc.a_no_output;
-    s_sdc = acc.a_sdc;
-    s_traps = acc_traps acc;
-    s_activation = Stats.Histogram.to_alist acc.a_activation;
-    s_weighted_sdc = acc.a_weighted_sdc;
-    s_weighted_total = acc.a_weighted_total;
-    s_experiments;
-  }
+  shard_of_profile ~lo ~hi
+    ~experiments:(if keep_experiments then exps else [||])
+    (profile_of_experiments exps)
 
 let run_profile ?spacing workload spec ~seed ~indices =
   Array.iter
     (fun i ->
       if i < 0 then invalid_arg "Campaign.run_profile: negative index")
     indices;
-  let acc = acc_create () in
-  Array.iter (acc_add acc) (run_indices ?spacing workload spec ~seed ~indices);
-  acc_profile acc
+  profile_of_experiments (run_indices ?spacing workload spec ~seed ~indices)
 
-let merge_profiles a b =
-  let traps = Hashtbl.create 8 in
-  let bump (t, c) =
-    Hashtbl.replace traps t
-      (c + Option.value ~default:0 (Hashtbl.find_opt traps t))
+let sum_profiles profiles =
+  let traps = Hashtbl.create 8 and activation = Stats.Histogram.create () in
+  let add sum p =
+    List.iter (fun (t, c) -> bump traps t c) p.p_traps;
+    List.iter
+      (fun (k, c) -> Stats.Histogram.add_count activation k c)
+      p.p_activation;
+    {
+      sum with
+      p_exps = sum.p_exps + p.p_exps;
+      p_benign = sum.p_benign + p.p_benign;
+      p_detected = sum.p_detected + p.p_detected;
+      p_hang = sum.p_hang + p.p_hang;
+      p_no_output = sum.p_no_output + p.p_no_output;
+      p_sdc = sum.p_sdc + p.p_sdc;
+      p_weighted_sdc = sum.p_weighted_sdc +. p.p_weighted_sdc;
+      p_weighted_total = sum.p_weighted_total +. p.p_weighted_total;
+    }
   in
-  List.iter bump a.p_traps;
-  List.iter bump b.p_traps;
-  let activation = Stats.Histogram.create () in
-  List.iter
-    (fun (k, c) -> Stats.Histogram.add_count activation k c)
-    (a.p_activation @ b.p_activation);
+  let p = List.fold_left add empty_profile profiles in
   {
-    p_exps = a.p_exps + b.p_exps;
-    p_benign = a.p_benign + b.p_benign;
-    p_detected = a.p_detected + b.p_detected;
-    p_hang = a.p_hang + b.p_hang;
-    p_no_output = a.p_no_output + b.p_no_output;
-    p_sdc = a.p_sdc + b.p_sdc;
-    p_traps = sort_traps (Hashtbl.fold (fun t c l -> (t, c) :: l) traps []);
+    p with
+    p_traps = traps_of traps;
     p_activation = Stats.Histogram.to_alist activation;
-    p_weighted_sdc = a.p_weighted_sdc +. b.p_weighted_sdc;
-    p_weighted_total = a.p_weighted_total +. b.p_weighted_total;
   }
 
 let result_of_profiles ~workload_name spec ~n ~seed profiles =
   if n <= 0 then invalid_arg "Campaign.result_of_profiles: n must be positive";
-  let total = List.fold_left (fun acc p -> acc + p.p_exps) 0 profiles in
-  if total <> n then
+  let p = sum_profiles profiles in
+  if p.p_exps <> n then
     invalid_arg
       (Printf.sprintf
          "Campaign.result_of_profiles: profiles cover %d experiments but n \
           = %d"
-         total n);
-  let p = List.fold_left merge_profiles empty_profile profiles in
+         p.p_exps n);
   let activation = Stats.Histogram.create () in
   List.iter
     (fun (k, c) -> Stats.Histogram.add_count activation k c)
@@ -227,36 +238,11 @@ let merge ~workload_name spec ~n ~seed shards =
     invalid_arg
       (Printf.sprintf "Campaign.merge: shards cover [0, %d) but n = %d"
          covered n);
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 shards in
-  let sumf f = List.fold_left (fun acc s -> acc +. f s) 0.0 shards in
-  let traps = Hashtbl.create 8 in
-  let activation = Stats.Histogram.create () in
-  List.iter
-    (fun s ->
-      List.iter
-        (fun (t, c) ->
-          Hashtbl.replace traps t
-            (c + Option.value ~default:0 (Hashtbl.find_opt traps t)))
-        s.s_traps;
-      List.iter
-        (fun (k, c) -> Stats.Histogram.add_count activation k c)
-        s.s_activation)
-    shards;
   {
-    workload_name;
-    spec;
-    n;
-    seed;
-    benign = sum (fun s -> s.s_benign);
-    detected = sum (fun s -> s.s_detected);
-    hang = sum (fun s -> s.s_hang);
-    no_output = sum (fun s -> s.s_no_output);
-    sdc = sum (fun s -> s.s_sdc);
-    traps = sort_traps (Hashtbl.fold (fun t c acc -> (t, c) :: acc) traps []);
-    activation;
+    (result_of_profiles ~workload_name spec ~n ~seed
+       (List.map profile_of_shard shards))
+    with
     experiments = Array.concat (List.map (fun s -> s.s_experiments) shards);
-    weighted_sdc = sumf (fun s -> s.s_weighted_sdc);
-    weighted_total = sumf (fun s -> s.s_weighted_total);
   }
 
 let run ?(keep_experiments = false) ?spacing workload spec ~n ~seed =
@@ -265,11 +251,6 @@ let run ?(keep_experiments = false) ?spacing workload spec ~n ~seed =
     [ run_shard ~keep_experiments ?spacing workload spec ~seed ~lo:0 ~hi:n ]
 
 let sdc_ci r = Stats.Proportion.wald ~successes:r.sdc ~trials:r.n ()
-
-let detection_ci r =
-  Stats.Proportion.wald ~successes:(r.detected + r.hang + r.no_output) ~trials:r.n ()
-
-let benign_ci r = Stats.Proportion.wald ~successes:r.benign ~trials:r.n ()
 let sdc_pct r = 100. *. float_of_int r.sdc /. float_of_int r.n
 
 let weighted_sdc_pct r =

@@ -3,7 +3,12 @@
 
     Each experiment [i] uses the private generator [Prng.split_at base i],
     so campaigns are deterministic in [(seed, i)] and any experiment can be
-    replayed in isolation. *)
+    replayed in isolation.
+
+    Outcome counts have one working form, the {!profile}: a {!shard} is
+    the profile of an experiment range with the range attached, and a
+    {!result} is built from the sum of the profiles of its shards or
+    partitions. *)
 
 type result = {
   workload_name : string;
@@ -38,12 +43,13 @@ type shard = {
   s_weighted_total : float;
   s_experiments : Experiment.t array;  (** empty unless kept *)
 }
-(** The partial result of experiments [lo..hi-1] of a campaign.  Shards
-    are the unit of parallel dispatch ({!Engine}) and of durable storage
-    ({!Store}): because experiment [i] always runs on the private
-    generator [Prng.split_at base i], a shard's content depends only on
-    [(workload, spec, seed, lo, hi)] — never on which worker ran it or
-    in what order. *)
+(** The partial result of experiments [lo..hi-1] of a campaign: the
+    {!profile} of that range, with the range attached ({!shard_of_profile},
+    {!profile_of_shard}).  Shards are the unit of parallel dispatch
+    ({!Engine}) and of durable storage ({!Store}): because experiment [i]
+    always runs on the private generator [Prng.split_at base i], a
+    shard's content depends only on [(workload, spec, seed, lo, hi)] —
+    never on which worker ran it or in what order. *)
 
 type profile = {
   p_exps : int;  (** experiments folded into this profile *)
@@ -57,18 +63,39 @@ type profile = {
   p_weighted_sdc : float;
   p_weighted_total : float;
 }
-(** Outcome counts of an arbitrary subset of a campaign's experiments —
-    the unit the compositional cache stores per function.  Unlike a
-    {!shard} it is not tied to a contiguous index range: the incremental
-    scheduler partitions the campaign's experiment indices by the
-    function owning each experiment's first flip, and a profile holds
-    one partition's counts. *)
+(** Outcome counts of any set of a campaign's experiments: the one
+    working form of outcome counts.  Experiments fold into a profile in
+    one place ({!run_shard} and {!run_profile} share it), profiles sum
+    in one place ({!sum_profiles}), and {!Store} carries them with one
+    codec.  A {!shard} is a profile with a contiguous range attached; a
+    profile alone is what the compositional cache stores per function,
+    where the incremental scheduler partitions the campaign's experiment
+    indices by the function owning each experiment's first flip. *)
+
+val shard_of_profile :
+  lo:int -> hi:int -> experiments:Experiment.t array -> profile -> shard
+(** Attach the range [lo, hi) (and any kept experiment records) to the
+    counts of its experiments.
+
+    @raise Invalid_argument unless [p_exps = hi - lo]. *)
+
+val profile_of_shard : shard -> profile
+(** The counts of a shard, with [p_exps = hi - lo]. *)
+
+val consistent : profile -> bool
+(** The counts add up: the five outcome counts are non-negative and sum
+    to [p_exps], the trap counts are non-negative and sum to
+    [p_detected], and the activation keys and counts are non-negative,
+    the counts summing to [p_exps].  Every profile and shard this
+    library computes is consistent.  {!Store} drops records that are
+    not, and the fleet refuses such completions. *)
 
 val run_shard :
   ?keep_experiments:bool ->
   ?spacing:[ `Faulty | `Golden ] ->
   Workload.t -> Spec.t -> seed:int64 -> lo:int -> hi:int -> shard
-(** Run experiments [lo..hi-1].  Requires [0 <= lo < hi]. *)
+(** Run experiments [lo..hi-1] and fold their outcomes.  Requires
+    [0 <= lo < hi]. *)
 
 val empty_profile : profile
 
@@ -81,16 +108,15 @@ val run_profile :
     over a partition of [0, n) carry exactly the full campaign's
     counts. *)
 
-val merge_profiles : profile -> profile -> profile
-(** Pointwise sum; exact and order-independent (the weighted estimators
-    add small integers represented as floats). *)
+val sum_profiles : profile list -> profile
+(** Pointwise sum, in one pass; exact and order-independent (the
+    weighted estimators add small integers represented as floats). *)
 
 val result_of_profiles :
   workload_name:string -> Spec.t -> n:int -> seed:int64 -> profile list ->
   result
 (** Compose a campaign result from profiles that together cover exactly
-    [n] experiments.  Counters, trap breakdowns, activation histograms
-    and weighted sums are folded pointwise, so if the profiles partition
+    [n] experiments: their {!sum_profiles}.  If the profiles partition
     [0, n) the composed result equals [run]'s (minus kept experiments,
     which profiles do not carry).
 
@@ -102,12 +128,12 @@ val merge :
   workload_name:string -> Spec.t -> n:int -> seed:int64 -> shard list ->
   result
 (** Reassemble a campaign result from shards.  The shards must tile
-    [0, n) exactly (any order); counters are summed, trap breakdowns and
-    activation histograms are folded pointwise, and kept experiments are
-    concatenated in index order.  All sums are exact (the weighted
-    estimators add small integers represented as floats), so the merged
-    result is identical whatever the sharding — this is what makes
-    engine runs reproducible at any worker count.
+    [0, n) exactly (any order); the result is {!result_of_profiles} of
+    their profiles, with kept experiments concatenated in index order.
+    All sums are exact (the weighted estimators add small integers
+    represented as floats), so the merged result is identical whatever
+    the sharding — this is what makes engine runs reproducible at any
+    worker count.
 
     @raise Invalid_argument if the shards leave a gap or overlap. *)
 
@@ -124,10 +150,6 @@ val equal_result : result -> result -> bool
     experiments.  Backs the jobs-independence property tests. *)
 
 val sdc_ci : result -> Stats.Proportion.ci
-val detection_ci : result -> Stats.Proportion.ci
-(** Detected + Hang + No_output, the paper's Detection super-category. *)
-
-val benign_ci : result -> Stats.Proportion.ci
 val sdc_pct : result -> float
 (** SDC percentage (0..100). *)
 

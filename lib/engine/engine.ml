@@ -2,9 +2,11 @@
 
    A campaign of n experiments is split into fixed-size shards; shards are
    the unit of parallel dispatch and of durable storage (Store).  One
-   executor (Shards.run) serves every driver: it answers shards from the
-   store, hands the rest to a pool whose workers claim them from one
-   shared cursor (Pool), and appends each result as it finishes.  Results
+   executor (Shards.run) serves every campaign path, fleet workers
+   included, and is the only code that executes shards: it answers
+   shards from the store, hands the rest to a pool whose workers claim
+   them from one shared cursor (Pool), and appends each result as it
+   finishes.  Results
    are bit-identical at any worker count because experiment i always
    runs on the private generator [Prng.split_at base i] and shard merging
    is exact (Campaign.merge).
@@ -20,6 +22,7 @@
 
 module Pool = Pool
 module Progress = Progress
+module Shards = Shards
 module Incremental = Incremental
 module Adaptive = Adaptive
 

@@ -1,10 +1,12 @@
 (** Multicore campaign execution engine.
 
-    Campaigns are split into fixed-size shards.  One executor serves the
-    fixed-N engine, every adaptive round and the incremental engine's
-    mem/code fallback: it answers shards from a durable {!Store}, runs
-    the rest on a pool of worker domains that claim them from one shared
-    cursor ({!Pool}) and appends each result as it finishes.
+    Campaigns are split into fixed-size shards.  One executor
+    ({!Shards.run}, the only code that executes shards) serves the
+    fixed-N engine, every adaptive round, the incremental engine's
+    mem/code fallback and every fleet worker: it answers shards from a
+    durable {!Store}, runs the rest on a pool of worker domains that
+    claim them from one shared cursor ({!Pool}) and appends each result
+    as it finishes.
     Per-experiment seeds come from the splittable PRNG
     ([Prng.split_at base i]), so the merged result is bit-identical
     regardless of worker count or scheduling order.  Shard boundaries
@@ -17,6 +19,7 @@
 
 module Pool = Pool
 module Progress = Progress
+module Shards = Shards
 module Incremental = Incremental
 module Adaptive = Adaptive
 

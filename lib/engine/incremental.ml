@@ -376,10 +376,7 @@ let run ?(jobs = 1) ?shard_size ~store (w : Core.Workload.t)
   Pool.run ~jobs tasks;
   Array.iter
     (fun (fidx, slots) ->
-      let p =
-        Array.fold_left Core.Campaign.merge_profiles
-          Core.Campaign.empty_profile slots
-      in
+      let p = Core.Campaign.sum_profiles (Array.to_list slots) in
       Store.add_profile store (key_of fidx) p;
       profiles.(fidx) <- Some p)
     chunk_slots;

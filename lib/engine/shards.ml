@@ -9,10 +9,11 @@
 
    Shards are independent faulty runs, each classified against the
    golden output, so they can run in any order and persist in any
-   order.  The fixed-N engine, every adaptive round and the incremental
-   engine's mem/code fallback all hand their shards to [run], which is
-   the only place that reads shards from the store, executes them and
-   appends them. *)
+   order.  The fixed-N engine, every adaptive round, the incremental
+   engine's mem/code fallback and every fleet worker's grants all hand
+   their shards to [run], which is the only code that executes shards,
+   and the only place that reads them from the store and appends
+   them. *)
 
 let tile ~n ~shard_size =
   if n <= 0 then invalid_arg "Engine.shards_of: n must be positive";

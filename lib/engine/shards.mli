@@ -1,6 +1,7 @@
-(** Shard tiling and the one shard executor behind every in-process
-    driver: the fixed-N engine, each adaptive round and the incremental
-    engine's mem/code fallback. *)
+(** Shard tiling and the one shard executor behind every campaign
+    path: the fixed-N engine, each adaptive round, the incremental
+    engine's mem/code fallback and each fleet worker's grants
+    ([Fleet.Worker]).  {!run} is the only code that executes shards. *)
 
 val tile : n:int -> shard_size:int -> (int * int) list
 (** The canonical [(lo, hi)] shard tiling of [0, n); requires [n > 0].

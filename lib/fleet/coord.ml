@@ -28,17 +28,15 @@ type wstate = {
 type t = {
   cells : Proto.cell array;
   lease_ttl : float;
-  shard_size : int;
   store : Store.t option;
   mutable slots : slot array;
-      (* fixed-N: the full grid tiling, immutable after create.
+      (* fixed-N: the full grid tiling, added at create as one round.
          Adaptive: grows by one round's grants at each barrier. *)
   adaptive : Engine.Adaptive.Control.t option;
   workers : (string, wstate) Hashtbl.t;
   lock : Mutex.t;
   mutable n_completed : int;
   mutable n_reassigned : int;
-  mutable n_duplicates : int;
 }
 
 let m_granted = Obs.Metrics.counter "onebit_fleet_leases_granted_total"
@@ -76,13 +74,43 @@ let obs_locked t ci =
 let all_completed_locked t =
   Array.for_all (fun s -> s.status = Completed) t.slots
 
+(* Append one slot per granted range, prefilled from the store where
+   it already holds the shard: a restarted coordinator (or one sharing a
+   store with an engine run) re-leases only what never completed.  A
+   fixed grid is one round of every shard; an adaptive grid adds one
+   round per barrier. *)
+let add_slots_locked t grants =
+  let next = ref (Array.length t.slots) in
+  let fresh = ref [] in
+  List.iter
+    (fun (ci, ranges) ->
+      List.iter
+        (fun (lo, hi) ->
+          let task =
+            { Proto.t_id = !next; t_cell = ci; t_lo = lo; t_hi = hi }
+          in
+          incr next;
+          let shard =
+            Option.bind t.store (fun st ->
+                Store.lookup st (store_key t.cells.(ci) ~lo ~hi))
+          in
+          let status =
+            match shard with
+            | Some _ ->
+                t.n_completed <- t.n_completed + 1;
+                Completed
+            | None -> Todo
+          in
+          fresh := { task; status; shard } :: !fresh)
+        ranges)
+    grants;
+  t.slots <- Array.append t.slots (Array.of_list (List.rev !fresh))
+
 (* Adaptive round barrier: when every granted slot has completed, step
-   the controller on the merged prefix observations and append the next
-   round's grants as fresh slots — prefilled from the store where
-   possible, so a restarted coordinator (or one sharing a store with an
-   engine run) replays the deterministic round schedule and re-leases
-   only what never completed.  Loops because a fully prefilled round is
-   itself a completed barrier. *)
+   the controller on the merged prefix observations and add the next
+   round's grants, so a restarted coordinator replays the deterministic
+   round schedule.  Loops because a fully prefilled round is itself a
+   completed barrier. *)
 let advance_locked t =
   match t.adaptive with
   | None -> ()
@@ -94,33 +122,7 @@ let advance_locked t =
       do
         match Engine.Adaptive.Control.step ctl ~obs:(obs_locked t) with
         | [] -> continue_ := false
-        | grants ->
-            let next = ref (Array.length t.slots) in
-            let fresh = ref [] in
-            List.iter
-              (fun (ci, ranges) ->
-                List.iter
-                  (fun (lo, hi) ->
-                    let task =
-                      { Proto.t_id = !next; t_cell = ci; t_lo = lo; t_hi = hi }
-                    in
-                    incr next;
-                    let shard =
-                      Option.bind t.store (fun st ->
-                          Store.lookup st (store_key t.cells.(ci) ~lo ~hi))
-                    in
-                    let status, shard =
-                      match shard with
-                      | Some s ->
-                          t.n_completed <- t.n_completed + 1;
-                          (Completed, Some s)
-                      | None -> (Todo, None)
-                    in
-                    fresh := { task; status; shard } :: !fresh)
-                  ranges)
-              grants;
-            t.slots <-
-              Array.append t.slots (Array.of_list (List.rev !fresh))
+        | grants -> add_slots_locked t grants
       done
 
 let create ?(ttl = 30.) ?shard_size ?store ?ci_target ~cells () =
@@ -140,57 +142,26 @@ let create ?(ttl = 30.) ?shard_size ?store ?ci_target ~cells () =
           (Engine.Adaptive.Control.create ~target ~shard_size
              (Array.map (fun (c : Proto.cell) -> c.c_n) cells))
   in
-  let slots = ref [] in
-  let next = ref 0 in
-  if adaptive = None then
-    Array.iteri
-      (fun ci (cell : Proto.cell) ->
-        List.iter
-          (fun (lo, hi) ->
-            let task =
-              { Proto.t_id = !next; t_cell = ci; t_lo = lo; t_hi = hi }
-            in
-            incr next;
-            (* Resume: a shard already in the store was completed by an
-               earlier coordinator (or any engine run sharing the store) —
-               it never needs a lease. *)
-            let shard =
-              Option.bind store (fun st ->
-                  Store.lookup st (store_key cell ~lo ~hi))
-            in
-            let status, shard =
-              match shard with
-              | Some s -> (Completed, Some s)
-              | None -> (Todo, None)
-            in
-            slots := { task; status; shard } :: !slots)
-          (Engine.shards_of ~n:cell.c_n ~shard_size))
-      cells;
-  let slots = Array.of_list (List.rev !slots) in
-  let n_completed =
-    Array.fold_left
-      (fun acc s -> if s.status = Completed then acc + 1 else acc)
-      0 slots
-  in
   (match store with Some st -> Store.lease st | None -> ());
   let t =
     {
       cells;
       lease_ttl = ttl;
-      shard_size;
       store;
-      slots;
+      slots = [||];
       adaptive;
       workers = Hashtbl.create 8;
       lock = Mutex.create ();
-      n_completed;
+      n_completed = 0;
       n_reassigned = 0;
-      n_duplicates = 0;
     }
   in
-  (* Adaptive: grant the first round (replaying any store-resumable
-     prefix of the schedule). *)
-  advance_locked t;
+  (match adaptive with
+  | None ->
+      add_slots_locked t
+        (List.init (Array.length cells) (fun ci ->
+             (ci, Engine.shards_of ~n:cells.(ci).c_n ~shard_size)))
+  | Some _ -> advance_locked t);
   t
 
 let ttl t = t.lease_ttl
@@ -379,8 +350,16 @@ let handle t ~now ~conn (msg : Proto.msg) : Proto.msg =
           Proto.Error
             (Printf.sprintf "complete: shard [%d,%d) does not match task %d"
                shard.Core.Campaign.lo shard.Core.Campaign.hi task)
+        else if
+          not (Core.Campaign.consistent (Core.Campaign.profile_of_shard shard))
+        then
+          (* Counts that do not add up are refused like a range
+             mismatch: the task stays leasable, so an honest completion
+             can still finish it. *)
+          Proto.Error
+            (Printf.sprintf "complete: shard [%d,%d) counts do not add up"
+               shard.Core.Campaign.lo shard.Core.Campaign.hi)
         else if slot.status = Completed then begin
-          t.n_duplicates <- t.n_duplicates + 1;
           Obs.Metrics.incr m_duplicates;
           Proto.Ack { dup = true }
         end

@@ -11,12 +11,17 @@
     orphans its leases, so reassignment does not wait for the TTL.
 
     Crash tolerance composes with the result store: given [?store],
-    shards already present are marked complete at creation (a restarted
-    coordinator resumes where the last one died) and every completed
-    shard is appended durably.  Duplicate completions — a reassigned
-    shard finished by both the slow original worker and its replacement —
-    are exact no-ops, because a shard's content depends only on
-    (program, spec, seed, lo, hi). *)
+    every slot is prefilled from the store when it is added (a fixed
+    grid adds its whole tiling at creation as one round, an adaptive
+    grid one round per barrier), so a restarted coordinator resumes
+    where the last one died, and every completed shard is appended
+    durably.  Duplicate completions — a reassigned shard finished by
+    both the slow original worker and its replacement — are exact
+    no-ops, because a shard's content depends only on
+    (program, spec, seed, lo, hi).  A completion whose range does not
+    match its task, or whose counts do not add up
+    ({!Core.Campaign.consistent}), is answered with [Error] and leaves
+    the task leasable, so no merge ever sees it. *)
 
 type t
 

@@ -100,6 +100,9 @@ val to_line : msg -> string
 (** One line, no newline, canonical {!Store.Jsonx} rendering. *)
 
 val of_line : string -> (msg, string) result
+(** Decodes a [Complete]'s shard with {!Store.shard_of_json}, so a
+    shard whose counts do not add up is an [Error], like any other
+    malformed line. *)
 
 val write : out_channel -> msg -> unit
 (** [to_line] plus newline plus flush. *)

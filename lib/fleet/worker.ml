@@ -1,13 +1,18 @@
 (* Fleet worker: lease / compute / complete loop over one coordinator
    socket.
 
+   Each granted shard goes through [Engine.Shards.run], the one shard
+   executor: it answers the shard from the local store when given one,
+   runs it otherwise, appends it, and counts it in the engine's
+   [onebit_engine_*] counters.  Every experiment runs on Prng.split_at
+   of the cell's base seed, so the result is identical no matter which
+   worker computes it — the property the whole lease/reassign design
+   rests on.
+
    All socket traffic goes through [rpc], a mutex-guarded write+read
    transaction, so the heartbeat thread can interleave with the main
    loop on the same connection without tearing the request/reply
    pairing. *)
-
-let m_computed = Obs.Metrics.counter "onebit_worker_shards_computed_total"
-let m_reused = Obs.Metrics.counter "onebit_worker_shards_reused_total"
 
 type conn = { ic : in_channel; oc : out_channel; rpc_lock : Mutex.t }
 
@@ -21,27 +26,6 @@ let rpc conn msg =
       | Ok reply -> reply
       | Error `Eof -> failwith "fleet worker: coordinator closed connection"
       | Error (`Malformed e) -> failwith ("fleet worker: " ^ e))
-
-let store_key (cell : Proto.cell) ~lo ~hi =
-  Store.key ~program:cell.c_program ~digest:cell.c_digest ~spec:cell.c_spec
-    ~n:cell.c_n ~seed:cell.c_seed ~lo ~hi
-
-(* Compute (or fetch from the local store) the shard for one granted
-   task.  Every experiment runs on Prng.split_at of the cell's base
-   seed, so the result is identical no matter which worker computes
-   it — the property the whole lease/reassign design rests on. *)
-let compute_shard ~store ~workload (cell : Proto.cell) ~lo ~hi =
-  let key = store_key cell ~lo ~hi in
-  match Option.bind store (fun st -> Store.lookup st key) with
-  | Some shard ->
-      Obs.Metrics.incr m_reused;
-      shard
-  | None ->
-      let w = workload () in
-      let shard = Core.Campaign.run_shard w cell.c_spec ~seed:cell.c_seed ~lo ~hi in
-      Obs.Metrics.incr m_computed;
-      (match store with Some st -> Store.add st key shard | None -> ());
-      shard
 
 let with_heartbeat conn ~id ~task ~interval f =
   let stop = Atomic.make false in
@@ -96,7 +80,10 @@ let run ?id ?store ~connect ~load () =
     }
   in
   let workloads : (string, Core.Workload.t) Hashtbl.t = Hashtbl.create 4 in
-  let workload_for (cell : Proto.cell) () =
+  (* Cached per program; the digest check runs on every grant, so a
+     worker whose sources differ from the coordinator's fails on its
+     first grant whether or not its store holds the shard. *)
+  let workload_for (cell : Proto.cell) =
     let w =
       match Hashtbl.find_opt workloads cell.c_program with
       | Some w -> w
@@ -147,8 +134,17 @@ let run ?id ?store ~connect ~load () =
         let shard =
           with_heartbeat conn ~id ~task:task.Proto.t_id ~interval:hb_interval
             (fun () ->
-              compute_shard ~store ~workload:(workload_for cell) cell
-                ~lo:task.Proto.t_lo ~hi:task.Proto.t_hi)
+              let job =
+                {
+                  Engine.Shards.workload = workload_for cell;
+                  spec = cell.c_spec;
+                  n = cell.c_n;
+                  seed = cell.c_seed;
+                  lo = task.Proto.t_lo;
+                  hi = task.Proto.t_hi;
+                }
+              in
+              (fst (Engine.Shards.run ?store [| job |])).(0))
         in
         (match
            rpc conn (Proto.Complete { worker = id; task = task.Proto.t_id; shard })

@@ -159,29 +159,30 @@ let key_of_json j =
     { program = p; digest = d; technique = t; max_mbf = m; win = w;
       domain = dom; n; seed; lo; hi }
 
-let shard_json (s : Core.Campaign.shard) =
-  Jsonx.Obj
-    [
-      ("b", Int s.s_benign);
-      ("det", Int s.s_detected);
-      ("h", Int s.s_hang);
-      ("no", Int s.s_no_output);
-      ("sdc", Int s.s_sdc);
-      ( "traps",
-        Arr
-          (List.map
-             (fun (t, c) ->
-               Jsonx.Arr [ Str (Vm.Trap.to_string t); Int c ])
-             s.s_traps) );
-      ( "act",
-        Arr
-          (List.map (fun (k, c) -> Jsonx.Arr [ Int k; Int c ]) s.s_activation)
-      );
-      ("ws", Float s.s_weighted_sdc);
-      ("wt", Float s.s_weighted_total);
-    ]
+(* The one codec of outcome counts: shard records, profile records and
+   the fleet's Complete message all carry these nine value fields, in
+   this order.  Decoding refuses counts that do not add up
+   ([Core.Campaign.consistent]), so a damaged or forged record is
+   dropped at open and a forged completion never reaches a merge. *)
+let counts_fields (p : Core.Campaign.profile) =
+  let open Jsonx in
+  [
+    ("b", Int p.p_benign);
+    ("det", Int p.p_detected);
+    ("h", Int p.p_hang);
+    ("no", Int p.p_no_output);
+    ("sdc", Int p.p_sdc);
+    ( "traps",
+      Arr
+        (List.map
+           (fun (t, c) -> Arr [ Str (Vm.Trap.to_string t); Int c ])
+           p.p_traps) );
+    ("act", Arr (List.map (fun (k, c) -> Arr [ Int k; Int c ]) p.p_activation));
+    ("ws", Float p.p_weighted_sdc);
+    ("wt", Float p.p_weighted_total);
+  ]
 
-let shard_of_json ~lo ~hi j : Core.Campaign.shard option =
+let counts_of_json ~exps j : Core.Campaign.profile option =
   let open Jsonx in
   let ( let* ) = Option.bind in
   let* b = Option.bind (mem "b" j) to_int in
@@ -213,81 +214,9 @@ let shard_of_json ~lo ~hi j : Core.Campaign.shard option =
         | _ -> None)
       (Some []) act_j
   in
-  Some
+  let p =
     {
-      Core.Campaign.lo;
-      hi;
-      s_benign = b;
-      s_detected = det;
-      s_hang = h;
-      s_no_output = no;
-      s_sdc = sdc;
-      s_traps = List.rev traps;
-      s_activation = List.rev act;
-      s_weighted_sdc = ws;
-      s_weighted_total = wt;
-      s_experiments = [||];
-    }
-
-let profile_json (p : Core.Campaign.profile) =
-  Jsonx.Obj
-    [
-      ("e", Int p.p_exps);
-      ("b", Int p.p_benign);
-      ("det", Int p.p_detected);
-      ("h", Int p.p_hang);
-      ("no", Int p.p_no_output);
-      ("sdc", Int p.p_sdc);
-      ( "traps",
-        Arr
-          (List.map
-             (fun (t, c) ->
-               Jsonx.Arr [ Str (Vm.Trap.to_string t); Int c ])
-             p.p_traps) );
-      ( "act",
-        Arr
-          (List.map (fun (k, c) -> Jsonx.Arr [ Int k; Int c ]) p.p_activation)
-      );
-      ("ws", Float p.p_weighted_sdc);
-      ("wt", Float p.p_weighted_total);
-    ]
-
-let profile_of_json j : Core.Campaign.profile option =
-  let open Jsonx in
-  let ( let* ) = Option.bind in
-  let* e = Option.bind (mem "e" j) to_int in
-  let* b = Option.bind (mem "b" j) to_int in
-  let* det = Option.bind (mem "det" j) to_int in
-  let* h = Option.bind (mem "h" j) to_int in
-  let* no = Option.bind (mem "no" j) to_int in
-  let* sdc = Option.bind (mem "sdc" j) to_int in
-  let* traps_j = Option.bind (mem "traps" j) to_list in
-  let* act_j = Option.bind (mem "act" j) to_list in
-  let* ws = Option.bind (mem "ws" j) to_float in
-  let* wt = Option.bind (mem "wt" j) to_float in
-  let* traps =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        match item with
-        | Arr [ Str name; Int c ] ->
-            let* trap = Vm.Trap.of_string name in
-            Some ((trap, c) :: acc)
-        | _ -> None)
-      (Some []) traps_j
-  in
-  let* act =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        match item with
-        | Arr [ Int k; Int c ] -> Some ((k, c) :: acc)
-        | _ -> None)
-      (Some []) act_j
-  in
-  Some
-    {
-      Core.Campaign.p_exps = e;
+      Core.Campaign.p_exps = exps;
       p_benign = b;
       p_detected = det;
       p_hang = h;
@@ -298,6 +227,22 @@ let profile_of_json j : Core.Campaign.profile option =
       p_weighted_sdc = ws;
       p_weighted_total = wt;
     }
+  in
+  if Core.Campaign.consistent p then Some p else None
+
+let shard_json s = Jsonx.Obj (counts_fields (Core.Campaign.profile_of_shard s))
+
+let shard_of_json ~lo ~hi j =
+  Option.map
+    (Core.Campaign.shard_of_profile ~lo ~hi ~experiments:[||])
+    (counts_of_json ~exps:(hi - lo) j)
+
+let profile_json (p : Core.Campaign.profile) =
+  Jsonx.Obj (("e", Jsonx.Int p.p_exps) :: counts_fields p)
+
+let profile_of_json j =
+  Option.bind (Option.bind (Jsonx.mem "e" j) Jsonx.to_int) (fun exps ->
+      counts_of_json ~exps j)
 
 type record =
   | Shard of key * Core.Campaign.shard
@@ -352,7 +297,7 @@ type stats = {
   segments : int;
   bytes : int;
   truncated : int;  (** incomplete tail records dropped at open *)
-  corrupt : int;  (** checksum/shape-rejected records dropped at open *)
+  corrupt : int;  (** checksum/shape/count-rejected records dropped at open *)
 }
 
 type gc_report = {

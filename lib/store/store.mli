@@ -2,11 +2,16 @@
 
     Results are stored at shard granularity, keyed by (program, IR digest,
     spec, n, seed, shard range), as checksummed JSONL records in numbered
-    segment files.  Appends are flushed record-by-record so a killed run
-    loses at most the record being written; the loader drops an
-    unterminated tail record and rejects any record whose checksum or
-    shape is wrong.  Compaction rewrites the live records into a fresh
-    segment with an atomic rename.
+    segment files; per-function profiles share the segments under their
+    own keys.  Both record kinds, and the fleet's completion messages,
+    carry their outcome counts in one codec: the nine value fields of a
+    {!Core.Campaign.profile}, with a profile record adding its size in
+    front.  Appends are flushed record-by-record so a killed run loses at
+    most the record being written.  The loader drops an unterminated
+    tail record, and counts as corrupt any record whose checksum or shape
+    is wrong or whose counts do not add up
+    ({!Core.Campaign.consistent}).  Compaction rewrites the live records
+    into a fresh segment with an atomic rename.
 
     The store is safe to share between the engine's worker domains: all
     operations take an internal lock. *)
@@ -73,7 +78,9 @@ type stats = {
   segments : int;
   bytes : int;
   truncated : int;  (** incomplete tail records dropped at open *)
-  corrupt : int;  (** checksum/shape-rejected records dropped at open *)
+  corrupt : int;
+      (** records dropped at open for a bad checksum, a bad shape or
+          counts that do not add up *)
 }
 
 type gc_report = {
@@ -140,7 +147,9 @@ val live_leases : t -> int list
 val shard_json : Core.Campaign.shard -> Jsonx.t
 val shard_of_json : lo:int -> hi:int -> Jsonx.t -> Core.Campaign.shard option
 (** The shard payload codec (re-exported for the fleet wire protocol,
-    which ships shards in exactly their store representation). *)
+    which ships shards in exactly their store representation).  Decoding
+    returns [None] unless the counts are consistent with the
+    [hi - lo] experiments of the range. *)
 
 val close : t -> unit
 val dir : t -> string

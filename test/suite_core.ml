@@ -284,6 +284,47 @@ let test_campaign_counts_sum () =
   let trap_sum = List.fold_left (fun a (_, c) -> a + c) 0 r.traps in
   Alcotest.(check int) "trap breakdown sums to detected" r.detected trap_sum
 
+(* Every shard and profile the campaign layer computes passes
+   [consistent], a shard is its profile with a range, and counts that
+   do not add up fail the check. *)
+let test_counts_consistent () =
+  let w = Lazy.force workload in
+  let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 2) in
+  let s = Core.Campaign.run_shard w spec ~seed:7L ~lo:10 ~hi:50 in
+  let p = Core.Campaign.profile_of_shard s in
+  let q = Core.Campaign.run_profile w spec ~seed:7L ~indices:[| 3; 60; 8 |] in
+  List.iter
+    (fun (what, p) ->
+      Alcotest.(check bool) what true (Core.Campaign.consistent p))
+    [
+      ("run_shard", p);
+      ("run_profile", q);
+      ("sum_profiles", Core.Campaign.sum_profiles [ p; q ]);
+      ("empty_profile", Core.Campaign.empty_profile);
+    ];
+  Alcotest.(check bool) "a shard is its profile with a range" true
+    (Core.Campaign.shard_of_profile ~lo:10 ~hi:50 ~experiments:[||] p = s);
+  Alcotest.check_raises "profile size must match the range"
+    (Invalid_argument
+       "Campaign.shard_of_profile: profile size differs from range")
+    (fun () ->
+      ignore (Core.Campaign.shard_of_profile ~lo:0 ~hi:3 ~experiments:[||] p));
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) what false (Core.Campaign.consistent bad))
+    [
+      ("outcomes exceed the size", { p with p_benign = p.p_benign + 1000 });
+      ( "negative outcome",
+        { p with p_hang = -1; p_benign = p.p_benign + p.p_hang + 1 } );
+      ( "traps exceed detected",
+        { p with p_traps = (Misaligned, 1) :: p.p_traps } );
+      ("activation misses experiments", { p with p_activation = [] });
+      ( "negative activation count",
+        { p with p_activation = (0, p.p_exps + 1) :: [ (1, -1) ] } );
+      ( "negative activation key",
+        { p with p_activation = [ (-1, p.p_exps) ] } );
+    ]
+
 let test_campaign_deterministic () =
   let w = Lazy.force workload in
   let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Rnd (2, 10)) in
@@ -406,6 +447,8 @@ let suites =
         Alcotest.test_case "weights recorded" `Quick test_weights_recorded;
         Alcotest.test_case "weighted estimator" `Quick test_weighted_estimator;
         Alcotest.test_case "campaign counts sum" `Quick test_campaign_counts_sum;
+        Alcotest.test_case "shard and profile counts consistent" `Quick
+          test_counts_consistent;
         Alcotest.test_case "campaign deterministic" `Quick
           test_campaign_deterministic;
         Alcotest.test_case "campaign seed sensitivity" `Quick

@@ -188,6 +188,18 @@ let test_codec_rejects_garbage () =
   Alcotest.(check bool) "unknown tag" true (bad {|{"t":"frobnicate"}|});
   Alcotest.(check bool) "missing field" true (bad {|{"t":"hello","w":"a"}|})
 
+(* A shard whose counts do not add up: 1,000 extra benign runs. *)
+let forge (s : Core.Campaign.shard) = { s with s_benign = s.s_benign + 1000 }
+
+let test_codec_rejects_inconsistent_counts () =
+  let shard = forge (List.hd (Lazy.force shard_pool)) in
+  match
+    Proto.of_line
+      (Proto.to_line (Proto.Complete { worker = "a"; task = 0; shard }))
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a Complete whose counts do not add up decoded"
+
 (* ---- coordinator state machine ---- *)
 
 (* 75 experiments at shard size 25: tasks 0,1,2. *)
@@ -356,6 +368,29 @@ let run_sim c w k =
         grants
   done
 
+(* The coordinator refuses a completion whose counts do not add up, as
+   it refuses a range mismatch; the task stays leasable, and its honest
+   completion still yields the exact grid result. *)
+let test_inconsistent_complete_refused () =
+  let w, c = make_coord () in
+  let t0 = match lease c ~now:0. ~conn:1 "a" with
+    | `Grant t -> t | _ -> Alcotest.fail "no grant" in
+  (match
+     Coord.handle c ~now:0.5 ~conn:1
+       (Proto.Complete
+          { worker = "a"; task = t0.t_id; shard = forge (compute w t0) })
+   with
+  | Proto.Error _ -> ()
+  | m -> Alcotest.failf "forged completion answered %s" (Proto.to_line m));
+  Alcotest.(check int) "nothing completed" 0
+    (Coord.state c ~now:1.).Proto.st_completed;
+  Alcotest.(check bool) "honest completion is fresh" false
+    (complete c ~now:1. ~conn:1 "a" t0 (compute w t0));
+  run_sim c w 2;
+  Alcotest.(check bool) "finished" true (Coord.finished c);
+  Alcotest.check result_eq "fleet result = Campaign.run" (reference w ~n:75)
+    (snd (List.hd (Coord.results c)))
+
 let prop_fleet_shape_independence =
   QCheck.Test.make
     ~name:"merged fleet result = Campaign.run (random programs x 1/2/4 workers)"
@@ -419,6 +454,52 @@ let test_socket_fleet () =
   Alcotest.check result_eq "socket fleet result = Campaign.run"
     (reference w ~n:75)
     (snd (List.hd (Coord.results c)))
+
+(* A worker whose store already holds every shard answers each grant
+   from it through the engine's executor: the result equals
+   [Campaign.run] and no shard runs.  A worker whose program differs
+   from the coordinator's fails on its first grant all the same. *)
+let test_worker_local_store () =
+  let w = Lazy.force workload in
+  let st = Store.open_dir (temp_dir ()) in
+  Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
+  ignore
+    (Engine.run_campaign ~shard_size:25 ~store:st w spec ~n:75 ~seed:20170626L
+      : Core.Campaign.result);
+  let m0 = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled m0) @@ fun () ->
+  let before = Obs.Snapshot.read () in
+  let c = Coord.create ~ttl:5. ~shard_size:25 ~cells:[ cell_of w spec ] () in
+  let srv =
+    Coord.listen c
+      (Unix.ADDR_UNIX (Filename.concat (temp_dir ()) "coord.sock"))
+  in
+  let server = Thread.create (fun () -> Coord.serve srv) () in
+  let other =
+    let e = Option.get (Bench_suite.Registry.find "crc32") in
+    Core.Workload.make ~name:w.name (e.build ())
+  in
+  (match
+     Fleet.Worker.run ~id:"other-w" ~store:st ~connect:(Coord.bound_addr srv)
+       ~load:(fun _ -> other) ()
+   with
+  | _ -> Alcotest.fail "a worker with other sources served a grant"
+  | exception Failure _ -> ());
+  let completed =
+    Fleet.Worker.run ~id:"store-w" ~store:st ~connect:(Coord.bound_addr srv)
+      ~load:(fun _ -> w) ()
+  in
+  Thread.join server;
+  let after = Obs.Snapshot.read () in
+  Alcotest.(check int) "one worker completed every task" 3 completed;
+  Alcotest.check result_eq "fleet result = Campaign.run" (reference w ~n:75)
+    (snd (List.hd (Coord.results c)));
+  Alcotest.(check int) "no shard executed" 0
+    (after.Obs.Snapshot.shards_executed - before.Obs.Snapshot.shards_executed);
+  Alcotest.(check int) "every shard from the store" 3
+    (after.Obs.Snapshot.shards_from_store
+    - before.Obs.Snapshot.shards_from_store)
 
 let test_parse_addr () =
   (match Fleet.parse_addr "unix:/tmp/x.sock" with
@@ -542,5 +623,11 @@ let suites =
           test_shard_size_rule;
         Alcotest.test_case "store writer leases gate gc" `Quick
           test_store_leases_and_gc;
+        Alcotest.test_case "codec rejects counts that do not add up" `Quick
+          test_codec_rejects_inconsistent_counts;
+        Alcotest.test_case "inconsistent completion refused" `Quick
+          test_inconsistent_complete_refused;
+        Alcotest.test_case "worker answers grants from its store" `Quick
+          test_worker_local_store;
       ] );
   ]

@@ -169,6 +169,72 @@ let test_bad_checksum_rejected () =
   Alcotest.(check int) "not counted as truncated" 0 stats.truncated;
   Store.close st
 
+(* Rewrite every record of a segment through [edit] on its value
+   fields, recomputing each checksum, as a forger (or a bug writing
+   wrong counts) would. *)
+let forge_values path edit =
+  let open Store.Jsonx in
+  let forge line =
+    match of_string line with
+    | Ok (Obj [ ("c", _); ("k", k); ("v", Obj fields) ]) ->
+        let payload = to_string (Obj [ ("k", k); ("v", Obj (edit fields)) ]) in
+        Printf.sprintf "{\"c\":\"%s\",%s"
+          (Digest.to_hex (Digest.string payload))
+          (String.sub payload 1 (String.length payload - 1))
+    | _ -> Alcotest.failf "unexpected record %s" line
+  in
+  let lines =
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (forge l ^ "\n")) lines)
+
+(* Counts that do not add up are dropped as corrupt even under a valid
+   checksum: a shard claiming 1,000 extra benign runs, and a profile
+   whose activation histogram holds a negative count. *)
+let test_inconsistent_counts_rejected () =
+  let dir = temp_dir () in
+  let st = Store.open_dir dir in
+  Store.add st (key ~lo:0 ~hi:25) (shard ~lo:0 ~hi:25);
+  Store.add_profile st
+    (Store.profile_key ~program:"p" ~func:"main" ~fdigest:"f00d" ~env:"e1"
+       ~spec:(Core.Spec.single Read) ~n:100 ~seed:7L)
+    {
+      Core.Campaign.p_exps = 4;
+      p_benign = 3;
+      p_detected = 0;
+      p_hang = 0;
+      p_no_output = 0;
+      p_sdc = 1;
+      p_traps = [];
+      p_activation = [ (0, 2); (1, 2) ];
+      p_weighted_sdc = 1.0;
+      p_weighted_total = 4.0;
+    };
+  Store.close st;
+  forge_values (segment_of dir) (fun fields ->
+      let open Store.Jsonx in
+      if List.mem_assoc "e" fields then
+        (* The profile's 4 experiments: still 4 activations in all. *)
+        List.map
+          (function
+            | "act", _ ->
+                ("act", Arr [ Arr [ Int 0; Int 6 ]; Arr [ Int 1; Int (-2) ] ])
+            | field -> field)
+          fields
+      else
+        List.map
+          (function "b", Int b -> ("b", Int (b + 1000)) | field -> field)
+          fields);
+  let st = Store.open_dir dir in
+  let stats = Store.stats st in
+  Alcotest.(check int) "both records rejected" 0 stats.records;
+  Alcotest.(check int) "counted as corrupt" 2 stats.corrupt;
+  Alcotest.(check int) "not counted as truncated" 0 stats.truncated;
+  Store.close st
+
 (* ---- rotation and gc ---- *)
 
 let test_rotation_and_gc () =
@@ -217,6 +283,50 @@ let test_fold_visits_all () =
     (List.sort compare seen);
   Store.close st
 
+(* ---- pinned bytes ---- *)
+
+(* The exact segment text of a reg-domain shard, a mem-domain shard (its
+   key carries "dom") and a profile record.  Field order, float printing
+   and checksums are the on-disk format of every store already written,
+   so this text must not change. *)
+let pinned_segment =
+  String.concat ""
+    (List.map
+       (fun line -> line ^ "\n")
+       [
+         {|{"c":"2e835fd6e6e5ade89207e9450baf7871","k":{"p":"p","d":"d3adb33f","t":"inject-on-read","m":1,"w":"0","n":100,"s":"7","lo":0,"hi":25},"v":{"b":23,"det":1,"h":0,"no":0,"sdc":1,"traps":[["segfault",1]],"act":[[0,2],[1,23]],"ws":1.5,"wt":25}}|};
+         {|{"c":"314d752be5fe12cbf56586e0d9b5f0f7","k":{"p":"p","d":"d3adb33f","t":"inject-on-write","m":3,"w":"RND(2-10)","n":100,"s":"7","lo":25,"hi":50,"dom":"mem"},"v":{"b":23,"det":1,"h":0,"no":0,"sdc":1,"traps":[["segfault",1]],"act":[[0,2],[1,23]],"ws":0.10000000000000001,"wt":25}}|};
+         {|{"c":"941afa2b307343c94a76e4be1c70f6af","k":{"r":"prof","p":"p","f":"main","fd":"f00d","e":"e1","t":"inject-on-read","m":1,"w":"0","n":100,"s":"7"},"v":{"e":4,"b":1,"det":2,"h":0,"no":0,"sdc":1,"traps":[["segfault",1],["div-by-zero",1]],"act":[[1,3],[2,1]],"ws":2.5,"wt":7}}|};
+       ])
+
+let test_pinned_bytes () =
+  let dir = temp_dir () in
+  let st = Store.open_dir dir in
+  Store.add st (key ~lo:0 ~hi:25) (shard ~lo:0 ~hi:25);
+  Store.add st
+    (Store.key ~program:"p" ~digest:"d3adb33f"
+       ~spec:(Core.Spec.multi ~domain:Mem Write ~max_mbf:3 ~win:(Rnd (2, 10)))
+       ~n:100 ~seed:7L ~lo:25 ~hi:50)
+    { (shard ~lo:25 ~hi:50) with s_weighted_sdc = 0.1 };
+  Store.add_profile st
+    (Store.profile_key ~program:"p" ~func:"main" ~fdigest:"f00d" ~env:"e1"
+       ~spec:(Core.Spec.single Read) ~n:100 ~seed:7L)
+    {
+      Core.Campaign.p_exps = 4;
+      p_benign = 1;
+      p_detected = 2;
+      p_hang = 0;
+      p_no_output = 0;
+      p_sdc = 1;
+      p_traps = [ (Vm.Trap.Segfault, 1); (Vm.Trap.Div_by_zero, 1) ];
+      p_activation = [ (1, 3); (2, 1) ];
+      p_weighted_sdc = 2.5;
+      p_weighted_total = 7.0;
+    };
+  Store.close st;
+  Alcotest.(check string) "segment text" pinned_segment
+    (In_channel.with_open_bin (segment_of dir) In_channel.input_all)
+
 let suites =
   [
     ( "store",
@@ -228,7 +338,10 @@ let suites =
           test_truncated_tail_dropped;
         Alcotest.test_case "bad checksum rejected" `Quick
           test_bad_checksum_rejected;
+        Alcotest.test_case "inconsistent counts rejected" `Quick
+          test_inconsistent_counts_rejected;
         Alcotest.test_case "rotation + gc" `Quick test_rotation_and_gc;
         Alcotest.test_case "fold visits all" `Quick test_fold_visits_all;
+        Alcotest.test_case "pinned segment bytes" `Quick test_pinned_bytes;
       ] );
   ]
