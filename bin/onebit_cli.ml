@@ -443,8 +443,21 @@ let experiment_cmd =
     (* Re-run with an inspectable injector. *)
     let candidates = Core.Workload.candidates w spec in
     let inj = Core.Injector.create ~spec ~candidates rng in
+    (* The process runs this one experiment, so the exit counters' change
+       around it is its own early exit, if it took one. *)
+    let e0 = Vm.Code.exit_stats () in
     let res = Core.Experiment.run_raw w inj in
+    let e1 = Vm.Code.exit_stats () in
     let outcome = Core.Outcome.classify ~golden_output:w.golden.output res in
+    let exit_kind, skipped =
+      if e1.golden_exits > e0.golden_exits then
+        ("golden", e1.golden_skipped - e0.golden_skipped)
+      else if e1.shifted_exits > e0.shifted_exits then
+        ("shifted", e1.shifted_skipped - e0.shifted_skipped)
+      else if e1.cycle_exits > e0.cycle_exits then
+        ("cycle", e1.cycle_skipped - e0.cycle_skipped)
+      else ("none", 0)
+    in
     Printf.printf "experiment %d of %s on %s\n" index (Core.Spec.label spec)
       program;
     Printf.printf "backend:    %s\n"
@@ -454,6 +467,8 @@ let experiment_cmd =
     Printf.printf "outcome:    %s\n" (Core.Outcome.to_string outcome);
     Printf.printf "dyn count:  %d (golden %d)\n" res.dyn_count
       w.golden.dyn_count;
+    Printf.printf "exit:       %s (%d instructions skipped)\n" exit_kind
+      skipped;
     Printf.printf "activated:  %d of %d\n"
       (Core.Injector.activated inj)
       max_mbf;

@@ -25,7 +25,12 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     The same set arms {!Vm.Code}'s early exits once the last flip has
     landed: the golden-rejoin exit in [Reg] and [Mem] (a [Code] flip's
     patched instruction persists, so {!Vm.Code} keeps it off on a
-    patched fork), the hang-cycle exit in all three.
+    patched fork), the hang-cycle exit in all three.  A run rejoins the
+    golden run once its stack and live memory equal a golden point's,
+    at that point's dyn ([golden] in {!Vm.Code.exit_stats}) or within
+    {!Vm.Code.rejoin_window} of it ([shifted]), whatever output it has
+    emitted: it then finishes with that output followed by the golden
+    run's from the point, its length moved by the shift.
     With no checkpoint at or before the first flip, it resets the
     working memory in O(dirty pages) and runs from the top, exits still
     armed.  [~checkpoint:false] ([onebit reproduce] passes it, so a

@@ -11,7 +11,9 @@
    Checkpoints are captured at the top of the interpreter loop — before
    the dyn increment and before the instruction's candidate blocks — and
    annotated with both the read- and the write-candidate ordinal, so one
-   set serves both injection techniques.  Because the injector draws no
+   set serves both injection techniques.  A capture waits for the first
+   jump target after its threshold, so Code's rejoin probe finds every
+   point from the jumps alone.  Because the injector draws no
    randomness and fires no events during the golden prefix, resuming
    from a checkpoint is observationally identical to full execution:
    same injections, outputs, counters.  The differential suite
@@ -179,15 +181,40 @@ let select set ~axis ~target =
 
 (* Engine domains run their shards sequentially, so one undo-tracking
    memory per (domain, program) can be reset/restored between
-   experiments instead of cloning the arena each time. *)
+   experiments instead of cloning the arena each time.  The table is
+   bounded above the registry's 32 programs, so no study clears it; a
+   long-lived worker granted more programs starts a fresh table. *)
+let max_working_mems = 64
+
+(* The memories held over every live domain, mirrored by the gauge. *)
+let working_total = Atomic.make 0
+let m_working = Obs.Metrics.gauge "onebit_vm_working_mems"
+
+let count_working k =
+  let n = Atomic.fetch_and_add working_total k + k in
+  Obs.Metrics.set m_working (float_of_int n)
+
+(* A spawned domain's memories go with it (engine pools spawn theirs
+   per run); the main domain's last until the metrics dump at exit. *)
 let working : (string, Memory.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
+  Domain.DLS.new_key (fun () ->
+      let tbl = Hashtbl.create 4 in
+      if not (Domain.is_main_domain ()) then
+        Domain.at_exit (fun () -> count_working (-Hashtbl.length tbl));
+      tbl)
 
 let working_mem ~digest template =
   let tbl = Domain.DLS.get working in
   match Hashtbl.find_opt tbl digest with
   | Some m -> m
   | None ->
+      if Hashtbl.length tbl >= max_working_mems then begin
+        count_working (-Hashtbl.length tbl);
+        Hashtbl.reset tbl
+      end;
       let m = Memory.with_undo template in
       Hashtbl.add tbl digest m;
+      count_working 1;
       m
+
+let working_mems () = Hashtbl.length (Domain.DLS.get working)

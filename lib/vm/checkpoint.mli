@@ -12,7 +12,10 @@
     A checkpoint is taken at the top of the interpreter loop — before
     the instruction's dyn increment and candidate blocks — and carries
     {e both} the read- and write-candidate ordinals consumed so far, so
-    a single set serves both injection techniques.  The golden prefix
+    a single set serves both injection techniques.  It is taken at the
+    first block start other than a function's entry (a pc only a jump
+    leads to) once an ordinal has crossed the interval, so the rejoin
+    probe, which runs at jumps, can watch every point.  The golden prefix
     fires no injector events and consumes no randomness, which is why a
     resumed run is bit-identical to a full one (enforced by
     test/suite_checkpoint.ml and the CI pipeline differential).
@@ -64,9 +67,14 @@ type set = {
 }
 (** Everything one golden run leaves for the faulty runs: the points to
     restore from, and the reference {!Code}'s early exits compare
-    against — the page liveness, for the golden-rejoin exit, and the
-    end state, which that exit returns and past whose length the cycle
-    exit searches. *)
+    against.  The points are also the states a run may rejoin, at any
+    dyn and past any output: the golden-rejoin exit watches the
+    innermost pc of the point nearest in dyn (a jump target) and
+    compares the point's stack and, through the page liveness, its live
+    memory.  The golden
+    end state is what a rejoined run's result is built from (its output
+    past the point's [ck_out], its counters moved by the run's distance
+    from the point), and past its length the cycle exit searches. *)
 
 type recorder = {
   mutable interval : int;
@@ -128,6 +136,15 @@ val working_mem : digest:string -> Memory.t -> Memory.t
     created from [template] on first use (domain-local storage).  Callers
     must {!Memory.reset} or {!Memory.restore_pages} it before each run;
     domains execute their experiments sequentially, so one memory per
-    (domain, program) suffices.  Entries are never evicted: a workload
-    cannot own its memories without one domain-local key per workload,
-    which would leak the same way. *)
+    (domain, program) suffices.  A domain keeps at most
+    {!max_working_mems}: the next digest drops them all, and a later
+    call for a dropped digest simply makes its memory again.  A spawned
+    domain's memories go when it exits.  Obs gauge:
+    [onebit_vm_working_mems], the memories held over all live domains. *)
+
+val max_working_mems : int
+(** 64: above the registry's 32 programs, so no study or benchmark
+    drops a memory.  A constant, not a knob. *)
+
+val working_mems : unit -> int
+(** The number of working memories the calling domain holds. *)

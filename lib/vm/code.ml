@@ -17,9 +17,10 @@
    Golden runs see thresholds of [max_int] and never leave the fast
    path.  After the final flip, a run given the golden checkpoint set
    leaves it only at the early-exit probe's stops, which share the
-   budget compare: the probe returns the golden end state once the run
-   has rejoined the golden run, and fast-forwards a hang whose state
-   repeats exactly to the watchdog.
+   budget compare, and at jumps to one watched pc: the probe finishes
+   the run as the golden run finishes once it has rejoined the golden
+   run, at any dyn and past any output, and fast-forwards a hang whose
+   state repeats exactly to the watchdog.
 
    The decode is behaviour-preserving by construction: every micro-op's
    semantics is the specialisation of the corresponding [Exec.step] case
@@ -419,8 +420,8 @@ let recording_funcs t =
 exception Hang_exn
 
 (* Raised by the probe when a faulty run has rejoined the golden run,
-   with the golden end state the run returns. *)
-exception Rejoined of Exec.result
+   once it has set the counters and output to the run's end state. *)
+exception Rejoined
 
 type rstate = {
   mutable dyn : int;
@@ -431,6 +432,9 @@ type rstate = {
   mutable limit : int;
       (* the top of the loop leaves its fast path once [dyn] reaches
          this: the budget, or the early-exit probe's next stop if sooner *)
+  mutable watch_pc : int;
+      (* a jump to this pc probes the golden point the probe watches;
+         -1 (no pc) when it watches none *)
 }
 
 (* ---- early exits ---- *)
@@ -440,6 +444,20 @@ type rstate = {
    third of it; a hang that has not repeated by then (a counter that
    keeps moving) runs to the watchdog unprobed. *)
 let cycle_window = 4096
+
+(* Is [i] the start of a block other than the entry, where only a jump
+   leads?  Every block ends with its terminator. *)
+let jump_target uops i =
+  i > 0
+  &&
+  match uops.(i - 1) with
+  | Ujmp _ | Ucbr _ | Uret | Uret_i _ | Uret_f _ | Uabort -> true
+  | _ -> false
+
+(* How far in dyn from a golden point a run may stand and still be
+   compared with it.  A run watches only the point nearest in dyn, so a
+   window never reaches past the midpoint to the next point. *)
+let rejoin_window = 512
 
 (* Per exit kind, plain counters (one update per exit, not per
    instruction) so tests observe the exits without enabling metrics,
@@ -462,6 +480,7 @@ let exit_counters kind =
   }
 
 let golden_exit = exit_counters "golden"
+let shifted_exit = exit_counters "shifted"
 let cycle_exit = exit_counters "cycle"
 
 let note_exit c ~skipped =
@@ -474,25 +493,36 @@ let note_exit c ~skipped =
 
 type exit_stats = {
   golden_exits : int;
+  shifted_exits : int;
   cycle_exits : int;
   golden_skipped : int;
+  shifted_skipped : int;
   cycle_skipped : int;
 }
 
 let exit_stats () =
   {
     golden_exits = Atomic.get golden_exit.exits;
+    shifted_exits = Atomic.get shifted_exit.exits;
     cycle_exits = Atomic.get cycle_exit.exits;
     golden_skipped = Atomic.get golden_exit.skipped;
+    shifted_skipped = Atomic.get shifted_exit.skipped;
     cycle_skipped = Atomic.get cycle_exit.skipped;
   }
 
-let same_ints (a : int array) (b : int array) =
+(* Index of the first slot at which [a] and [b] (no shorter than [a])
+   differ, or -1. *)
+let first_diff (a : int array) (b : int array) =
   let n = Array.length a in
   let rec go j =
-    j >= n || (Array.unsafe_get a j = Array.unsafe_get b j && go (j + 1))
+    if j >= n then -1
+    else if Array.unsafe_get a j = Array.unsafe_get b j then go (j + 1)
+    else j
   in
-  Array.length b = n && go 0
+  go 0
+
+let same_ints (a : int array) (b : int array) =
+  Array.length b = Array.length a && first_diff a b < 0
 
 (* By bits: -0.0 <> 0.0, and NaN payloads are told apart. *)
 let same_flts (a : float array) (b : float array) =
@@ -507,9 +537,10 @@ let same_flts (a : float array) (b : float array) =
 
 (* Does a captured stack ([snaps], outermost first) equal the live one:
    the innermost [frame] at [fidx]/[pc] plus the shadow stack [outer]
-   (innermost first)?  [calls] also compares each in-progress call's
-   dynamic index. *)
-let same_stack (snaps : Checkpoint.frame_snap array) ~calls fidx
+   (innermost first)?  In-progress calls' dynamic indexes are not
+   compared: they only feed [last_write], which nothing reads once the
+   injector is done. *)
+let same_stack (snaps : Checkpoint.frame_snap array) fidx
     (frame : Exec.frame) pc outer =
   let top = Array.length snaps - 1 in
   let same (s : Checkpoint.frame_snap) f (fr : Exec.frame) =
@@ -518,20 +549,12 @@ let same_stack (snaps : Checkpoint.frame_snap array) ~calls fidx
   in
   let rec outers k = function
     | [] -> k < 0
-    | (f, fr, pc, calld) :: rest ->
-        k >= 0
-        && snaps.(k).fs_pc = pc
-        && ((not calls) || snaps.(k).fs_call_dyn = calld)
-        && same snaps.(k) f fr
+    | (f, fr, pc, _) :: rest ->
+        k >= 0 && snaps.(k).fs_pc = pc && same snaps.(k) f fr
         && outers (k - 1) rest
   in
   top >= 0 && snaps.(top).fs_pc = pc && same snaps.(top) fidx frame
   && outers (top - 1) outer
-
-let buffer_equals b s =
-  let n = String.length s in
-  let rec go j = j >= n || (Buffer.nth b j = String.unsafe_get s j && go (j + 1)) in
-  Buffer.length b = n && go 0
 
 (* The cycle exit's reference state: the stack and dirty pages at one
    instruction, with the counters and output length to measure a period
@@ -576,10 +599,12 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
 (* The one interpreter loop behind [run] and [resume].
 
    Recording ([record]): a golden run additionally maintains a shadow
-   call stack and, at the top of the loop whenever a candidate-ordinal
-   counter crosses the recorder's threshold, captures a {!Checkpoint.point}
-   — before the instruction's dyn increment and candidate blocks, so the
-   point is valid for both the read and the write ordinal axis.
+   call stack and, at the first jump target at the top of the loop after
+   a candidate-ordinal counter crosses the recorder's threshold, captures
+   a {!Checkpoint.point} — before the instruction's dyn increment and
+   candidate blocks, so the point is valid for both the read and the
+   write ordinal axis, and at a pc the rejoin probe can watch from the
+   jumps alone.
 
    Resuming ([resume]): counters, output and memory pages are restored
    from the point, then the captured call stack is re-entered outermost
@@ -611,7 +636,15 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     invalid_arg "Code.run: early exits need an undo-tracking memory";
   let out = Buffer.create 256 in
   let st =
-    { dyn = 0; rc = 0; wc = 0; ret_i = 0; ret_f = 0.0; limit = budget }
+    {
+      dyn = 0;
+      rc = 0;
+      wc = 0;
+      ret_i = 0;
+      ret_f = 0.0;
+      limit = budget;
+      watch_pc = -1;
+    }
   in
   (match resume with
   | Some (p : Checkpoint.point) ->
@@ -666,26 +699,59 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   in
   (* ---- the early-exit probe ----
 
-     Armed once the injector has nothing pending.  Golden phase: at each
-     golden point from then on, a run whose state equals the golden
-     run's there — counters, output, stack, and memory on every page the
-     golden suffix still reads — finishes exactly as the golden run did.
-     Cycle phase, past the golden run's length: a run whose state repeats
-     exactly repeats forever, so whole periods are added arithmetically
-     and the remainder runs to the watchdog. *)
-  let next_point = ref 0 in
+     Armed once the injector has nothing pending.  Golden phase: the run
+     watches the pc of one golden point, the one nearest in dyn, while it
+     is within [rejoin_window] of it; points sit at jump targets, so the
+     jumps alone compare their target with it.  Standing there with the
+     point's stack and with its memory on every page the golden suffix
+     still reads, the run's future is the golden run's from the point,
+     shifted by [delta] instructions: it finishes with its own output
+     followed by the golden output from the point on.  Cycle phase, past
+     the last window and the golden run's length: a run whose state
+     repeats exactly repeats forever, so whole periods are added
+     arithmetically and the remainder runs to the watchdog. *)
+  let next_point = ref 0 and miss = ref 0 in
   let anchor = ref None and lam = ref 0 and power = ref 1 in
   let cycle_end = ref max_int in
   let probe_at d = st.limit <- min d budget in
   let start_cycle (set : Checkpoint.set) =
+    next_point := Array.length set.points;
+    st.watch_pc <- -1;
     probe_at (max st.dyn set.golden.Exec.dyn_count)
   in
-  let arm (set : Checkpoint.set) =
+  (* Watch the first point from [k] on whose window has not ended: its pc
+     from the window's start, until the window's end.  A window holds the
+     dyns within [rejoin_window] of its point that are nearer to it than
+     to either neighbour (ties to the earlier point). *)
+  let rec watch_from (set : Checkpoint.set) k =
     let pts = set.points in
     let n = Array.length pts in
-    (* The golden exit needs the program the golden run ran — a patched
-       instruction outlives the last flip — and the golden run to fit the
-       budget: a full run would otherwise hang before the golden end. *)
+    let split j = ((pts.(j).Checkpoint.ck_dyn + pts.(j + 1).ck_dyn) / 2) + 1 in
+    if k >= n then start_cycle set
+    else begin
+      let p = pts.(k) in
+      let hi = p.ck_dyn + rejoin_window + 1 in
+      let hi = if k + 1 < n then min hi (split k) else hi in
+      if st.dyn >= hi then watch_from set (k + 1)
+      else begin
+        let lo = p.ck_dyn - rejoin_window in
+        let lo = if k > 0 then max lo (split (k - 1)) else lo in
+        next_point := k;
+        if st.dyn >= lo then begin
+          st.watch_pc <- p.ck_stack.(Array.length p.ck_stack - 1).fs_pc;
+          probe_at hi
+        end
+        else begin
+          st.watch_pc <- -1;
+          probe_at lo
+        end
+      end
+    end
+  in
+  (* The golden exit needs the program the golden run ran: a patched
+     instruction outlives the last flip. *)
+  let arm (set : Checkpoint.set) =
+    let pts = set.points in
     let rec first lo hi =
       if lo >= hi then lo
       else
@@ -693,21 +759,53 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         if pts.(mid).Checkpoint.ck_dyn < st.dyn then first (mid + 1) hi
         else first lo mid
     in
-    let k =
-      if (not code.patched) && set.golden.Exec.dyn_count <= budget then
-        first 0 n
-      else n
-    in
-    next_point := k;
-    if k < n then probe_at pts.(k).ck_dyn else start_cycle set
+    if code.patched then start_cycle set
+    else watch_from set (max 0 (first 0 (Array.length pts) - 1))
   in
-  let rejoins (set : Checkpoint.set) (p : Checkpoint.point) fidx frame i =
-    st.dyn = p.ck_dyn && st.rc = p.ck_rc && st.wc = p.ck_wc
-    && Buffer.length out = String.length p.ck_out
-    && same_stack p.ck_stack ~calls:true fidx frame i !rstack
-    && buffer_equals out p.ck_out
-    && Memory.equal_image mem p.ck_pages ~live:(fun pg ->
-           set.last_read.(pg) >= p.ck_dyn)
+  (* After a jump to the watched pc [i], in the state the top of the
+     loop will see there.  The full run would finish [delta] instructions
+     after the golden run, so only within the budget (which also keeps a
+     run at the watchdog from rejoining: the golden run executes the
+     point's instruction).  Failing visits are kept cheap, since skipping
+     one forgoes at most an exit: the innermost register that differed
+     last time is compared first (in a loop, usually the counter), and a
+     point whose live memory differed is not compared again. *)
+  let probe_point (set : Checkpoint.set) fidx (frame : Exec.frame) i =
+    let k = !next_point in
+    let p = set.points.(k) and g = set.golden in
+    let delta = st.dyn - p.ck_dyn in
+    let top = p.ck_stack.(Array.length p.ck_stack - 1) in
+    let ints = frame.Exec.ints and m = !miss in
+    if
+      fidx = top.fs_fidx
+      && g.Exec.dyn_count + delta <= budget
+      && (m >= Array.length ints
+         || Array.unsafe_get ints m = Array.unsafe_get top.fs_ints m)
+      && (match first_diff ints top.fs_ints with
+         | -1 -> true
+         | j ->
+             miss := j;
+             false)
+      && same_stack p.ck_stack fidx frame i !rstack
+    then
+      if
+        Memory.equal_image mem p.ck_pages ~live:(fun pg ->
+            set.last_read.(pg) >= p.ck_dyn)
+      then begin
+        note_exit
+          (if delta = 0 then golden_exit else shifted_exit)
+          ~skipped:(g.dyn_count - p.ck_dyn);
+        let n = String.length p.ck_out in
+        Buffer.add_substring out g.output n (String.length g.output - n);
+        st.dyn <- g.dyn_count + delta;
+        st.rc <- st.rc + g.read_cands - p.ck_rc;
+        st.wc <- st.wc + g.write_cands - p.ck_wc;
+        raise Rejoined
+      end
+      else watch_from set (k + 1)
+  in
+  let jumped fidx frame i =
+    match exits with Some set -> probe_point set fidx frame i | None -> ()
   in
   let take_anchor fidx frame i =
     anchor :=
@@ -752,7 +850,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     | Some a ->
         incr lam;
         if
-          same_stack a.a_stack ~calls:false fidx frame i !rstack
+          same_stack a.a_stack fidx frame i !rstack
           && Memory.equal_image mem a.a_pages ~live:(fun _ -> true)
         then fast_forward a
         else if !lam = !power then begin
@@ -760,25 +858,17 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           take_anchor fidx frame i
         end
   in
-  let probe (set : Checkpoint.set) fidx frame i =
-    let pts = set.points in
-    let k = !next_point in
-    if k < Array.length pts then begin
-      if rejoins set pts.(k) fidx frame i then begin
-        note_exit golden_exit ~skipped:(set.golden.Exec.dyn_count - st.dyn);
-        raise (Rejoined set.golden)
-      end;
-      next_point := k + 1;
-      if k + 1 < Array.length pts then probe_at pts.(k + 1).ck_dyn
-      else start_cycle set
-    end
-    else cycle_step fidx frame i
-  in
-  (* The top of the loop past [st.limit]: probe while below the budget,
-     then the watchdog, at the dyn the probe may have moved.  Returns the
-     dyn of the instruction about to execute. *)
+  (* The top of the loop past [st.limit]: move the watch or search for a
+     cycle while below the budget, then the watchdog, at the dyn the
+     probe may have moved.  Returns the dyn of the instruction about to
+     execute. *)
   let slow_top fidx frame i d =
-    (match exits with Some set when d < budget -> probe set fidx frame i | _ -> ());
+    (match exits with
+    | Some set when d < budget ->
+        if !next_point < Array.length set.points then
+          watch_from set !next_point
+        else cycle_step fidx frame i
+    | _ -> ());
     let d = st.dyn in
     if d >= budget then begin
       st.dyn <- d + 1;
@@ -809,6 +899,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       let i = !pc in
       if rec_on && (st.rc >= recd.Checkpoint.next_rc
                     || st.wc >= recd.Checkpoint.next_wc)
+         && jump_target uops i
       then capture fidx frame i;
       let d =
         let d = st.dyn in
@@ -1076,9 +1167,13 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           then raise (Trap.Trap Guard_violation);
           pc := i + 1
       | Uabort -> raise (Trap.Trap Abort_called)
-      | Ujmp p -> pc := p
+      | Ujmp p ->
+          pc := p;
+          if p = st.watch_pc then jumped fidx frame p
       | Ucbr (c, tpc, fpc) ->
-          pc := if Array.unsafe_get ints c <> 0 then tpc else fpc
+          let p = if Array.unsafe_get ints c <> 0 then tpc else fpc in
+          pc := p;
+          if p = st.watch_pc then jumped fidx frame p
       | Uret -> running := false
       | Uret_i s ->
           st.ret_i <- Array.unsafe_get ints s;
@@ -1299,7 +1394,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     | () -> ended Exec.Finished
     | exception Trap.Trap t -> ended (Exec.Trapped t)
     | exception Hang_exn -> ended Exec.Hung
-    | exception Rejoined golden -> golden
+    | exception Rejoined -> ended Exec.Finished
   in
   if rec_on then Checkpoint.complete recd ~last_read result;
   Exec.record_run result;

@@ -22,24 +22,36 @@
     once its result is decided.  Both exits arm only when the injector
     has no pending events ([ev_cand = ev_dyn = max_int]); until then, and
     in a run without [exits], the loop pays one compare per instruction
-    for them.
+    for them (the dyn against the probe's next stop, which is also the
+    budget compare) and one per jump (its target against the watched
+    pc).
     - {b Golden rejoin}, unless {!patch} has rewritten the code (a
       patched instruction outlives the last flip, so the run no longer
-      runs the golden program).  At each golden point from then on, the probe compares the candidate ordinals, the
-      output, the call stack (per frame: function, pc, in-progress call's
-      dynamic index, integer registers exactly and float registers by
-      bits) and memory on every page the golden run still reads at or
-      after the point ({!Checkpoint.set}[.last_read]).  Equal, the run's
-      future is the golden run's, so it returns the golden end state.
-      [last_write] tables are not compared: only the injector reads
-      them, and it is done.
-    - {b Hang cycle.}  Past the golden run's length, Brent's search
-      compares the stack (function, pc and registers of every frame) and
-      the whole memory with an anchor state, for {!cycle_window}
-      instructions.  An exact repeat after [L] instructions repeats
-      forever: the probe adds as many whole periods as fit below
-      [budget] to the counters, with a copy of the period's output each,
-      and runs the remainder to the watchdog.
+      runs the golden program).  The probe watches the pc of one golden
+      point, the one nearest in dyn, while the run is within
+      {!rejoin_window} instructions of it; points sit at jump targets
+      ({!Checkpoint}), so a jump there triggers the probe.  It compares
+      the call stack (per frame: function, pc, integer registers exactly
+      and float registers by bits; not the in-progress calls' dynamic
+      indexes) and memory on every page the golden run still reads at
+      or after the point ({!Checkpoint.set}[.last_read]).  Equal, the run's
+      future is the golden run's from the point, [delta] = dyn - [ck_dyn]
+      instructions later; if the golden length plus [delta] fits the
+      budget, the run returns [Finished] with its own output followed by
+      the golden output past [ck_out], and the golden counters moved by
+      [delta] ([dyn_count]) and by its own ordinals' distance from the
+      point's ([read_cands], [write_cands]).  Neither the output emitted
+      so far nor [last_write] is compared: the program never reads its
+      output, and only the injector, which is done, reads [last_write].
+      A point whose live memory differed is not compared again in the
+      run.
+    - {b Hang cycle.}  Past the last window and the golden run's length,
+      Brent's search compares the stack (function, pc and registers of
+      every frame) and the whole memory with an anchor state, for
+      {!cycle_window} instructions.  An exact repeat after [L]
+      instructions repeats forever: the probe adds as many whole periods
+      as fit below [budget] to the counters, with a copy of the period's
+      output each, and runs the remainder to the watchdog.
     Either way the result is field-for-field the full run's.  Every call
     is on the probe's shadow stack, patched calls interpreted for the
     code domain included, so an unbounded recursion never looks like a
@@ -93,8 +105,9 @@ val run :
 (** Execute the entry function; semantics of [budget], traps, call depth
     and the result fields are exactly those of {!Exec.run}.
 
-    [record] captures golden-prefix checkpoints into the recorder every
-    time a candidate ordinal crosses its interval (see {!Checkpoint});
+    [record] captures golden-prefix checkpoints into the recorder at the
+    first jump target after a candidate ordinal crosses its interval
+    (see {!Checkpoint});
     recording runs execute on a private undo-tracking memory so each
     point can snapshot its dirty pages.  [Core.Workload.make] passes it:
     its one golden run yields the result and the checkpoint set.
@@ -158,21 +171,30 @@ val patch :
     interpreter on a {!Codeflip} image, with which it stays
     bit-identical.  Only call on a {!fork}. *)
 
+val rejoin_window : int
+(** How far in dyn, either way, from a golden point the golden-rejoin
+    exit compares a run with it (512); a constant, not a knob.  Only
+    the point nearest in dyn is watched, so a window also ends halfway
+    to the next point. *)
+
 val cycle_window : int
 (** Instructions the cycle exit searches past the golden run's length
     before giving up (4096); a constant, not a knob. *)
 
 type exit_stats = {
-  golden_exits : int;  (** runs that rejoined the golden run *)
+  golden_exits : int;
+      (** runs that rejoined the golden run at a point's own dyn *)
+  shifted_exits : int;  (** runs that rejoined it at another dyn *)
   cycle_exits : int;  (** runs fast-forwarded to the watchdog *)
   golden_skipped : int;  (** dynamic instructions those exits skipped *)
+  shifted_skipped : int;
   cycle_skipped : int;
 }
 
 val exit_stats : unit -> exit_stats
 (** Early exits since process start; counted even when metrics
     collection is disabled.  Obs mirrors:
-    [onebit_vm_early_exits_total{kind="golden"|"cycle"}] and
+    [onebit_vm_early_exits_total{kind="golden"|"shifted"|"cycle"}] and
     [onebit_vm_instructions_skipped_total{kind=...}].  A run that exits
     still counts its logical [dyn_count] in
     [onebit_vm_instructions_total]. *)

@@ -295,6 +295,68 @@ let test_working_memory_after_traps () =
       Alcotest.(check int) "golden dyn after trapped runs"
         w.golden.dyn_count g.dyn_count)
 
+(* A domain granted more programs than [max_working_mems] holds no more
+   memories than that; a program whose memory went gets a fresh one, and
+   its experiments still equal full execution. *)
+let test_working_memory_bound () =
+  let w = registry_workload "crc32" in
+  let spec = Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10) in
+  let base = Prng.of_seed 5L in
+  let experiments () =
+    for i = 0 to 4 do
+      check_experiment w spec ~interval:Vm.Checkpoint.interval ~base i
+    done
+  in
+  let cap = Vm.Checkpoint.max_working_mems in
+  let held_after_others, held_at_end =
+    Domain.join
+      (Domain.spawn (fun () ->
+           experiments ();
+           for k = 1 to cap + 3 do
+             ignore
+               (Vm.Checkpoint.working_mem
+                  ~digest:(Printf.sprintf "other-%d" k)
+                  w.prog.Vm.Program.mem_template
+                 : Vm.Memory.t)
+           done;
+           let held = Vm.Checkpoint.working_mems () in
+           experiments ();
+           (held, Vm.Checkpoint.working_mems ())))
+  in
+  Alcotest.(check bool) "at most cap after cap + 4 digests" true
+    (held_after_others <= cap);
+  Alcotest.(check bool) "at most cap after the program's return" true
+    (held_at_end <= cap)
+
+(* Every point sits at the start of a block other than its function's
+   entry — a pc only a jump leads to, where the golden-rejoin probe
+   looks.  Compiled pcs lay the blocks out in order, each followed by
+   its terminator. *)
+let test_points_at_jump_targets () =
+  List.iter
+    (fun name ->
+      let w = registry_workload name in
+      let starts (f : Vm.Program.lfunc) =
+        let pcs = ref [] and off = ref 0 in
+        Array.iter
+          (fun (b : Vm.Program.lblock) ->
+            pcs := !off :: !pcs;
+            off := !off + Array.length b.instrs + 1)
+          f.blocks;
+        List.filter (fun pc -> pc > 0) !pcs
+      in
+      let pts = w.checkpoints.Vm.Checkpoint.points in
+      Alcotest.(check bool) (name ^ " has points") true (Array.length pts > 0);
+      Array.iter
+        (fun (p : Vm.Checkpoint.point) ->
+          let top = p.ck_stack.(Array.length p.ck_stack - 1) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s point at dyn %d" name p.ck_dyn)
+            true
+            (List.mem top.fs_pc (starts w.prog.funcs.(top.fs_fidx))))
+        pts)
+    [ "crc32"; "qsort"; "sha"; "nn" ]
+
 (* Checkpoint selection: the chosen point never overshoots the target
    ordinal, and recording monotonically orders both ordinal axes. *)
 let test_select () =
@@ -382,6 +444,10 @@ let suites =
         Alcotest.test_case "memory undo log" `Quick test_memory_undo;
         Alcotest.test_case "working memory after traps" `Quick
           test_working_memory_after_traps;
+        Alcotest.test_case "working memories are bounded" `Quick
+          test_working_memory_bound;
+        Alcotest.test_case "points sit at jump targets" `Quick
+          test_points_at_jump_targets;
         Alcotest.test_case "point selection" `Quick test_select;
         Alcotest.test_case "reproduce from campaign record" `Quick
           test_reproduce_from_campaign_record;

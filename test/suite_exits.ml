@@ -1,8 +1,9 @@
 (* The compiled VM's early exits (Vm.Code): a faulty run that rejoins the
-   golden run returns the golden end state, and a hang whose state
-   repeats exactly is fast-forwarded to the watchdog.  Each test makes an
-   exit fire — the counters of [Vm.Code.exit_stats] prove it did — and
-   holds the result field-for-field, with the full injection log, to
+   golden run, at any dyn and past any output, finishes as the golden run
+   does, and a hang whose state repeats exactly is fast-forwarded to the
+   watchdog.  Each test makes an exit fire, or shows that it must not —
+   the counters of [Vm.Code.exit_stats] prove which — and holds the
+   result field-for-field, with the full injection log, to
    [Experiment.run_raw ~checkpoint:false], which arms no exit. *)
 
 module B = Ir.Build
@@ -201,6 +202,135 @@ let test_code_flips_of_recursion () =
   done;
   Alcotest.(check bool) "some flips recurse without end" true (!overflows > 0)
 
+(* A write flip on the write-candidate ordinal [ord], bit [bit]. *)
+let write_flip w ~ord ~bit () =
+  let spec = Core.Spec.single Write in
+  Core.Injector.create ~spec
+    ~candidates:(Core.Workload.candidates w spec)
+    ~first:(ord, 0, bit) (Prng.of_seed 1L)
+
+(* The exits taken by [f ()]: golden, shifted and cycle. *)
+let exits_of f =
+  let s0 = Vm.Code.exit_stats () in
+  let r = f () in
+  let s1 = Vm.Code.exit_stats () in
+  ( r,
+    ( s1.golden_exits - s0.golden_exits,
+      s1.shifted_exits - s0.shifted_exits,
+      s1.cycle_exits - s0.cycle_exits ) )
+
+let exits_t = Alcotest.(triple int int int)
+
+(* Outputs [3 i] for i below 1500.  Write candidates: 0 is [i]'s
+   initialisation; iteration [m] writes the loop test at 1 + 4m, the
+   product at 2 + 4m, and the next [i] at 3 + 4m and 4 + 4m. *)
+let triple_loop () =
+  let m = B.create () in
+  B.func m "main" ~params:[] ~ret:None (fun f ->
+      B.for_ f ~from_:(B.ci 0) ~below:(B.ci 1500) (fun i ->
+          B.output f I32 (B.mul f I32 i (B.ci 3))));
+  B.finish m
+
+(* A flipped product is printed, then overwritten: the run is back on
+   the golden run at the same dyn, with different output.  It rejoins
+   there, and ends SDC with its own output followed by the golden
+   output. *)
+let test_sdc_rejoins () =
+  let w = Core.Workload.make ~name:"triple" (triple_loop ()) in
+  let r, exits =
+    exits_of (fun () ->
+        check_pair "sdc rejoin" w (write_flip w ~ord:(2 + (4 * 10)) ~bit:3))
+  in
+  Alcotest.(check exits_t) "one golden exit" (1, 0, 0) exits;
+  Alcotest.(check int) "golden length" w.golden.dyn_count r.dyn_count;
+  Alcotest.(check string) "outcome" "sdc"
+    (Core.Outcome.to_string
+       (Core.Outcome.classify ~golden_output:w.golden.output r))
+
+(* Counts [j] from [j0] up to 100, then sums 0..999 and prints the sum.
+   The count loop takes 5 instructions an iteration and leaves the same
+   registers however long it ran.  Write candidates: 0 is [j]'s
+   initialisation; iteration [m] writes the test at 1 + 3m, [j + 1] at
+   2 + 3m and [j] at 3 + 3m. *)
+let delay_then_sum ~j0 =
+  let m = B.create () in
+  B.func m "main" ~params:[] ~ret:None (fun f ->
+      let j = B.local_init f I32 (B.ci j0) in
+      B.while_ f
+        ~cond:(fun () -> B.ne f I32 (B.r j) (B.ci 100))
+        ~body:(fun () -> B.set f j (B.add f I32 (B.r j) (B.ci 1)));
+      let acc = B.local_init f I32 (B.ci 0) in
+      B.for_ f ~from_:(B.ci 0) ~below:(B.ci 1000) (fun i ->
+          B.set f acc (B.add f I32 (B.r acc) i));
+      B.output f I32 (B.r acc));
+  B.finish m
+
+(* Flipping bit 5 of [j] after iteration 5 moves it by 32 one way or the
+   other: 32 iterations, 160 instructions, fewer or more than golden. *)
+let shifted_run ~j0 ?budget label =
+  let w = Core.Workload.make ~name:"delay" (delay_then_sum ~j0) in
+  let w = match budget with Some b -> { w with budget = b w } | None -> w in
+  let r, exits =
+    exits_of (fun () ->
+        check_pair label w (write_flip w ~ord:(3 + (3 * 5)) ~bit:5))
+  in
+  (w, r, exits)
+
+let test_negative_shift () =
+  (* j: 6 -> 38, so the count loop ends 32 iterations early *)
+  let w, r, exits = shifted_run ~j0:0 "negative shift" in
+  Alcotest.(check exits_t) "one shifted exit" (0, 1, 0) exits;
+  Alcotest.(check int) "160 fewer" (w.golden.dyn_count - 160) r.dyn_count;
+  Alcotest.(check string) "golden output" w.golden.output r.output
+
+let test_positive_shift () =
+  (* j: 46 -> 14, so the count loop runs 32 iterations more *)
+  let w, r, exits = shifted_run ~j0:40 "positive shift" in
+  Alcotest.(check exits_t) "one shifted exit" (0, 1, 0) exits;
+  Alcotest.(check int) "160 more" (w.golden.dyn_count + 160) r.dyn_count;
+  Alcotest.(check string) "golden output" w.golden.output r.output
+
+(* The positive shift under a budget the golden run fits and the shifted
+   run does not: the full run hangs, so the probe must not rejoin. *)
+let test_shift_past_budget () =
+  let w, r, exits =
+    shifted_run ~j0:40
+      ~budget:(fun w -> w.golden.dyn_count + 100)
+      "shift past the budget"
+  in
+  Alcotest.(check exits_t) "no exit" (0, 0, 0) exits;
+  Alcotest.(check Thelpers.status_testable) "hung" Vm.Exec.Hung r.status;
+  Alcotest.(check int) "watchdog dyn" (w.budget + 1) r.dyn_count
+
+(* Every program of the study under the benchmark's eight register
+   specs, and nn's memory and code domains, at a few experiments each. *)
+let test_differential () =
+  let s0 = Vm.Code.exit_stats () in
+  let specs tech =
+    [
+      Core.Spec.single tech;
+      Core.Spec.multi tech ~max_mbf:2 ~win:(Fixed 0);
+      Core.Spec.multi tech ~max_mbf:3 ~win:(Fixed 10);
+      Core.Spec.multi tech ~max_mbf:30 ~win:(Fixed 100);
+    ]
+  in
+  List.iter
+    (fun name ->
+      let w = Suite_checkpoint.registry_workload name in
+      List.iter
+        (fun spec -> campaign_pairs w spec ~n:4 ~seed:3L)
+        (specs Read @ specs Write))
+    Bench_suite.Registry.names;
+  List.iter
+    (fun domain ->
+      campaign_pairs (Lazy.force nn)
+        (Core.Spec.multi ~domain Read ~max_mbf:3 ~win:(Fixed 10))
+        ~n:10 ~seed:3L)
+    [ Core.Domain.Mem; Core.Domain.Code ];
+  let s1 = Vm.Code.exit_stats () in
+  Alcotest.(check bool) "golden and shifted exits fired" true
+    (s1.golden_exits > s0.golden_exits && s1.shifted_exits > s0.shifted_exits)
+
 (* [~checkpoint:false] (and the seed oracle) arm no exit: the same nn
    experiments that take both exits above leave the counters alone. *)
 let test_full_execution_arms_nothing () =
@@ -227,8 +357,11 @@ let test_full_execution_arms_nothing () =
     ];
   let s1 = Vm.Code.exit_stats () in
   Alcotest.(check int) "golden exits" s0.golden_exits s1.golden_exits;
+  Alcotest.(check int) "shifted exits" s0.shifted_exits s1.shifted_exits;
   Alcotest.(check int) "cycle exits" s0.cycle_exits s1.cycle_exits;
   Alcotest.(check int) "golden skipped" s0.golden_skipped s1.golden_skipped;
+  Alcotest.(check int) "shifted skipped" s0.shifted_skipped
+    s1.shifted_skipped;
   Alcotest.(check int) "cycle skipped" s0.cycle_skipped s1.cycle_skipped
 
 let suites =
@@ -249,5 +382,13 @@ let suites =
           test_code_flips_of_recursion;
         Alcotest.test_case "full execution arms no exit" `Quick
           test_full_execution_arms_nothing;
+        Alcotest.test_case "sdc run rejoins past its corrupted output" `Quick
+          test_sdc_rejoins;
+        Alcotest.test_case "negative shift rejoins" `Quick test_negative_shift;
+        Alcotest.test_case "positive shift rejoins" `Quick test_positive_shift;
+        Alcotest.test_case "shift past the budget hangs" `Quick
+          test_shift_past_budget;
+        Alcotest.test_case "15 programs x 8 specs, nn mem/code equal full runs"
+          `Quick test_differential;
       ] );
   ]
