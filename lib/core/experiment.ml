@@ -38,14 +38,11 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
           let image = Vm.Codeflip.image workload.prog in
           Injector.bind_code inj ~sites:workload.Workload.code_sites ~image ();
           Vm.Exec.run ~hooks ~budget:workload.budget image)
-  | Config.Compiled -> (
-      (* The calling domain's undo-tracking working memory: resetting it
-         costs O(dirty pages), and Mem flips dirty their page, so the next
+  | Config.Compiled ->
+      (* One of the workload's undo-tracking memories: resetting it costs
+         O(dirty pages), and Mem flips dirty their page, so the next
          experiment's reset or restore undoes them like any store. *)
-      let mem =
-        Vm.Checkpoint.working_mem ~digest:workload.Workload.digest
-          workload.prog.Vm.Program.mem_template
-      in
+      Workload.with_mem workload @@ fun mem ->
       let ev = Injector.events inj in
       let code =
         match Injector.domain inj with
@@ -87,7 +84,7 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
             ?exits:set ~budget:workload.budget code
       | None ->
           Vm.Memory.reset mem;
-          Vm.Code.run ~events:ev ~mem ?exits:set ~budget:workload.budget code)
+          Vm.Code.run ~events:ev ~mem ?exits:set ~budget:workload.budget code
 
 (* Classification + bookkeeping, exported so the benchmark can time it
    apart from [run_raw]. *)

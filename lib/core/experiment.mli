@@ -16,9 +16,10 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     active backend ({!Config.active_backend}).  Building block for
     {!run}/{!run_at} and the CLI's replay commands.
 
-    On the compiled backend (production) the run binds the injector's
-    fault domain — [Mem] flips land in the calling domain's
-    undo-tracking working memory, [Code] flips patch a private
+    On the compiled backend (production) the run takes one of the
+    workload's undo-tracking memories ({!Workload.with_mem}; it gives it
+    back when the run returns) and binds the injector's fault domain —
+    [Mem] flips land in that memory, [Code] flips patch a private
     {!Vm.Code.fork} — and restores the golden prefix up to the first
     flip from the workload's checkpoint set ({!Workload.t}[.checkpoints]),
     executing only the suffix.
@@ -32,7 +33,7 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     emitted: it then finishes with that output followed by the golden
     run's from the point, its length moved by the shift.
     With no checkpoint at or before the first flip, it resets the
-    working memory in O(dirty pages) and runs from the top, exits still
+    memory in O(dirty pages) and runs from the top, exits still
     armed.  [~checkpoint:false] ([onebit reproduce] passes it, so a
     replay re-runs every instruction it reports; the benchmark's oracle
     too) bypasses both the restore and the exits.  Results are

@@ -217,8 +217,8 @@ let fire_next t ~dyn frame meta =
 (* ---- Mem / Code effectors ---- *)
 
 (* Flip a uniform bit of a uniform live (mapped) arena byte.  The flip
-   marks the page dirty, so undo-tracking working memories restore it
-   like any program store. *)
+   marks the page dirty, so undo-tracking memories restore it like any
+   program store. *)
 let fire_mem t ~dyn ~first addrs mem =
   let n = Array.length addrs in
   if n = 0 then t.state <- Done

@@ -18,6 +18,7 @@ type t = {
       (* static instruction-field table — the Code domain's location
          space.  Both eager: building them is one pass over static
          state, and sharing them across engine domains must not race. *)
+  mems : Vm.Memory.t list Atomic.t; (* spare memories: see [with_mem] *)
 }
 
 let make ?(hang_factor = 10) ?expected_output ~name m =
@@ -51,6 +52,7 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
     digest = Ir.Fingerprint.modl m;
     mem_addrs = Vm.Memory.mapped_addrs prog.mem_template;
     code_sites = Vm.Codeflip.sites prog;
+    mems = Atomic.make [];
   }
 
 (* The spec's time-axis size: candidate ordinals of the technique for
@@ -64,6 +66,25 @@ let candidates t (spec : Spec.t) =
       | Technique.Read -> t.golden.read_cands
       | Technique.Write -> t.golden.write_cands)
   | Domain.Mem | Domain.Code -> t.golden.dyn_count
+
+(* A lock-free stack.  Every pushed cell is a fresh allocation, so a
+   compare-and-set on the head fails whenever the stack changed. *)
+let rec take_mem t =
+  match Atomic.get t.mems with
+  | [] -> Vm.Memory.with_undo t.prog.mem_template
+  | m :: rest as spare ->
+      if Atomic.compare_and_set t.mems spare rest then m else take_mem t
+
+let rec give_mem t m =
+  let spare = Atomic.get t.mems in
+  if not (Atomic.compare_and_set t.mems spare (m :: spare)) then
+    give_mem t m
+
+let with_mem t f =
+  let m = take_mem t in
+  let r = f m in
+  give_mem t m;
+  r
 
 let ensure_checkpoints t = Some t.checkpoints
 

@@ -3,9 +3,11 @@
     The golden run provides the reference output for SDC detection, the
     candidate counts the injector samples time-location pairs from
     (Table II), the dynamic instruction count the watchdog budget is
-    derived from, and the checkpoint set faulty runs restore from.  A
-    workload owns all of it: nothing is cached process-wide, so a second
-    [make] of the same module decodes and runs it again. *)
+    derived from, the checkpoint set faulty runs restore from, and the
+    undo-tracking memories they run on.  A workload owns all of it:
+    nothing is cached process-wide, so a second [make] of the same module
+    decodes and runs it again, and everything lives exactly as long as
+    the workload. *)
 
 type t = {
   name : string;
@@ -39,6 +41,10 @@ type t = {
   code_sites : Vm.Codeflip.sites;
       (** the program's static instruction-field table — the [Code]
           fault domain's location space *)
+  mems : Vm.Memory.t list Atomic.t;
+      (** the spare undo-tracking memories ({!Vm.Memory.with_undo} of
+          [prog.mem_template]) of this workload's runs, a lock-free
+          stack; take one only through {!with_mem} *)
 }
 
 val make : ?hang_factor:int -> ?expected_output:string -> name:string ->
@@ -57,6 +63,16 @@ val candidates : t -> Spec.t -> int
     candidates for its technique ([Reg] domain), or the golden dynamic
     instruction count ([Mem]/[Code] — their flips land between dynamic
     instructions). *)
+
+val with_mem : t -> (Vm.Memory.t -> 'a) -> 'a
+(** [with_mem t f] applies [f] to a spare undo-tracking memory of [t]'s
+    program, made from [prog.mem_template] only when none is spare, and
+    keeps it as a spare again once [f] returns (a memory whose [f]
+    raises is dropped).  The memory holds whatever its last run left:
+    [f] must {!Vm.Memory.reset} or {!Vm.Memory.restore_pages} it before
+    running on it.  Safe from any number of domains at once; [t] then
+    holds at most as many memories as it ever had calls in flight at
+    once, and they outlive the domains that used them. *)
 
 val ensure_checkpoints : t -> Vm.Checkpoint.set option
 (** [Some t.checkpoints], always.  Kept for the benchmark, which calls

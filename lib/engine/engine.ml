@@ -17,8 +17,9 @@
    that never made it to the store.
 
    Within a shard, each worker domain runs its experiments one at a time
-   on its own undo-tracking working memory, restoring each golden prefix
-   from the workload's checkpoint set (Core.Experiment.run_raw). *)
+   on an undo-tracking memory it takes from the workload for each run
+   (Core.Workload.with_mem), restoring each golden prefix from the
+   workload's checkpoint set (Core.Experiment.run_raw). *)
 
 module Pool = Pool
 module Progress = Progress

@@ -5,10 +5,11 @@
    of the canonical serialisation of `{"k":KEY,"v":VALUE}`.  Appends go to
    the highest-numbered segment and are flushed record-by-record, so a
    killed run loses at most the record being written — which the loader
-   recognises as a truncated tail and drops.  Compaction (gc) writes the
-   live records to a fresh segment under a temporary name, fsyncs it, and
-   renames it into place before unlinking the old segments; rename is the
-   atomic commit point. *)
+   recognises as a truncated tail and drops; a store reopened over one
+   appends to a fresh segment.  Compaction (gc) writes the live records
+   to a fresh segment under a temporary name, fsyncs it, and renames it
+   into place before unlinking the old segments; rename is the atomic
+   commit point. *)
 
 module Jsonx = Jsonx
 
@@ -366,7 +367,9 @@ let canonical_record = function
   | Shard (k, _) -> canonical_key k
   | Profile (k, _) -> canonical_pkey k
 
-let load_segment t ~is_last path =
+(* Load one segment into the index; true when it ends in an unterminated
+   line. *)
+let load_segment t path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   let len = String.length text in
   let ends_with_newline = len > 0 && text.[len - 1] = '\n' in
@@ -385,10 +388,10 @@ let load_segment t ~is_last path =
             if Hashtbl.mem t.index ck then t.duplicates <- t.duplicates + 1;
             Hashtbl.replace t.index ck r
         | Error `Damaged ->
-            (* An unterminated final line of the newest segment is the
+            (* An unterminated final line, of any segment, is the
                signature of a run killed mid-append; anything else is
                corruption. *)
-            if is_last && i = total - 1 && not ends_with_newline then begin
+            if i = total - 1 && not ends_with_newline then begin
               t.truncated <- t.truncated + 1;
               Obs.Metrics.incr m_truncated
             end
@@ -396,7 +399,8 @@ let load_segment t ~is_last path =
               t.corrupt <- t.corrupt + 1;
               Obs.Metrics.incr m_corrupt
             end)
-    lines
+    lines;
+  len > 0 && not ends_with_newline
 
 let file_size path = (Unix.stat path).Unix.st_size
 
@@ -425,11 +429,16 @@ let open_dir ?(segment_bytes = 8 * 1024 * 1024) ?(fsync = false) dir =
       lease_count = 0;
     }
   in
-  let last = List.length segments - 1 in
-  List.iteri
-    (fun i s ->
-      load_segment t ~is_last:(i = last) (segment_path t s))
-    segments;
+  let unterminated =
+    List.fold_left (fun _ s -> load_segment t (segment_path t s)) false segments
+  in
+  (* A record appended after the newest segment's partial line would
+     merge with it into one damaged line: append to a fresh segment
+     instead, leaving every existing byte as it is. *)
+  if unterminated then begin
+    t.active <- t.active + 1;
+    t.segment_list <- t.segment_list @ [ t.active ]
+  end;
   let active_path = segment_path t t.active in
   t.chan <-
     open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 active_path;

@@ -8,8 +8,9 @@
     {!Core.Campaign.profile}, with a profile record adding its size in
     front.  Appends are flushed record-by-record so a killed run loses at
     most the record being written.  The loader drops an unterminated
-    tail record, and counts as corrupt any record whose checksum or shape
-    is wrong or whose counts do not add up
+    tail record (a store reopened over one appends to a fresh segment, so
+    no record is ever written after it), and counts as corrupt any record
+    whose checksum or shape is wrong or whose counts do not add up
     ({!Core.Campaign.consistent}).  Compaction rewrites the live records
     into a fresh segment with an atomic rename.
 

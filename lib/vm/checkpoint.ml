@@ -84,11 +84,11 @@ let null_recorder =
    program length while keeping the skip granularity proportional. *)
 let max_points = 1024
 
-(* Plain counters maintained unconditionally (a handful per experiment,
-   not per instruction) so tests observe checkpoint behaviour without
-   enabling metrics; the Obs probes mirror them when collection is on. *)
+(* A plain counter maintained unconditionally (one bump per captured
+   point, not per instruction) so tests observe checkpoint behaviour
+   without enabling metrics; the Obs probes mirror it when collection is
+   on.  Restores are counted once, by [Memory.restore_pages]. *)
 let points_total = Atomic.make 0
-let restores_total = Atomic.make 0
 let m_points = Obs.Metrics.counter "onebit_vm_checkpoints_total"
 let m_hits = Obs.Metrics.counter "onebit_vm_checkpoint_hits_total"
 
@@ -102,7 +102,7 @@ let m_distance =
   Obs.Metrics.histogram ~buckets:Obs.Metrics.count_buckets
     "onebit_vm_checkpoint_restore_distance"
 
-let stats () = (Atomic.get points_total, Atomic.get restores_total)
+let stats () = (Atomic.get points_total, fst (Memory.restore_stats ()))
 
 let recorder ~interval =
   if interval <= 0 then invalid_arg "Checkpoint.recorder: interval <= 0";
@@ -151,7 +151,6 @@ let finish r =
       }
 
 let note_restore (p : point) =
-  Atomic.incr restores_total;
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.incr m_hits;
     Obs.Metrics.add m_pages_restored (Array.length p.ck_pages);
@@ -176,45 +175,3 @@ let select set ~axis ~target =
     done;
     Some pts.(!lo)
   end
-
-(* ---- per-domain working memory ---- *)
-
-(* Engine domains run their shards sequentially, so one undo-tracking
-   memory per (domain, program) can be reset/restored between
-   experiments instead of cloning the arena each time.  The table is
-   bounded above the registry's 32 programs, so no study clears it; a
-   long-lived worker granted more programs starts a fresh table. *)
-let max_working_mems = 64
-
-(* The memories held over every live domain, mirrored by the gauge. *)
-let working_total = Atomic.make 0
-let m_working = Obs.Metrics.gauge "onebit_vm_working_mems"
-
-let count_working k =
-  let n = Atomic.fetch_and_add working_total k + k in
-  Obs.Metrics.set m_working (float_of_int n)
-
-(* A spawned domain's memories go with it (engine pools spawn theirs
-   per run); the main domain's last until the metrics dump at exit. *)
-let working : (string, Memory.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      let tbl = Hashtbl.create 4 in
-      if not (Domain.is_main_domain ()) then
-        Domain.at_exit (fun () -> count_working (-Hashtbl.length tbl));
-      tbl)
-
-let working_mem ~digest template =
-  let tbl = Domain.DLS.get working in
-  match Hashtbl.find_opt tbl digest with
-  | Some m -> m
-  | None ->
-      if Hashtbl.length tbl >= max_working_mems then begin
-        count_working (-Hashtbl.length tbl);
-        Hashtbl.reset tbl
-      end;
-      let m = Memory.with_undo template in
-      Hashtbl.add tbl digest m;
-      count_working 1;
-      m
-
-let working_mems () = Hashtbl.length (Domain.DLS.get working)

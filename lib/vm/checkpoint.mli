@@ -122,29 +122,16 @@ val select :
     target's top-of-loop event. *)
 
 val note_restore : point -> unit
-(** Count a restore (plain counter + Obs hit/distance/pages probes). *)
+(** Feed a restore to the Obs probes: [onebit_vm_checkpoint_hits_total],
+    the [onebit_vm_checkpoint_restore_distance] histogram and the
+    restored-page counter.  {!Memory.restore_pages} keeps the plain
+    count. *)
 
 val stats : unit -> int * int
 (** [(points captured, restores)] since process start; counted even when
-    metrics collection is disabled.  Obs mirrors:
+    metrics collection is disabled.  The restore count is
+    {!Memory.restore_stats}' full restores: {!Code.resume} is the one
+    caller of {!Memory.restore_pages}.  Obs mirrors:
     [onebit_vm_checkpoints_total], [onebit_vm_checkpoint_hits_total],
     the [onebit_vm_checkpoint_restore_distance] histogram and the
     saved/restored page counters. *)
-
-val working_mem : digest:string -> Memory.t -> Memory.t
-(** The calling domain's reusable undo-tracking memory for [digest],
-    created from [template] on first use (domain-local storage).  Callers
-    must {!Memory.reset} or {!Memory.restore_pages} it before each run;
-    domains execute their experiments sequentially, so one memory per
-    (domain, program) suffices.  A domain keeps at most
-    {!max_working_mems}: the next digest drops them all, and a later
-    call for a dropped digest simply makes its memory again.  A spawned
-    domain's memories go when it exits.  Obs gauge:
-    [onebit_vm_working_mems], the memories held over all live domains. *)
-
-val max_working_mems : int
-(** 64: above the registry's 32 programs, so no study or benchmark
-    drops a memory.  A constant, not a knob. *)
-
-val working_mems : unit -> int
-(** The number of working memories the calling domain holds. *)

@@ -115,8 +115,8 @@ val run :
     [mem] supplies the memory to execute against instead of cloning the
     template — it must be in template state ({!Memory.reset} /
     {!Memory.restore_pages} it first); the caller retains ownership
-    across runs.  This is what lets one per-domain memory serve a whole
-    shard of experiments.
+    across runs.  This is what lets a workload's memories
+    ([Core.Workload.with_mem]) serve every experiment it runs.
 
     [exits] arms the early exits against the program's golden set
     (only the cycle exit on a patched {!fork}).  They need an
@@ -134,7 +134,7 @@ val resume :
   t ->
   Exec.result
 (** Restore [point] (counters, output prefix, call stack, dirty pages —
-    [mem] must be the undo-tracking working memory for this program) and
+    [mem] must be an undo-tracking memory of this program's template) and
     execute only the suffix.  The result is field-for-field what {!run}
     with the same [events] would return: [dyn_count]/candidate ordinals
     continue from the restored counters, so they count the whole logical

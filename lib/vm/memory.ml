@@ -30,10 +30,11 @@ type t = {
 }
 
 let m_pages_reset = Obs.Metrics.counter "onebit_vm_dirty_pages_reset_total"
-let m_restores_full = Obs.Metrics.counter "onebit_vm_restores_full_total"
 
 (* Kept unconditionally (a plain atomic, no Obs gate) so the benchmark
-   can count restores with metrics collection disabled. *)
+   can count restores with metrics collection disabled.  The one count
+   of checkpoint restores: [Checkpoint.stats] reads it, and
+   [onebit_vm_checkpoint_hits_total] is its Obs mirror. *)
 let full_total = Atomic.make 0
 let restore_stats () = (Atomic.get full_total, 0)
 
@@ -143,8 +144,7 @@ let restore_pages t pages =
       Bytes.blit b 0 t.arena (p lsl page_bits) (Bytes.length b);
       mark_page u p)
     pages;
-  Atomic.incr full_total;
-  if Obs.Metrics.enabled () then Obs.Metrics.incr m_restores_full
+  Atomic.incr full_total
 
 let pages t = (t.size + page_size - 1) / page_size
 

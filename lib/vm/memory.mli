@@ -22,8 +22,10 @@ val with_undo : t -> t
 (** An executable copy of a {e template} that additionally records which
     256-byte pages are written, keeping a shared reference to the
     template's pristine arena.  {!reset} rewinds exactly the dirty pages
-    — O(dirty) instead of [clone]'s O(arena) — which is what lets one
-    long-lived per-domain memory be reused across experiments. *)
+    — O(dirty) instead of [clone]'s O(arena) — which is what lets a
+    workload reuse its memories across experiments
+    ([Core.Workload.with_mem]).  The copy costs O(arena): make one per
+    concurrent run, not one per run. *)
 
 val page_size : int
 (** Dirty-tracking granularity in bytes (256). *)
@@ -73,8 +75,9 @@ val restore_stats : unit -> int * int
 (** [(full, 0)] — the process-wide count of full page-restores
     ({!restore_pages}) since process start, counted even when metrics
     collection is disabled, paired with a zero the benchmark's
-    [memory.resets_undo] row still reads.  The Obs mirror is
-    [onebit_vm_restores_full_total]. *)
+    [memory.resets_undo] row still reads.  Every full restore is a
+    checkpoint restore ({!Checkpoint.stats} reads this count), so its
+    Obs mirror is [onebit_vm_checkpoint_hits_total]. *)
 
 val size : t -> int
 

@@ -266,10 +266,11 @@ let test_memory_undo () =
     (Vm.Trap.Trap Vm.Trap.Misaligned) (fun () ->
       ignore (Vm.Memory.read_int m ~width:4 ~addr:1026))
 
-(* Working memories are reused and rewound exactly across experiments
-   that trap (Segfault from wild addresses is common under address-bit
-   flips): hammer one workload through many checkpointed experiments,
-   then check its per-domain working memory replays the golden run. *)
+(* A workload's memories are reused and rewound exactly across
+   experiments that trap (Segfault from wild addresses is common under
+   address-bit flips): hammer one workload through many checkpointed
+   experiments, then check the memory they ran on replays the golden
+   run. *)
 let test_working_memory_after_traps () =
   let w = registry_workload "qsort" in
   let spec = Core.Spec.multi Read ~max_mbf:3 ~win:(Fixed 1) in
@@ -283,50 +284,71 @@ let test_working_memory_after_traps () =
         | _ -> ()
       done;
       Alcotest.(check bool) "some experiments trapped" true !seen_trap;
-      (* A golden replay on the same working memory must still be exact. *)
-      let mem =
-        Vm.Checkpoint.working_mem ~digest:w.digest
-          w.prog.Vm.Program.mem_template
+      Alcotest.(check int) "one memory for sequential runs" 1
+        (List.length (Atomic.get w.mems));
+      (* A golden replay on the same memory must still be exact. *)
+      let g =
+        Core.Workload.with_mem w (fun mem ->
+            Vm.Memory.reset mem;
+            Vm.Code.run ~mem ~budget:Vm.Exec.golden_budget w.code)
       in
-      Vm.Memory.reset mem;
-      let g = Vm.Code.run ~mem ~budget:Vm.Exec.golden_budget w.code in
       Alcotest.(check string) "golden output after trapped runs"
         w.golden.output g.output;
       Alcotest.(check int) "golden dyn after trapped runs"
         w.golden.dyn_count g.dyn_count)
 
-(* A domain granted more programs than [max_working_mems] holds no more
-   memories than that; a program whose memory went gets a fresh one, and
-   its experiments still equal full execution. *)
-let test_working_memory_bound () =
+(* A workload's memories outlive the pool domains that ran on them:
+   campaigns at jobs 4 and an adaptive grid at jobs 2 leave it no more
+   memories than it had runs in flight at once, and every result equals
+   the sequential campaign's. *)
+let test_workload_owns_memories () =
   let w = registry_workload "crc32" in
-  let spec = Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10) in
-  let base = Prng.of_seed 5L in
-  let experiments () =
-    for i = 0 to 4 do
-      check_experiment w spec ~interval:Vm.Checkpoint.interval ~base i
-    done
+  let seed = 21L in
+  let specs =
+    [
+      Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10);
+      Core.Spec.single ~domain:Core.Domain.Mem Read;
+    ]
   in
-  let cap = Vm.Checkpoint.max_working_mems in
-  let held_after_others, held_at_end =
-    Domain.join
-      (Domain.spawn (fun () ->
-           experiments ();
-           for k = 1 to cap + 3 do
-             ignore
-               (Vm.Checkpoint.working_mem
-                  ~digest:(Printf.sprintf "other-%d" k)
-                  w.prog.Vm.Program.mem_template
-                 : Vm.Memory.t)
-           done;
-           let held = Vm.Checkpoint.working_mems () in
-           experiments ();
-           (held, Vm.Checkpoint.working_mems ())))
+  List.iter
+    (fun spec ->
+      let reference = Core.Campaign.run w spec ~n:40 ~seed in
+      for round = 1 to 2 do
+        Alcotest.(check bool)
+          (Printf.sprintf "%s jobs=4 round %d" (Core.Spec.label spec) round)
+          true
+          (Core.Campaign.equal_result reference
+             (Engine.run_campaign ~jobs:4 ~shard_size:5 w spec ~n:40 ~seed))
+      done)
+    specs;
+  let cells =
+    List.map
+      (fun spec ->
+        {
+          Engine.Adaptive.c_workload = w;
+          c_spec = spec;
+          c_cap = 60;
+          c_seed = seed;
+        })
+      specs
   in
-  Alcotest.(check bool) "at most cap after cap + 4 digests" true
-    (held_after_others <= cap);
-  Alcotest.(check bool) "at most cap after the program's return" true
-    (held_at_end <= cap)
+  let results, _ =
+    Engine.Adaptive.run_grid ~jobs:2 ~shard_size:5 ~target:0.2 cells
+  in
+  List.iter
+    (fun (cr : Engine.Adaptive.cell_result) ->
+      Alcotest.(check bool)
+        (Core.Spec.label cr.r_cell.c_spec ^ " adaptive")
+        true
+        (Core.Campaign.equal_result
+           (Core.Campaign.run w cr.r_cell.c_spec ~n:cr.r_closed_at ~seed)
+           cr.r_result))
+    results;
+  let held = List.length (Atomic.get w.mems) in
+  Alcotest.(check bool)
+    (Printf.sprintf "1 <= %d memories <= 4" held)
+    true
+    (held >= 1 && held <= 4)
 
 (* Every point sits at the start of a block other than its function's
    entry — a pc only a jump leads to, where the golden-rejoin probe
@@ -444,8 +466,8 @@ let suites =
         Alcotest.test_case "memory undo log" `Quick test_memory_undo;
         Alcotest.test_case "working memory after traps" `Quick
           test_working_memory_after_traps;
-        Alcotest.test_case "working memories are bounded" `Quick
-          test_working_memory_bound;
+        Alcotest.test_case "workload owns its memories" `Quick
+          test_workload_owns_memories;
         Alcotest.test_case "points sit at jump targets" `Quick
           test_points_at_jump_targets;
         Alcotest.test_case "point selection" `Quick test_select;

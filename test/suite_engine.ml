@@ -158,7 +158,13 @@ let test_resume_after_kill () =
   Alcotest.(check int) "two shards re-executed" 2 rs.shards_executed;
   Alcotest.(check bool) "resumed result identical" true
     (Core.Campaign.equal_result reference r);
-  (* And the store is whole again. *)
+  (* And the store is whole again, also for the next process: the
+     resumed appends did not merge with the partial line. *)
+  Store.close store;
+  let store = Store.open_dir dir in
+  Alcotest.(check int) "no record damaged by the resume" 0
+    (Store.stats store).corrupt;
+  Alcotest.(check int) "every record found" 4 (Store.stats store).records;
   let _, rs' = Engine.run_campaign_stats ~store w spec ~n ~seed in
   Alcotest.(check int) "store repaired" 4 rs'.shards_from_store;
   Store.close store

@@ -137,6 +137,19 @@ let test_truncated_tail_dropped () =
     (Store.lookup st (key ~lo:25 ~hi:50) = None);
   Alcotest.(check bool) "survivor intact" true
     (Store.lookup st (key ~lo:0 ~hi:25) <> None);
+  (* A resumed run appends after the partial line without merging with
+     it: the next open finds its record and no corruption. *)
+  Store.add st (key ~lo:25 ~hi:50) (shard ~lo:25 ~hi:50);
+  Store.close st;
+  let st = Store.open_dir dir in
+  let stats = Store.stats st in
+  Alcotest.(check int) "both records after reopen" 2 stats.records;
+  Alcotest.(check int) "still one truncated tail" 1 stats.truncated;
+  Alcotest.(check int) "appended record not corrupt" 0 stats.corrupt;
+  Alcotest.(check bool) "appended record found" true
+    (match Store.lookup st (key ~lo:25 ~hi:50) with
+    | Some s -> equal_shard s (shard ~lo:25 ~hi:50)
+    | None -> false);
   Store.close st
 
 let test_bad_checksum_rejected () =
