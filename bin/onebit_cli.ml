@@ -297,8 +297,8 @@ let list_cmd =
             e.suite;
             e.package;
             string_of_int w.golden.dyn_count;
-            string_of_int w.golden.read_cands;
-            string_of_int w.golden.write_cands;
+            string_of_int w.checkpoints.read_cands;
+            string_of_int w.checkpoints.write_cands;
           ])
         Bench_suite.Registry.all
     in
@@ -331,8 +331,8 @@ let golden_cmd =
     Printf.printf "program:       %s\n" w.name;
     Printf.printf "status:        finished (output matches native reference)\n";
     Printf.printf "dyn instrs:    %d\n" w.golden.dyn_count;
-    Printf.printf "read cands:    %d\n" w.golden.read_cands;
-    Printf.printf "write cands:   %d\n" w.golden.write_cands;
+    Printf.printf "read cands:    %d\n" w.checkpoints.read_cands;
+    Printf.printf "write cands:   %d\n" w.checkpoints.write_cands;
     Printf.printf "output bytes:  %d\n" (String.length w.golden.output);
     Printf.printf "hang budget:   %d\n" w.budget
   in
@@ -616,7 +616,7 @@ let run_ir_cmd =
          (read/write)\n"
         w.golden.dyn_count
         (String.length w.golden.output)
-        w.golden.read_cands w.golden.write_cands;
+        w.checkpoints.read_cands w.checkpoints.write_cands;
     if n > 0 then begin
       let spec = spec_of ~domain:cfg.Core.Config.domain technique max_mbf win in
       let r = run_configured cfg w spec ~n ~seed in

@@ -26,8 +26,8 @@ let compute (study : Study.t) =
         package;
         suite;
         dyn_count = w.golden.dyn_count;
-        read_cands = w.golden.read_cands;
-        write_cands = w.golden.write_cands;
+        read_cands = w.checkpoints.read_cands;
+        write_cands = w.checkpoints.write_cands;
         pred_reads = pred.reads;
         pred_writes = pred.writes;
       })

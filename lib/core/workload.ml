@@ -39,7 +39,8 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
   | Some expected when not (String.equal expected golden.output) ->
       invalid_arg ("Workload.make: " ^ name ^ " golden output mismatch")
   | Some _ | None -> ());
-  if golden.read_cands = 0 || golden.write_cands = 0 then
+  let checkpoints = Vm.Checkpoint.finish record in
+  if checkpoints.read_cands = 0 || checkpoints.write_cands = 0 then
     invalid_arg ("Workload.make: " ^ name ^ " has no injection candidates");
   {
     name;
@@ -47,7 +48,7 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
     prog;
     code;
     golden;
-    checkpoints = Vm.Checkpoint.finish record;
+    checkpoints;
     budget = (hang_factor * golden.dyn_count) + 1000;
     digest = Ir.Fingerprint.modl m;
     mem_addrs = Vm.Memory.mapped_addrs prog.mem_template;
@@ -63,8 +64,8 @@ let candidates t (spec : Spec.t) =
   match spec.domain with
   | Domain.Reg -> (
       match spec.technique with
-      | Technique.Read -> t.golden.read_cands
-      | Technique.Write -> t.golden.write_cands)
+      | Technique.Read -> t.checkpoints.read_cands
+      | Technique.Write -> t.checkpoints.write_cands)
   | Domain.Mem | Domain.Code -> t.golden.dyn_count
 
 (* A lock-free stack.  Every pushed cell is a fresh allocation, so a

@@ -2,9 +2,9 @@
 
     The golden run provides the reference output for SDC detection, the
     candidate counts the injector samples time-location pairs from
-    (Table II), the dynamic instruction count the watchdog budget is
-    derived from, the checkpoint set faulty runs restore from, and the
-    undo-tracking memories they run on.  A workload owns all of it:
+    (Table II, kept in [checkpoints]), the dynamic instruction count the
+    watchdog budget is derived from, the checkpoint set faulty runs
+    restore from, and the undo-tracking memories they run on.  A workload owns all of it:
     nothing is cached process-wide, so a second [make] of the same module
     decodes and runs it again, and everything lives exactly as long as
     the workload. *)
@@ -25,7 +25,9 @@ type t = {
       (** golden-prefix checkpoints at {!Vm.Checkpoint.interval},
           recorded by the golden run itself, so the set's [golden] is
           this workload's [golden].  {!Experiment.run_raw} restores from
-          it and arms {!Vm.Code}'s early exits against it *)
+          it and arms {!Vm.Code}'s early exits against it.  Its
+          [read_cands]/[write_cands] are the golden run's candidate
+          totals, the only ones kept: faulty results carry none *)
   budget : int;
       (** watchdog budget for faulty runs: [hang_factor] x the golden
           dynamic count + 1000.  A run whose dynamic index reaches it

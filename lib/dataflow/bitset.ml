@@ -9,7 +9,6 @@ let add t i = t.(i / bpw) <- t.(i / bpw) lor (1 lsl (i mod bpw))
 let remove t i = t.(i / bpw) <- t.(i / bpw) land lnot (1 lsl (i mod bpw))
 let equal (a : t) b = a = b
 let union a b = Array.mapi (fun i x -> x lor b.(i)) a
-let union_into ~into b = Array.iteri (fun i x -> into.(i) <- into.(i) lor x) b
 let diff_into ~into b = Array.iteri (fun i x -> into.(i) <- into.(i) land lnot x) b
 let is_empty t = Array.for_all (fun x -> x = 0) t
 
@@ -21,8 +20,6 @@ let iter f t =
           if bits land (1 lsl j) <> 0 then f ((w * bpw) + j)
         done)
     t
-
-let cardinal t = Array.fold_left (fun acc x -> acc + Ir.Bits.popcount x) 0 t
 
 let elements t =
   let l = ref [] in

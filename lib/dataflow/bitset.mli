@@ -2,7 +2,7 @@
     lattice values (register sets for liveness, definition-id sets for
     reaching definitions).
 
-    [add]/[remove]/[union_into]/[diff_into] mutate in place — copy first
+    [add]/[remove]/[diff_into] mutate in place — copy first
     when the original must survive; [union] is pure and suits lattice
     joins directly. *)
 
@@ -17,11 +17,9 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val equal : t -> t -> bool
 val union : t -> t -> t
-val union_into : into:t -> t -> unit
 val diff_into : into:t -> t -> unit
 (** Remove every element of the second set from [into]. *)
 
 val is_empty : t -> bool
 val iter : (int -> unit) -> t -> unit
-val cardinal : t -> int
 val elements : t -> int list

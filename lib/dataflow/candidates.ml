@@ -19,11 +19,6 @@ let block_counts (b : Ir.Func.block) =
 
 let func_counts (f : Ir.Func.t) = Array.map block_counts f.f_blocks
 
-let static_counts (m : Ir.Func.modl) =
-  List.fold_left
-    (fun acc f -> Array.fold_left add acc (func_counts f))
-    zero m.m_funcs
-
 let predict (m : Ir.Func.modl) ~(profile : int array array) =
   List.fold_left
     (fun acc (fidx, f) ->

@@ -15,9 +15,6 @@ val add : counts -> counts -> counts
 val block_counts : Ir.Func.block -> counts
 val func_counts : Ir.Func.t -> counts array
 
-val static_counts : Ir.Func.modl -> counts
-(** Unweighted totals over all blocks (each static site counted once). *)
-
 val predict : Ir.Func.modl -> profile:int array array -> counts
 (** Static per-block counts, from a walk over the IR, weighted by the
     golden-run block execution frequencies [profile] (indexed

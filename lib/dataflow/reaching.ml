@@ -90,33 +90,3 @@ let reaching_of_reg t ~bidx ~idx ~reg =
     (fun id -> if t.defs.(id).def_reg = reg then l := t.defs.(id) :: !l)
     state;
   List.rev !l
-
-(* def id -> the (bidx, idx) points whose instruction (idx = block length:
-   terminator) may read that definition's value *)
-let def_uses t =
-  let uses = Array.make (Array.length t.defs) [] in
-  Array.iteri
-    (fun bidx (b : Ir.Func.block) ->
-      let n = Array.length b.b_instrs in
-      let state = Bitset.copy t.reach_in.(bidx) in
-      let record idx srcs =
-        List.iter
-          (fun r ->
-            Bitset.iter
-              (fun id ->
-                if t.defs.(id).def_reg = r then
-                  uses.(id) <- (bidx, idx) :: uses.(id))
-              state)
-          srcs
-      in
-      for i = 0 to n - 1 do
-        record i (Ir.Instr.src_regs b.b_instrs.(i));
-        let id = t.def_ids.(bidx).(i) in
-        if id >= 0 then begin
-          Bitset.diff_into ~into:state t.kill.(t.defs.(id).def_reg);
-          Bitset.add state id
-        end
-      done;
-      record n (Ir.Instr.term_src_regs b.b_term))
-    t.cfg.func.f_blocks;
-  Array.map (fun l -> List.sort_uniq compare (List.rev l)) uses

@@ -27,7 +27,3 @@ val reaching_before : t -> bidx:int -> idx:int -> Bitset.t
 val reaching_of_reg : t -> bidx:int -> idx:int -> reg:int -> def list
 (** The reaching definitions of one register at a point — the def-use
     chain entry for that use. *)
-
-val def_uses : t -> (int * int) list array
-(** For each definition id, the [(bidx, idx)] points whose instruction
-    (or terminator, at [idx] = block length) may read its value. *)

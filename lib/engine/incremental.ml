@@ -57,9 +57,9 @@ type attribution = {
    fire once per candidate, carrying the instruction's static identity.
    Computed once per [run] and passed down; nothing is kept. *)
 let attribution (w : Core.Workload.t) =
-  let reads = Array.make (max 1 w.golden.read_cands) (-1) in
-  let writes = Array.make (max 1 w.golden.write_cands) (-1) in
-  let rweights = Array.make (max 1 w.golden.read_cands) [||] in
+  let reads = Array.make (max 1 w.checkpoints.read_cands) (-1) in
+  let writes = Array.make (max 1 w.checkpoints.write_cands) (-1) in
+  let rweights = Array.make (max 1 w.checkpoints.read_cands) [||] in
   let nr = ref 0 and nw = ref 0 in
   let hooks =
     {
@@ -83,8 +83,8 @@ let attribution (w : Core.Workload.t) =
   let r = Vm.Exec.run ~hooks ~budget:Vm.Exec.golden_budget w.prog in
   if
     r.status <> Vm.Exec.Finished
-    || !nr <> w.golden.read_cands
-    || !nw <> w.golden.write_cands
+    || !nr <> w.checkpoints.read_cands
+    || !nw <> w.checkpoints.write_cands
   then
     invalid_arg
       ("Incremental.attribution: the instrumented run diverged from the \

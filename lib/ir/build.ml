@@ -30,7 +30,6 @@ let create () = { funcs = []; globals = []; sigs = Hashtbl.create 16 }
 let add_global mb name init =
   mb.globals <- { Func.g_name = name; g_init = init } :: mb.globals
 
-let global_bytes mb name b = add_global mb name (Bytes.copy b)
 let global_string mb name s = add_global mb name (Bytes.of_string s)
 
 let global_u8s mb name a =
@@ -137,9 +136,7 @@ let uge fb ty a b = icmp fb Instr.Uge ty a b
 let feq fb a b = fcmp fb Instr.Foeq a b
 let fne fb a b = fcmp fb Instr.Fone a b
 let flt fb a b = fcmp fb Instr.Folt a b
-let fle fb a b = fcmp fb Instr.Fole a b
 let fgt fb a b = fcmp fb Instr.Fogt a b
-let fge fb a b = fcmp fb Instr.Foge a b
 
 let cast fb op ~from_ty ~to_ty a : v =
   let dst = fresh_reg fb to_ty in

@@ -36,7 +36,6 @@ val finish : mb -> Func.modl
 
 (** {1 Globals} *)
 
-val global_bytes : mb -> string -> bytes -> unit
 val global_string : mb -> string -> string -> unit
 val global_u8s : mb -> string -> int array -> unit
 (** Each element is truncated to one byte. *)
@@ -122,9 +121,7 @@ val uge : fb -> Ty.t -> v -> v -> v
 val feq : fb -> v -> v -> v
 val fne : fb -> v -> v -> v
 val flt : fb -> v -> v -> v
-val fle : fb -> v -> v -> v
 val fgt : fb -> v -> v -> v
-val fge : fb -> v -> v -> v
 
 (** {1 Casts and moves} *)
 

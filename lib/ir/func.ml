@@ -17,9 +17,6 @@ type modl = { m_funcs : t list; m_globals : global list }
 
 let find_func m name = List.find_opt (fun f -> f.f_name = name) m.m_funcs
 
-let find_global m name =
-  List.find_opt (fun g -> g.g_name = name) m.m_globals
-
 let static_instr_count f =
   Array.fold_left
     (fun acc b -> acc + Array.length b.b_instrs + 1)

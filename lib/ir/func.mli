@@ -23,7 +23,6 @@ type global = {
 type modl = { m_funcs : t list; m_globals : global list }
 
 val find_func : modl -> string -> t option
-val find_global : modl -> string -> global option
 
 val static_instr_count : t -> int
 (** Instructions plus terminators over all blocks. *)

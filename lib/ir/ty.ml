@@ -16,7 +16,6 @@ let bytes = function
   | I64 | F64 -> 8
 
 let is_float = function F64 -> true | I1 | I8 | I16 | I32 | I64 | Ptr -> false
-let is_int t = not (is_float t)
 let equal (a : t) b = a = b
 
 let to_string = function

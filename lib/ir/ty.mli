@@ -21,9 +21,6 @@ val bytes : t -> int
     1, 1, 2, 4, 8, 8, 4. *)
 
 val is_float : t -> bool
-val is_int : t -> bool
-(** [is_int] is true for everything except [F64] (pointers count as ints:
-    they live in the integer register bank). *)
 
 val equal : t -> t -> bool
 val to_string : t -> string

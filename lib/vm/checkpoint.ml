@@ -21,7 +21,9 @@
    this bit-for-bit.
 
    A set also carries the reference for Code's early exits: the golden
-   run's end state and, per memory page, its last read. *)
+   run's end state and, per memory page, its last read.  And it carries
+   the golden run's candidate totals, the one count of them: a faulty
+   run stops counting once its injector is done. *)
 
 let interval = 1024
 
@@ -54,6 +56,8 @@ type set = {
       (* per memory page: the last dyn at which the golden run loads from
          it, -1 if never *)
   golden : Exec.result; (* the golden run's end state *)
+  read_cands : int; (* the golden run's candidate totals *)
+  write_cands : int;
 }
 
 type recorder = {
@@ -64,6 +68,8 @@ type recorder = {
   mutable n_points : int;
   mutable last_read : int array;
   mutable golden : Exec.result option; (* set when the run completes *)
+  mutable read_cands : int;
+  mutable write_cands : int;
 }
 
 (* Never triggers: both thresholds stay at max_int.  The run loop keeps a
@@ -77,6 +83,8 @@ let null_recorder =
     n_points = 0;
     last_read = [||];
     golden = None;
+    read_cands = 0;
+    write_cands = 0;
   }
 
 (* Cap on points per program: when reached, every other point is dropped
@@ -114,6 +122,8 @@ let recorder ~interval =
     n_points = 0;
     last_read = [||];
     golden = None;
+    read_cands = 0;
+    write_cands = 0;
   }
 
 let add r p =
@@ -135,8 +145,10 @@ let add r p =
     Obs.Metrics.add m_pages_saved (Array.length p.ck_pages)
   end
 
-let complete r ~last_read golden =
+let complete r ~last_read ~read_cands ~write_cands golden =
   r.last_read <- last_read;
+  r.read_cands <- read_cands;
+  r.write_cands <- write_cands;
   r.golden <- Some golden
 
 let finish r =
@@ -148,6 +160,8 @@ let finish r =
         points = Array.of_list (List.rev r.rev_points);
         last_read = r.last_read;
         golden;
+        read_cands = r.read_cands;
+        write_cands = r.write_cands;
       }
 
 let note_restore (p : point) =

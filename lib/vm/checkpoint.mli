@@ -64,17 +64,23 @@ type set = {
           last read lies before a point is dead there: the golden
           suffix never looks at it again *)
   golden : Exec.result;  (** the golden run's end state *)
+  read_cands : int;
+      (** the golden run's dynamic inject-on-read candidates (Table II):
+          the one place a candidate total is kept, since a faulty run
+          stops counting once its injector is done *)
+  write_cands : int;  (** its dynamic inject-on-write candidates *)
 }
-(** Everything one golden run leaves for the faulty runs: the points to
-    restore from, and the reference {!Code}'s early exits compare
-    against.  The points are also the states a run may rejoin, at any
+(** Everything one golden run leaves for the faulty runs and the
+    workload: the points to restore from, the reference {!Code}'s early
+    exits compare against, and the candidate totals.  The points are also the states a run may rejoin, at any
     dyn and past any output: the golden-rejoin exit watches the
     innermost pc of the point nearest in dyn (a jump target) and
     compares the point's stack and, through the page liveness, its live
     memory.  The golden
     end state is what a rejoined run's result is built from (its output
-    past the point's [ck_out], its counters moved by the run's distance
-    from the point), and past its length the cycle exit searches. *)
+    past the point's [ck_out], its [dyn_count] moved by the run's
+    distance from the point), and past its length the cycle exit
+    searches. *)
 
 type recorder = {
   mutable interval : int;
@@ -84,6 +90,8 @@ type recorder = {
   mutable n_points : int;
   mutable last_read : int array;
   mutable golden : Exec.result option;
+  mutable read_cands : int;
+  mutable write_cands : int;
 }
 (** Mutable capture state threaded through a recording {!Code.run}.
     Transparent so the run loop's trigger test ([rc >= next_rc || wc >=
@@ -104,9 +112,15 @@ val finish : recorder -> set
 val add : recorder -> point -> unit
 (** Used by {!Code.run}'s capture path; re-arms the trigger thresholds. *)
 
-val complete : recorder -> last_read:int array -> Exec.result -> unit
+val complete :
+  recorder ->
+  last_read:int array ->
+  read_cands:int ->
+  write_cands:int ->
+  Exec.result ->
+  unit
 (** Used by {!Code.run} when a recording run ends: its per-page last
-    reads and its result. *)
+    reads, its candidate totals and its result. *)
 
 val null_recorder : recorder
 (** Thresholds pinned at [max_int]; never captures.  The run loop's

@@ -10,17 +10,18 @@
    arrays.  The per-site candidate metadata ({!Meta.t}) and packed
    candidate flags ride alongside each micro-op.
 
-   [run] is an event-driven loop: the fast path pays one flags load and
-   at most one integer compare per candidate instruction; the hooked slow
-   path (the fault injector) is entered only when the scheduled event
-   threshold is crossed, after which execution resumes at full speed.
-   Golden runs see thresholds of [max_int] and never leave the fast
-   path.  After the final flip, a run given the golden checkpoint set
-   leaves it only at the early-exit probe's stops, which share the
-   budget compare, and at jumps to one watched pc: the probe finishes
-   the run as the golden run finishes once it has rejoined the golden
-   run, at any dyn and past any output, and fast-forwards a hang whose
-   state repeats exactly to the watchdog.
+   [run] is an event-driven loop with two instantiations of one body.
+   The counting loop keeps candidate ordinals and [last_write], and
+   enters the hooked slow path (the fault injector) only when a
+   scheduled event threshold is crossed; recording runs and faulty runs
+   up to their last flip use it.  The quiet loop, which runs everything
+   else, pays the budget compare and the dispatch per instruction.
+   After the final flip, a run given the golden checkpoint set leaves
+   it only at the early-exit probe's stops, which share the budget
+   compare, and at jumps to one watched pc: the probe finishes the run
+   as the golden run finishes once it has rejoined the golden run, at
+   any dyn and past any output, and fast-forwards a hang whose state
+   repeats exactly to the watchdog.
 
    The decode is behaviour-preserving by construction: every micro-op's
    semantics is the specialisation of the corresponding [Exec.step] case
@@ -557,14 +558,12 @@ let same_stack (snaps : Checkpoint.frame_snap array) fidx
   && outers (top - 1) outer
 
 (* The cycle exit's reference state: the stack and dirty pages at one
-   instruction, with the counters and output length to measure a period
+   instruction, with the dyn and output length to measure a period
    against. *)
 type anchor = {
   a_stack : Checkpoint.frame_snap array;
   a_pages : (int * bytes) array;
   a_dyn : int;
-  a_rc : int;
-  a_wc : int;
   a_out : int;
 }
 
@@ -596,11 +595,13 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
   | FImm x -> x
   | Imm _ | Glob _ -> assert false
 
-(* The one interpreter loop behind [run] and [resume].
+(* The interpreter behind [run] and [resume]: one loop body, counting
+   and quiet ([loop] below).
 
-   Recording ([record]): a golden run additionally maintains a shadow
-   call stack and, at the first jump target at the top of the loop after
-   a candidate-ordinal counter crosses the recorder's threshold, captures
+   Recording ([record]): a golden run counts throughout, additionally
+   maintains a shadow call stack and, at the first jump target at the
+   top of the loop after a candidate-ordinal counter crosses the
+   recorder's threshold, captures
    a {!Checkpoint.point} — before the instruction's dyn increment and
    candidate blocks, so the point is valid for both the read and the
    write ordinal axis, and at a pc the rejoin probe can watch from the
@@ -611,8 +612,9 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
    first: each outer frame's in-progress [Ucall] is completed exactly as
    the original iteration would have (return-value assignment, then the
    call's write-candidate post-block using the call's own dynamic index)
-   before that frame continues at the following pc.  [st.ret_i]/[st.ret_f]
-   are dead at the top of the loop, so zero-initialising them is exact. *)
+   before that frame continues at the following pc, on the quiet loop
+   once the run is quiet.  [st.ret_i]/[st.ret_f] are dead at the top of
+   the loop, so zero-initialising them is exact. *)
 let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     (code : t) =
   let rec_on = Option.is_some record in
@@ -798,8 +800,6 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         let n = String.length p.ck_out in
         Buffer.add_substring out g.output n (String.length g.output - n);
         st.dyn <- g.dyn_count + delta;
-        st.rc <- st.rc + g.read_cands - p.ck_rc;
-        st.wc <- st.wc + g.write_cands - p.ck_wc;
         raise Rejoined
       end
       else watch_from set (k + 1)
@@ -814,8 +814,6 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           a_stack = snapshot_stack fidx frame i;
           a_pages = Memory.snapshot_pages mem;
           a_dyn = st.dyn;
-          a_rc = st.rc;
-          a_wc = st.wc;
           a_out = Buffer.length out;
         };
     lam := 0
@@ -832,8 +830,6 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         for _ = 1 to k do
           Buffer.add_string out chunk
         done;
-      st.rc <- st.rc + (k * (st.rc - a.a_rc));
-      st.wc <- st.wc + (k * (st.wc - a.a_wc));
       st.dyn <- st.dyn + (k * period);
       note_exit cycle_exit ~skipped:(k * period)
     end;
@@ -876,29 +872,50 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     end;
     d
   in
-  (* The exits arm once the injector has nothing pending: at the start
-     of an eventless run, else after the injector's last event. *)
-  let arm_when_done () =
-    match exits with
-    | Some set when ev.ev_cand = max_int && ev.ev_dyn = max_int -> arm set
-    | _ -> ()
+  (* Quiet: nothing reads the candidate ordinals, [last_write] or the
+     events again, because the run records nothing and the injector has
+     nothing pending.  Monotone: the injector never schedules again once
+     both thresholds are [max_int]. *)
+  let quiet () =
+    (not rec_on) && ev.ev_cand = max_int && ev.ev_dyn = max_int
   in
+  (* The exits arm once the run is quiet: at the start of an eventless
+     run, else after the injector's last event. *)
+  let arm_when_done () =
+    match exits with Some set when quiet () -> arm set | _ -> ()
+  in
+  (* The injector's slow path; true once the run has gone quiet. *)
   let handle ~dyn ~cand frame meta =
     ev.handle ~dyn ~cand frame meta;
-    arm_when_done ()
+    arm_when_done ();
+    quiet ()
   in
-  let rec exec_fn fidx (frame : Exec.frame) depth ~start =
+  (* The one loop body, instantiated twice below with a literal
+     [counting]: [exec_fn] counts (candidate ordinals, [last_write], the
+     injector's events, the recorder's captures), [exec_quiet] does only
+     the budget compare and the dispatch, keeping the probe's watched
+     jumps and shadow stack.  A counting frame whose run goes quiet (at
+     an event, or in a call it made) finishes the iteration, then
+     [handover] runs the rest of the frame from the next pc.  [enter]
+     runs a callee and [interp] a patched instruction.  Defined outside
+     the recursive group, so it is inlined there and [counting] folds
+     away. *)
+  let[@inline always] loop ~counting ~enter ~handover ~interp fidx
+      (frame : Exec.frame) depth ~start =
     let cf = Array.unsafe_get funcs fidx in
     let uops = cf.uops and flags = cf.flags and metas = cf.metas in
     let ints = frame.Exec.ints
     and flts = frame.Exec.flts
     and lw = frame.Exec.last_write in
     let pc = ref start in
-    let running = ref true in
-    while !running do
+    (* 0 while running, 1 once the frame has returned, 2 once its run has
+       gone quiet (counting only) *)
+    let state = ref 0 in
+    while !state = 0 do
       let i = !pc in
-      if rec_on && (st.rc >= recd.Checkpoint.next_rc
-                    || st.wc >= recd.Checkpoint.next_wc)
+      if counting && rec_on
+         && (st.rc >= recd.Checkpoint.next_rc
+            || st.wc >= recd.Checkpoint.next_wc)
          && jump_target uops i
       then capture fidx frame i;
       let d =
@@ -906,15 +923,24 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         if d >= st.limit then slow_top fidx frame i d else d
       in
       st.dyn <- d + 1;
-      if watch_dyn && d >= ev.ev_dyn then
-        handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
-      let fl = Array.unsafe_get flags i in
-      if fl land 1 <> 0 then begin
-        let c = st.rc in
-        st.rc <- c + 1;
-        if watch_read && (c >= ev.ev_cand || d >= ev.ev_dyn) then
-          handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
-      end;
+      let fl =
+        if counting then begin
+          if watch_dyn && d >= ev.ev_dyn
+             && handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i)
+          then state := 2;
+          let fl = Array.unsafe_get flags i in
+          if fl land 1 <> 0 then begin
+            let c = st.rc in
+            st.rc <- c + 1;
+            if watch_read
+               && (c >= ev.ev_cand || d >= ev.ev_dyn)
+               && handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+            then state := 2
+          end;
+          fl
+        end
+        else 0
+      in
       (match Array.unsafe_get uops i with
       | Uadd (dst, a, b, m) ->
           Array.unsafe_set ints dst
@@ -1129,12 +1155,13 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
             else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
           done;
           if shadow then rstack := (fidx, frame, i, d) :: !rstack;
-          exec_fn cr.c_callee cframe (depth + 1) ~start:0;
+          enter cr.c_callee cframe (depth + 1) ~start:0;
           if shadow then rstack := List.tl !rstack;
           if cr.c_dst >= 0 then
             if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
             else Array.unsafe_set ints cr.c_dst st.ret_i;
-          pc := i + 1
+          pc := i + 1;
+          if counting && quiet () then state := 2
       | Ucall_b1 (dst, fn, a) ->
           let r = fn (Array.unsafe_get flts a) in
           if dst >= 0 then Array.unsafe_set flts dst r;
@@ -1174,38 +1201,52 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           let p = if Array.unsafe_get ints c <> 0 then tpc else fpc in
           pc := p;
           if p = st.watch_pc then jumped fidx frame p
-      | Uret -> running := false
+      | Uret -> state := 1
       | Uret_i s ->
           st.ret_i <- Array.unsafe_get ints s;
-          running := false
+          state := 1
       | Uret_f s ->
           st.ret_f <- Array.unsafe_get flts s;
-          running := false
+          state := 1
       | Uinterp ins ->
-          interp_step fidx frame i d depth ins;
-          pc := i + 1
+          interp fidx frame i d depth ins;
+          pc := i + 1;
+          if counting && quiet () then state := 2
       | Uinterp_t tm -> (
           match tm with
           | Br l -> pc := cf.block_off.(l)
           | Cbr { cond; if_true; if_false } ->
               let l = if igeti frame cond <> 0 then if_true else if_false in
               pc := cf.block_off.(l)
-          | Ret None -> running := false
+          | Ret None -> state := 1
           | Ret (Some v) ->
               (match code.source.Program.funcs.(fidx).Program.ret with
               | Some rt when Ir.Ty.is_float rt -> st.ret_f <- igetf frame v
               | Some _ -> st.ret_i <- igeti frame v
               | None -> ());
-              running := false
+              state := 1
           | Unreachable -> raise (Trap.Trap Abort_called)));
-      if fl land 2 <> 0 then begin
+      (* Returns write no register, so this never follows a return. *)
+      if counting && fl land 2 <> 0 then begin
         let c = st.wc in
         st.wc <- c + 1;
         Array.unsafe_set lw ((fl lsr 2) - 1) d;
-        if watch_write && (c >= ev.ev_cand || d >= ev.ev_dyn) then
-          handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+        if watch_write
+           && (c >= ev.ev_cand || d >= ev.ev_dyn)
+           && handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
+        then state := 2
       end
-    done
+    done;
+    if counting && !state = 2 then handover fidx frame depth ~start:!pc
+  in
+  let rec exec_fn fidx frame depth ~start =
+    if quiet () then exec_quiet fidx frame depth ~start
+    else
+      loop ~counting:true ~enter:exec_fn ~handover:exec_quiet
+        ~interp:interp_step fidx frame depth ~start
+  and exec_quiet fidx frame depth ~start =
+    loop ~counting:false ~enter:exec_quiet ~handover:exec_quiet
+      ~interp:interp_step fidx frame depth ~start
   (* One mutated instruction, interpreted generically — the mirror of the
      seed interpreter's [step] over the same (flipped) [Ir.Instr.t], with
      calls re-entering compiled code.  [fidx], [i] and [d] locate the
@@ -1337,7 +1378,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       st.wc <- c + 1;
       frame.Exec.last_write.((fl lsr 2) - 1) <- calld;
       if watch_write && (c >= ev.ev_cand || calld >= ev.ev_dyn) then
-        handle ~dyn:calld ~cand:c frame cf.metas.(i)
+        ignore (handle ~dyn:calld ~cand:c frame cf.metas.(i) : bool)
     end
   in
   let rebuild (s : Checkpoint.frame_snap) =
@@ -1371,8 +1412,6 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       Exec.status;
       output = Buffer.contents out;
       dyn_count = st.dyn;
-      read_cands = st.rc;
-      write_cands = st.wc;
     }
   in
   let result =
@@ -1396,7 +1435,9 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     | exception Hang_exn -> ended Exec.Hung
     | exception Rejoined -> ended Exec.Finished
   in
-  if rec_on then Checkpoint.complete recd ~last_read result;
+  if rec_on then
+    Checkpoint.complete recd ~last_read ~read_cands:st.rc ~write_cands:st.wc
+      result;
   Exec.record_run result;
   result
 

@@ -10,13 +10,26 @@
     A workload decodes its program once ([Core.Workload.make]) and the
     resulting code is immutable, shared freely across engine domains.
 
-    {!run} executes compiled code with run-until-event fault scheduling:
-    the fast path costs one packed-flags load and at most one integer
-    compare per candidate instruction; the injector's slow path runs only
-    when a scheduled event threshold is crossed.  With no [events] (or
-    thresholds of [max_int] after the final flip) the loop never leaves
-    the fast path — this is what golden runs and post-injection execution
-    pay, apart from the early exits' probe below.
+    {!run} executes compiled code with run-until-event fault scheduling,
+    on one loop body instantiated twice.
+    - The {b counting} loop keeps the candidate ordinals and
+      [last_write] and watches the injector's event thresholds; the
+      injector's slow path runs only when one is crossed.  Recording
+      runs use it throughout, and faulty runs until the injector's last
+      event.
+    - The {b quiet} loop does, per instruction, only the budget compare
+      and the dispatch; jumps still compare their target with the early
+      exits' watched pc, and calls still push the probe's shadow stack.
+      A run is quiet when it records nothing and the injector has
+      nothing pending ([ev_cand = ev_dyn = max_int]): from the start of
+      an eventless run, else from the injector's last event on.  Quiet
+      is monotone.  A counting frame hands over to the quiet loop at the
+      end of the iteration in which its run went quiet (at an event, or
+      when a call it made returns), and every frame entered while quiet
+      (a call, a patched call, a resumed outer frame) starts on it.
+    So a faulty run pays for fault injection only up to its last flip:
+    its result carries no candidate counts, and the golden totals are
+    the recording run's ({!Checkpoint.set}).
 
     Given a golden {!Checkpoint.set} ([exits]), a faulty run also stops
     once its result is decided.  Both exits arm only when the injector
@@ -38,11 +51,10 @@
       future is the golden run's from the point, [delta] = dyn - [ck_dyn]
       instructions later; if the golden length plus [delta] fits the
       budget, the run returns [Finished] with its own output followed by
-      the golden output past [ck_out], and the golden counters moved by
-      [delta] ([dyn_count]) and by its own ordinals' distance from the
-      point's ([read_cands], [write_cands]).  Neither the output emitted
-      so far nor [last_write] is compared: the program never reads its
-      output, and only the injector, which is done, reads [last_write].
+      the golden output past [ck_out], and the golden [dyn_count] moved
+      by [delta].  Neither the output emitted so far nor [last_write] is
+      compared: the program never reads its output, and only the
+      injector, which is done, reads [last_write].
       A point whose live memory differed is not compared again in the
       run.
     - {b Hang cycle.}  Past the last window and the golden run's length,
@@ -50,7 +62,7 @@
       every frame) and the whole memory with an anchor state, for
       {!cycle_window} instructions.  An exact repeat after [L]
       instructions repeats forever: the probe adds as many whole periods
-      as fit below [budget] to the counters, with a copy of the period's
+      as fit below [budget] to [dyn_count], with a copy of the period's
       output each, and runs the remainder to the watchdog.
     Either way the result is field-for-field the full run's.  Every call
     is on the probe's shadow stack, patched calls interpreted for the
@@ -58,9 +70,10 @@
     cycle: its depth grows until it traps [Stack_overflow].
 
     Behaviour is bit-identical to the seed interpreter {!Exec.run}: same
-    outputs, statuses, dynamic counts, candidate ordinals and
-    [last_write] contents at every hook.  The differential suite and CI
-    pipeline smoke enforce this.  There is no per-block callback: the
+    outputs, statuses and dynamic counts, and the same candidate
+    ordinals and [last_write] contents at every event, and in a
+    recording run's totals.  The differential suite and CI pipeline
+    smoke enforce this.  There is no per-block callback: the
     block profile is analysis-only and comes from the seed interpreter
     ([Core.Workload.profile]). *)
 
@@ -107,7 +120,7 @@ val run :
 
     [record] captures golden-prefix checkpoints into the recorder at the
     first jump target after a candidate ordinal crosses its interval
-    (see {!Checkpoint});
+    (see {!Checkpoint}), and leaves the run's candidate totals there;
     recording runs execute on a private undo-tracking memory so each
     point can snapshot its dirty pages.  [Core.Workload.make] passes it:
     its one golden run yields the result and the checkpoint set.
@@ -136,9 +149,10 @@ val resume :
 (** Restore [point] (counters, output prefix, call stack, dirty pages —
     [mem] must be an undo-tracking memory of this program's template) and
     execute only the suffix.  The result is field-for-field what {!run}
-    with the same [events] would return: [dyn_count]/candidate ordinals
-    continue from the restored counters, so they count the whole logical
-    run, not just the suffix.  [budget] keeps its whole-run meaning.
+    with the same [events] would return: [dyn_count] and the candidate
+    ordinals the injector sees continue from the restored counters, so
+    they count the whole logical run, not just the suffix.  [budget]
+    keeps its whole-run meaning.
 
     When executing a {!fork} that {!patch} may rewrite mid-run (the code
     fault domain), pass the pristine original as [orig]: the restored

@@ -190,7 +190,6 @@ type sites = {
 }
 
 let total_bits s = s.total_bits
-let site_count s = Array.length s.tab
 
 let param_resolver (p : Program.t) callee =
   match Hashtbl.find_opt p.Program.targets callee with

@@ -35,8 +35,6 @@ val total_bits : sites -> int
 (** Size of the program's flippable-bit space — the code domain's
     location-sampling range. *)
 
-val site_count : sites -> int
-
 val site_bits : sites -> int -> int
 (** Flippable bits of one site (0 for [Abort] / [Ret None] /
     [Unreachable]) — the multi-bit win-0 burst's per-site range. *)

@@ -4,8 +4,6 @@ type result = {
   status : status;
   output : string;
   dyn_count : int;
-  read_cands : int;
-  write_cands : int;
 }
 
 type frame = {
@@ -162,8 +160,6 @@ let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
   in
   let out = Buffer.create 256 in
   let dyn = ref 0 in
-  let read_cands = ref 0 in
-  let write_cands = ref 0 in
   let ret_i = ref 0 in
   let ret_f = ref 0.0 in
   let rec exec_fn fidx (frame : frame) depth =
@@ -282,13 +278,11 @@ let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
         incr dyn;
         if !dyn > budget then raise Hang_exn;
         (match hooks with Some h -> h.at ~dyn:d frame m | None -> ());
-        if Array.length m.srcs > 0 then begin
-          incr read_cands;
-          match hooks with Some h -> h.pre ~dyn:d frame m | None -> ()
-        end;
+        (match hooks with
+        | Some h when Array.length m.srcs > 0 -> h.pre ~dyn:d frame m
+        | _ -> ());
         step b.instrs.(k);
         if m.dst >= 0 then begin
-          incr write_cands;
           frame.last_write.(m.dst) <- d;
           match hooks with Some h -> h.post ~dyn:d frame m | None -> ()
         end
@@ -298,10 +292,9 @@ let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
       incr dyn;
       if !dyn > budget then raise Hang_exn;
       (match hooks with Some h -> h.at ~dyn:d frame m | None -> ());
-      if Array.length m.srcs > 0 then begin
-        incr read_cands;
-        match hooks with Some h -> h.pre ~dyn:d frame m | None -> ()
-      end;
+      (match hooks with
+      | Some h when Array.length m.srcs > 0 -> h.pre ~dyn:d frame m
+      | _ -> ());
       match b.term with
       | Br l -> run_block l
       | Cbr { cond; if_true; if_false } ->
@@ -334,14 +327,6 @@ let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
     | Trap.Trap t -> Trapped t
     | Hang_exn -> Hung
   in
-  let result =
-    {
-      status;
-      output = Buffer.contents out;
-      dyn_count = !dyn;
-      read_cands = !read_cands;
-      write_cands = !write_cands;
-    }
-  in
+  let result = { status; output = Buffer.contents out; dyn_count = !dyn } in
   record_run result;
   result

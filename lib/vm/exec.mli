@@ -1,9 +1,8 @@
 (** The execution engine.
 
     [run] interprets a loaded program deterministically, producing the
-    output stream, the dynamic instruction count and the two candidate
-    counts (Table II of the paper).  The optional {!hooks} are the fault
-    injector's entry points:
+    output stream and the dynamic instruction count.  The optional
+    {!hooks} are the fault injector's entry points:
 
     - [pre] fires {e before} an instruction (or terminator) that has at
       least one register source operand executes — the inject-on-read
@@ -13,7 +12,11 @@
 
     Both receive the current frame so they can flip live register bits in
     place, plus the instruction's dynamic index (0-based position in the
-    dynamic instruction stream). *)
+    dynamic instruction stream).  The calls of [pre] and of [post] are
+    the program's dynamic inject-on-read and inject-on-write candidates
+    (Table II of the paper); a result does not count them, because only
+    the golden run's totals are read, and the recording {!Code.run}
+    keeps those in its {!Checkpoint.set}. *)
 
 type status = Finished | Trapped of Trap.t | Hung
 
@@ -21,8 +24,6 @@ type result = {
   status : status;
   output : string;  (** bytes appended by [Output] instructions *)
   dyn_count : int;  (** dynamic instructions executed, terminators included *)
-  read_cands : int;  (** dynamic inject-on-read candidates encountered *)
-  write_cands : int;  (** dynamic inject-on-write candidates encountered *)
 }
 
 type frame = {

@@ -29,7 +29,7 @@ let test_table2 () =
   List.iter
     (fun (r : Analysis.Table2.row) ->
       let w = Analysis.Study.workload s r.program in
-      Alcotest.(check int) "read cands match workload" w.golden.read_cands
+      Alcotest.(check int) "read cands match workload" w.checkpoints.read_cands
         r.read_cands;
       Alcotest.(check bool) "asymmetry" true (r.read_cands > r.write_cands);
       Alcotest.(check int) "static read prediction exact" r.read_cands

@@ -2,7 +2,7 @@
    Vm.Code.resume), the compiled backend's only way to run an
    experiment: a run that restores the fault-free prefix from a
    checkpoint must be bit-identical — same outcome, output, dynamic
-   count, candidate ordinals and full injection log — to one that
+   count and full injection log — to one that
    re-executes the program from dynamic instruction 0
    ([Experiment.run_raw ~checkpoint:false]) or runs on the seed oracle,
    for every fault domain, technique, window size and multiplicity; and
@@ -23,9 +23,7 @@ let injection_equal (a : Core.Injector.injection) (b : Core.Injector.injection)
 let result_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check bool) (name ^ " status") true (a.status = b.status);
   Alcotest.(check string) (name ^ " output") a.output b.output;
-  Alcotest.(check int) (name ^ " dyn") a.dyn_count b.dyn_count;
-  Alcotest.(check int) (name ^ " read cands") a.read_cands b.read_cands;
-  Alcotest.(check int) (name ^ " write cands") a.write_cands b.write_cands
+  Alcotest.(check int) (name ^ " dyn") a.dyn_count b.dyn_count
 
 (* One experiment through [run_raw] in full, then restored from the
    installed checkpoint set: identical runs and identical full injection
@@ -143,8 +141,6 @@ let prop_random_differential =
                               r1.Vm.Exec.status = r2.Vm.Exec.status
                               && String.equal r1.output r2.output
                               && r1.dyn_count = r2.dyn_count
-                              && r1.read_cands = r2.read_cands
-                              && r1.write_cands = r2.write_cands
                               && List.equal injection_equal
                                    (Core.Injector.injections i1)
                                    (Core.Injector.injections i2))
@@ -216,6 +212,10 @@ let test_oracle_workload () =
   let prod = registry_workload "qsort" in
   let oracle = on_oracle (fun () -> registry_workload "qsort") in
   result_equal "golden" prod.golden oracle.golden;
+  Alcotest.(check int) "read cands" prod.checkpoints.read_cands
+    oracle.checkpoints.read_cands;
+  Alcotest.(check int) "write cands" prod.checkpoints.write_cands
+    oracle.checkpoints.write_cands;
   Alcotest.(check int) "budget" prod.budget oracle.budget;
   let points (w : Core.Workload.t) = Array.length w.checkpoints.points in
   Alcotest.(check bool) "production has points" true (points prod > 0);

@@ -60,7 +60,7 @@ let test_table1_shape () =
 (* ---- outcome classification ---- *)
 
 let fake_result status output : Vm.Exec.result =
-  { status; output; dyn_count = 10; read_cands = 5; write_cands = 5 }
+  { status; output; dyn_count = 10 }
 
 let test_classify () =
   let golden = "abcd" in
@@ -96,9 +96,9 @@ let test_outcome_categories () =
 let test_workload_golden () =
   let w = Lazy.force workload in
   Alcotest.(check bool) "budget > golden" true (w.budget > w.golden.dyn_count);
-  Alcotest.(check int) "read candidates" w.golden.read_cands
+  Alcotest.(check int) "read candidates" w.checkpoints.read_cands
     (Core.Workload.candidates w (Core.Spec.single Read));
-  Alcotest.(check int) "write candidates" w.golden.write_cands
+  Alcotest.(check int) "write candidates" w.checkpoints.write_cands
     (Core.Workload.candidates w (Core.Spec.single Write))
 
 let test_workload_rejects_bad_reference () =

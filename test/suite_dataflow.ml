@@ -360,9 +360,9 @@ let test_candidates_exact () =
           ~profile:(Core.Workload.profile w)
       in
       Alcotest.(check int)
-        (e.name ^ " reads") w.golden.read_cands c.reads;
+        (e.name ^ " reads") w.checkpoints.read_cands c.reads;
       Alcotest.(check int)
-        (e.name ^ " writes") w.golden.write_cands c.writes)
+        (e.name ^ " writes") w.checkpoints.write_cands c.writes)
     Bench_suite.Registry.all
 
 (* ---- liveness soundness against the dynamic trace ---- *)

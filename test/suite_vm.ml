@@ -213,8 +213,9 @@ let test_select_and_casts () =
 
 let test_candidate_counts () =
   (* mov imm -> write candidate only; output reg -> read candidate only *)
-  let r =
-    run (fun f ->
+  let r, reads, writes =
+    Thelpers.seed_cands
+    @@ Thelpers.load_main (fun f ->
         let a = B.local_init f I32 (B.ci 1) in
         (* Mov imm: write candidate *)
         let b = B.add f I32 (B.r a) (B.ci 2) in
@@ -223,8 +224,8 @@ let test_candidate_counts () =
   in
   (* dyn: mov, add, output, ret = 4 *)
   Alcotest.(check int) "dyn" 4 r.dyn_count;
-  Alcotest.(check int) "read cands" 2 r.read_cands;
-  Alcotest.(check int) "write cands" 2 r.write_cands
+  Alcotest.(check int) "read cands" 2 reads;
+  Alcotest.(check int) "write cands" 2 writes
 
 let test_hooks_fire_and_flip () =
   (* flip bit 1 of the source of the output instruction: 1 -> 3 *)

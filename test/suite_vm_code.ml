@@ -1,33 +1,41 @@
 (* Differential tests for the compiled execution pipeline (Vm.Code): the
    decode-once micro-op VM must be bit-identical to the seed interpreter
    (Vm.Exec) on golden runs, under fault injection, and across whole
-   campaigns — same outputs, statuses, dynamic counts, candidate
-   ordinals and injection logs. *)
+   campaigns — same outputs, statuses, dynamic counts and injection
+   logs — and a recording run must count the seed interpreter's
+   candidates.  An eventless compiled run executes on the quiet loop and
+   a recording run on the counting loop, so both are pinned. *)
 
 let golden_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check bool) (name ^ " status") true (a.status = b.status);
   Alcotest.(check string) (name ^ " output") a.output b.output;
-  Alcotest.(check int) (name ^ " dyn") a.dyn_count b.dyn_count;
-  Alcotest.(check int) (name ^ " read cands") a.read_cands b.read_cands;
-  Alcotest.(check int) (name ^ " write cands") a.write_cands b.write_cands
+  Alcotest.(check int) (name ^ " dyn") a.dyn_count b.dyn_count
+
+(* The candidate totals a recording run leaves in its set against the
+   seed interpreter's hook calls. *)
+let cands_equal name (set : Vm.Checkpoint.set) ~reads ~writes =
+  Alcotest.(check int) (name ^ " read cands") reads set.read_cands;
+  Alcotest.(check int) (name ^ " write cands") writes set.write_cands
 
 (* Every registry program (small and large inputs): golden runs agree
    between backends, for a plain compiled run and for the production one
    — [Workload.make]'s, with the checkpoint recorder attached — whose set
-   ends in that same golden result.  The analysis-only block profile
-   accounts for every dynamic instruction: each block entry executes the
-   block's instructions and its terminator. *)
+   ends in that same golden result and counts the seed interpreter's
+   candidates.  The analysis-only block profile accounts for every
+   dynamic instruction: each block entry executes the block's
+   instructions and its terminator. *)
 let test_registry_golden () =
   List.iter
     (fun (d : Bench_suite.Desc.t) ->
       let w = Core.Workload.make ~name:d.name (d.build ()) in
       let p = w.prog in
-      let seed = Vm.Exec.run ~budget:Vm.Exec.golden_budget p in
+      let seed, reads, writes = Thelpers.seed_cands p in
       let comp = Vm.Code.run ~budget:Vm.Exec.golden_budget w.code in
       golden_equal d.name seed comp;
       golden_equal (d.name ^ " workload") seed w.golden;
       golden_equal (d.name ^ " checkpoint set") w.golden
         w.checkpoints.golden;
+      cands_equal (d.name ^ " checkpoint set") w.checkpoints ~reads ~writes;
       let profile = Core.Workload.profile w in
       let profiled = ref 0 in
       Array.iteri
@@ -44,7 +52,9 @@ let test_registry_golden () =
     (Bench_suite.Registry.all @ Bench_suite.Registry.large)
 
 (* Random straight-line programs (the generator of the seed-vs-evaluator
-   differential suite) through both backends. *)
+   differential suite) through both backends, compiled twice: eventless,
+   on the quiet loop, and recording, on the counting loop, whose set must
+   hold the seed interpreter's candidate counts. *)
 let prop_random_programs =
   QCheck.Test.make ~name:"compiled pipeline matches seed interpreter"
     ~count:300
@@ -54,15 +64,19 @@ let prop_random_programs =
       let ops = Suite_differential.sanitize ops seeds in
       let m = Suite_differential.build_program ops seeds in
       let p = Vm.Program.load m in
-      let seed = Vm.Exec.run ~budget:Vm.Exec.golden_budget p in
-      let comp =
-        Vm.Code.run ~budget:Vm.Exec.golden_budget (Vm.Code.compile p)
+      let seed, reads, writes = Thelpers.seed_cands p in
+      let code = Vm.Code.compile p in
+      let quiet = Vm.Code.run ~budget:Vm.Exec.golden_budget code in
+      let record = Vm.Checkpoint.recorder ~interval:16 in
+      let counting = Vm.Code.run ~record ~budget:Vm.Exec.golden_budget code in
+      let set = Vm.Checkpoint.finish record in
+      let same (r : Vm.Exec.result) =
+        seed.status = r.status
+        && String.equal seed.output r.output
+        && seed.dyn_count = r.dyn_count
       in
-      seed.status = comp.status
-      && String.equal seed.output comp.output
-      && seed.dyn_count = comp.dyn_count
-      && seed.read_cands = comp.read_cands
-      && seed.write_cands = comp.write_cands)
+      same quiet && same counting && set.read_cands = reads
+      && set.write_cands = writes)
 
 (* ---- fault-injection differential ---- *)
 

@@ -5,12 +5,32 @@ let contains haystack needle =
   let rec at i = i + nn <= nh && (String.sub haystack i nn = needle || at (i + 1)) in
   nn = 0 || at 0
 
-(* Build, load and run a one-function module in one step. *)
-let run_main ?budget build_body =
+(* Build and load a one-function module. *)
+let load_main build_body =
   let m = Ir.Build.create () in
   Ir.Build.func m "main" ~params:[] ~ret:None build_body;
-  let prog = Vm.Program.load (Ir.Build.finish m) in
-  Vm.Exec.run ?hooks:None ~budget:(Option.value budget ~default:Vm.Exec.golden_budget) prog
+  Vm.Program.load (Ir.Build.finish m)
+
+(* Build, load and run a one-function module in one step. *)
+let run_main ?budget build_body =
+  Vm.Exec.run ?hooks:None
+    ~budget:(Option.value budget ~default:Vm.Exec.golden_budget)
+    (load_main build_body)
+
+(* One fault-free run on the seed interpreter with its dynamic read and
+   write candidates, counted as the calls of its [pre] and [post] hooks:
+   the reference for every candidate total. *)
+let seed_cands prog =
+  let reads = ref 0 and writes = ref 0 in
+  let hooks =
+    {
+      Vm.Exec.pre = (fun ~dyn:_ _ _ -> incr reads);
+      post = (fun ~dyn:_ _ _ -> incr writes);
+      at = Vm.Exec.no_hook;
+    }
+  in
+  let r = Vm.Exec.run ~hooks ~budget:Vm.Exec.golden_budget prog in
+  (r, !reads, !writes)
 
 (* Little-endian encoders matching the VM's output stream format. *)
 let le32 v =
