@@ -505,24 +505,30 @@ let reproduce_cmd =
     (* The campaign's own record of experiment [index] ... *)
     let r = Core.Campaign.run ~keep_experiments:true w spec ~n ~seed in
     let stored = r.experiments.(index) in
-    (* ... and an independent replay from the same (seed, index); the
-       replay bypasses golden-prefix checkpointing and the early exits,
-       so every instruction it reports was actually re-executed. *)
-    let rng = Prng.split_at (Prng.of_seed seed) index in
+    (* ... and two independent replays from the same (seed, index), both
+       from the top and to the end, so every instruction they report was
+       actually re-executed: production's path in full, and the seed
+       interpreter, the reference oracle. *)
     let candidates = Core.Workload.candidates w spec in
-    let inj = Core.Injector.create ~spec ~candidates rng in
-    let res = Core.Experiment.run_raw ~checkpoint:false w inj in
-    let outcome = Core.Outcome.classify ~golden_output:w.golden.output res in
+    let replay exec =
+      let inj =
+        Core.Injector.create ~spec ~candidates
+          (Prng.split_at (Prng.of_seed seed) index)
+      in
+      (exec w inj, inj)
+    in
+    let ((res, inj) as full) =
+      replay (Core.Experiment.run_raw ~checkpoint:false)
+    in
+    let oracle = replay Core.Experiment.run_oracle in
+    let outcome_of res =
+      Core.Outcome.classify ~golden_output:w.golden.output res
+    in
     Printf.printf "reproduce %d of %s on %s (n=%d, seed=%Ld)\n" index
       (Core.Spec.label spec) program n seed;
-    Printf.printf "backend:    %s\n"
-      (Core.Config.backend_name (Core.Config.active_backend ()));
-    Printf.printf
-      "replay:     full execution (checkpoint restore and early exits \
-       bypassed)\n";
     Printf.printf "domain:     %s\n"
       (Core.Domain.to_string spec.Core.Spec.domain);
-    Printf.printf "outcome:    %s\n" (Core.Outcome.to_string outcome);
+    Printf.printf "outcome:    %s\n" (Core.Outcome.to_string (outcome_of res));
     Printf.printf "dyn count:  %d (golden %d)\n" res.dyn_count
       w.golden.dyn_count;
     Printf.printf "activated:  %d of %d\n" (Core.Injector.activated inj)
@@ -540,7 +546,7 @@ let reproduce_cmd =
       && a.inj_slot = b.inj_slot && a.inj_bit = b.inj_bit
       && a.inj_weight = b.inj_weight
     in
-    let mismatches =
+    let mismatches ((res : Vm.Exec.result), inj) =
       List.filter_map
         (fun (what, ok) -> if ok then None else Some what)
         [
@@ -550,7 +556,7 @@ let reproduce_cmd =
               (fun (j : Core.Injector.injection) ->
                 Core.Domain.equal j.inj_domain spec.Core.Spec.domain)
               (Core.Injector.injections inj) );
-          ("outcome", stored.outcome = outcome);
+          ("outcome", stored.outcome = outcome_of res);
           ("activated", stored.activated = Core.Injector.activated inj);
           ("dyn count", stored.dyn_count = res.dyn_count);
           ("output", String.equal stored.output res.output);
@@ -561,11 +567,26 @@ let reproduce_cmd =
             | _ -> false );
         ]
     in
-    if mismatches = [] then
-      print_endline "replay matches the stored campaign record"
+    let verdicts =
+      [
+        ( Printf.sprintf
+            "%s, full execution (checkpoint restore and early exits \
+             bypassed)"
+            (Core.Config.backend_name (Core.Config.active_backend ())),
+          mismatches full );
+        ("seed interpreter, the reference oracle", mismatches oracle);
+      ]
+    in
+    List.iter
+      (fun (how, bad) ->
+        Printf.printf "replay:     %s: %s\n" how
+          (if bad = [] then "matches"
+           else "DIVERGES (" ^ String.concat ", " bad ^ ")"))
+      verdicts;
+    if List.for_all (fun (_, bad) -> bad = []) verdicts then
+      print_endline "both replays match the stored campaign record"
     else begin
-      Printf.eprintf "replay DIVERGES from the stored campaign record: %s\n"
-        (String.concat ", " mismatches);
+      Printf.eprintf "replay DIVERGES from the stored campaign record\n";
       exit 1
     end
   in
@@ -578,15 +599,15 @@ let reproduce_cmd =
   Cmd.v
     (Cmd.info "reproduce"
        ~doc:
-         "Re-run one experiment of a campaign and assert that the replay \
-          matches the campaign's stored record exactly (outcome, activation \
-          count, first injection, dynamic length, output) and that every \
-          injection landed in the requested fault domain.  Prints which \
-          execution backend, replay path and domain produced the result — \
-          the replay always runs from the top, never from a golden-prefix \
-          checkpoint, and to its end, never stopping early; with \
-          ONEBIT_BACKEND=seed both the campaign and the \
-          replay run on the reference interpreter.  Exits 1 on divergence.")
+         "Re-run one experiment of a campaign twice, in full on the \
+          production path and on the seed interpreter (the reference \
+          oracle), and assert that both replays match the campaign's stored \
+          record exactly (outcome, activation count, first injection, \
+          dynamic length, output) and that every injection landed in the \
+          requested fault domain.  Both replays run from the top, never \
+          from a golden-prefix checkpoint, and to their end, never stopping \
+          early.  Prints the replayed experiment and each replay's verdict; \
+          exits 1 unless both match.")
     Term.(
       const run $ program_arg $ domain_arg $ technique_arg $ mbf_arg $ win_arg
       $ n_arg $ seed_arg $ index_arg)

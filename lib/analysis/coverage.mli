@@ -18,8 +18,6 @@ type row = {
       (** single, then (m=2, w=1) and (m=3, w=1) *)
 }
 
-val specs_measured : Core.Technique.t -> Core.Spec.t list
-
 val compute :
   ?n:int -> ?seed:int64 -> ?programs:string list -> unit -> row list
 (** Defaults: n = 200, the five programs qsort, crc32, sha, fft, spmv

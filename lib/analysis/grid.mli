@@ -27,10 +27,6 @@ val single_is_pessimistic : ?slack_pp:float -> row -> bool
     paper's one-percentage-point resolution); the verdict converges to the
     paper's comparison as n grows. *)
 
-val se_diff_pp : Core.Campaign.result -> Core.Campaign.result -> float
-(** Standard error of the difference of two campaigns' SDC percentages,
-    in percentage points. *)
-
 val ci_half_pp : Core.Campaign.result -> float
 (** 95% CI half-width of a campaign's SDC share, in percentage points. *)
 

@@ -10,8 +10,3 @@ type row = {
 }
 
 val compute : Study.t -> row list
-
-val of_grids :
-  read:Grid.row list -> write:Grid.row list -> row list
-(** Derive the table from precomputed grids (avoids recomputation when the
-    caller already produced Fig. 4/5). *)

@@ -12,12 +12,6 @@ val all : Desc.t list
 val large : Desc.t list
 (** The large-input variants, same order. *)
 
-val extras : Desc.t list
-(** Programs beyond the paper's Table II suite (currently the
-    fixed-point NN inference pair ["nn"]/["nn-large"]).  Not part of
-    [all], so the paper-study tables keep the study's 15 programs;
-    {!find} resolves them. *)
-
 val names : string list
 (** Names of [all] (small inputs only). *)
 

@@ -72,6 +72,11 @@ type profile = {
     where the incremental scheduler partitions the campaign's experiment
     indices by the function owning each experiment's first flip. *)
 
+val profile_of_experiments : Experiment.t array -> profile
+(** The one fold from experiments to outcome counts, behind {!run_shard}
+    and {!run_profile}.  The test suite folds the oracle's experiments
+    ({!Experiment.run_oracle}) with it. *)
+
 val shard_of_profile :
   lo:int -> hi:int -> experiments:Experiment.t array -> profile -> shard
 (** Attach the range [lo, hi) (and any kept experiment records) to the

@@ -30,7 +30,6 @@ type t = {
   progress : bool;
   metrics : string option;
   trace : string option;
-  backend : backend;
   incremental : bool;
   coord : string option;
   lease_ttl : float;
@@ -52,7 +51,6 @@ let default =
     progress = false;
     metrics = None;
     trace = None;
-    backend = Compiled;
     incremental = false;
     coord = None;
     lease_ttl = 30.;
@@ -117,10 +115,6 @@ let of_env ?(getenv = Sys.getenv_opt) () =
     progress = flag "ONEBIT_PROGRESS" default.progress;
     metrics = path "ONEBIT_METRICS";
     trace = path "ONEBIT_TRACE";
-    backend =
-      (match Option.bind (getenv "ONEBIT_BACKEND") backend_of_string with
-      | Some b -> b
-      | None -> default.backend);
     incremental = flag "ONEBIT_INCREMENTAL" default.incremental;
     coord = path "ONEBIT_COORD";
     lease_ttl =
@@ -173,20 +167,17 @@ let override ?n ?jobs ?shard_size ?store ?metrics ?trace ?incremental ?coord
       | Some _ | None -> t.ci_target);
   }
 
-(* Process-wide active backend: what [Experiment] dispatches on when no
-   configuration is threaded through explicitly.  Resolved lazily from
-   the environment on first read so library users who never touch
-   Config still honour ONEBIT_BACKEND. *)
-let active = ref None
-let set_backend b = active := Some b
-
-let active_backend () =
-  match !active with
+(* The backend [Experiment.run_raw] dispatches on, resolved once, when
+   the module initialises, and read-only after that: worker domains read
+   it concurrently, so it is a plain value (two domains forcing one
+   [Lazy.t] raise [Lazy.Undefined]).  Only the benchmark's refs command
+   sets ONEBIT_BACKEND, to regenerate its references on the oracle. *)
+let active =
+  match Option.bind (Sys.getenv_opt "ONEBIT_BACKEND") backend_of_string with
   | Some b -> b
-  | None ->
-      let b = (of_env ()).backend in
-      active := Some b;
-      b
+  | None -> Compiled
+
+let active_backend () = active
 
 (* Views the benchmark's configuration manifest reads.  The compiled
    backend always restores golden-prefix checkpoints and runs its
@@ -195,6 +186,4 @@ let checkpointing () = active_backend () = Compiled
 let checkpoint_interval () = Vm.Checkpoint.interval
 let batching () = false
 
-let install t =
-  set_backend t.backend;
-  Obs.install_sink ?metrics:t.metrics ?trace:t.trace ()
+let install t = Obs.install_sink ?metrics:t.metrics ?trace:t.trace ()

@@ -22,12 +22,12 @@
       ("-"/"stderr" = stderr); setting it enables collection
     - [ONEBIT_TRACE] — JSONL span-trace path, written at exit; setting
       it enables collection and tracing
-    - [ONEBIT_BACKEND] — execution backend: "compiled" (the default:
-      the decode-once micro-op pipeline, restoring each experiment's
-      golden prefix from a checkpoint) or "seed" (the per-instruction
-      interpreter driven by {!Injector.hooks}, kept as the reference
-      oracle that [perfbench refs], [onebit reproduce] and the
-      differential suites compare against); the two are bit-identical
+    - [ONEBIT_BACKEND] — the backend {!Experiment.run_raw} dispatches
+      on: "compiled" (the default, production) or "seed" (every run is
+      {!Experiment.run_oracle}).  Read once at start-up and never
+      changed; it is not part of {!t}.  It exists for [perfbench refs],
+      which regenerates the benchmark's references on the oracle; tests
+      and [onebit reproduce] call {!Experiment.run_oracle} directly
     - [ONEBIT_INCREMENTAL] — compose campaigns from cached per-function
       profiles ([Engine.Incremental]; "1"/"true"/"yes"/"on"; default
       off)
@@ -47,15 +47,11 @@
       cell's SDC estimate closes (default 0.02) *)
 
 type backend = Seed | Compiled
-(** Which VM executes workloads: the seed interpreter ({!Vm.Exec.run})
-    or the compiled micro-op pipeline ({!Vm.Code.run}). *)
+(** What {!Experiment.run_raw} runs: {!Experiment.run_oracle} on the seed
+    interpreter, or the compiled micro-op pipeline ({!Vm.Code.run}). *)
 
 val backend_name : backend -> string
 (** ["seed"] or ["compiled"]. *)
-
-val backend_of_string : string -> backend option
-(** Lenient: ["seed"]/["interp"]/["interpreter"] and
-    ["compiled"]/["code"]/["vm"], case-insensitive; [None] otherwise. *)
 
 type t = {
   n : int;
@@ -69,7 +65,6 @@ type t = {
   progress : bool;
   metrics : string option;
   trace : string option;
-  backend : backend;
   incremental : bool;
       (** compose campaigns from cached per-function profiles
           ([Engine.Incremental]); resolved from ONEBIT_INCREMENTAL
@@ -110,8 +105,8 @@ val override :
     [jobs <= 0] means one worker per recommended domain; a
     non-positive [shard_size] or [lease_ttl] is ignored, as is a
     [ci_target] outside (0, 1).  The fields it does not take ([seed],
-    [programs], [cap], [prune_n], [progress], [backend]) keep their
-    environment resolution. *)
+    [programs], [cap], [prune_n], [progress]) keep their environment
+    resolution. *)
 
 val resolve_jobs : int -> int
 (** [resolve_jobs j] is [j] if positive, else the recommended domain
@@ -126,18 +121,13 @@ val resolve_shard_size : int option -> int
 val install : t -> unit
 (** Arm the observability sinks described by [metrics]/[trace]
     (enables collection and registers at-exit dump writers; a no-op if
-    neither is set) and make [t.backend] the process-wide active
-    backend. *)
+    neither is set). *)
 
 val active_backend : unit -> backend
-(** The process-wide backend {!Experiment} dispatches faulty runs on
-    ({!Workload.make}'s golden run is always compiled).  Resolved lazily
-    from [ONEBIT_BACKEND] on first read unless {!set_backend} or
-    {!install} has fixed it. *)
-
-val set_backend : backend -> unit
-(** Fix the process-wide backend (the differential tests switch to the
-    [Seed] oracle and back). *)
+(** The backend {!Experiment.run_raw} dispatches faulty runs on
+    ({!Workload.make}'s golden run is always compiled): [ONEBIT_BACKEND],
+    resolved once when the program starts.  Nothing sets it at run
+    time. *)
 
 (** {1 Derived views}
 

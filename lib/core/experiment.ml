@@ -20,24 +20,27 @@ let m_domain =
            "onebit_inj_domain_total")
        Domain.all)
 
+(* The reference oracle: the seed interpreter under the injector's
+   hooks, from the top, never restoring and never stopping early. *)
+let run_oracle (workload : Workload.t) inj =
+  let hooks = Injector.hooks inj in
+  match Injector.domain inj with
+  | Domain.Reg -> Vm.Exec.run ~hooks ~budget:workload.budget workload.prog
+  | Domain.Mem ->
+      let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
+      Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
+      Vm.Exec.run ~hooks ~mem ~budget:workload.budget workload.prog
+  | Domain.Code ->
+      (* The interpreter executes the injector's private image directly:
+         a flip mutates the image's instruction arrays in place and is
+         visible from the next fetch. *)
+      let image = Vm.Codeflip.image workload.prog in
+      Injector.bind_code inj ~sites:workload.Workload.code_sites ~image ();
+      Vm.Exec.run ~hooks ~budget:workload.budget image
+
 let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
   match Config.active_backend () with
-  | Config.Seed -> (
-      let hooks = Injector.hooks inj in
-      match Injector.domain inj with
-      | Domain.Reg ->
-          Vm.Exec.run ~hooks ~budget:workload.budget workload.prog
-      | Domain.Mem ->
-          let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
-          Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
-          Vm.Exec.run ~hooks ~mem ~budget:workload.budget workload.prog
-      | Domain.Code ->
-          (* The interpreter executes the injector's private image
-             directly: a flip mutates the image's instruction arrays in
-             place and is visible from the next fetch. *)
-          let image = Vm.Codeflip.image workload.prog in
-          Injector.bind_code inj ~sites:workload.Workload.code_sites ~image ();
-          Vm.Exec.run ~hooks ~budget:workload.budget image)
+  | Config.Seed -> run_oracle workload inj
   | Config.Compiled ->
       (* One of the workload's undo-tracking memories: resetting it costs
          O(dirty pages), and Mem flips dirty their page, so the next

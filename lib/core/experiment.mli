@@ -12,13 +12,13 @@ type t = {
 }
 
 val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
-(** Execute one faulty run of the workload under an injector, on the
-    active backend ({!Config.active_backend}).  Building block for
-    {!run}/{!run_at} and the CLI's replay commands.
+(** Execute one faulty run of the workload under an injector: the
+    production path, on the compiled micro-op pipeline.  Building block
+    for {!run}/{!run_at} and the CLI's replay commands.
 
-    On the compiled backend (production) the run takes one of the
-    workload's undo-tracking memories ({!Workload.with_mem}; it gives it
-    back when the run returns) and binds the injector's fault domain —
+    The run takes one of the workload's undo-tracking memories
+    ({!Workload.with_mem}; it gives it back when the run returns) and
+    binds the injector's fault domain —
     [Mem] flips land in that memory, [Code] flips patch a private
     {!Vm.Code.fork} — and restores the golden prefix up to the first
     flip from the workload's checkpoint set ({!Workload.t}[.checkpoints]),
@@ -37,11 +37,18 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     armed.  [~checkpoint:false] ([onebit reproduce] passes it, so a
     replay re-runs every instruction it reports; the benchmark's oracle
     too) bypasses both the restore and the exits.  Results are
-    bit-identical either way.
+    bit-identical either way, and bit-identical to {!run_oracle}'s.
 
-    On the seed backend, the reference oracle, the interpreter runs
-    under {!Injector.hooks} from the top on a private memory clone or
-    program image; [checkpoint] is ignored. *)
+    Under [ONEBIT_BACKEND=seed] ({!Config.active_backend}, resolved once
+    at start-up; only [perfbench refs] sets it) every call is
+    {!run_oracle}, and [checkpoint] is ignored. *)
+
+val run_oracle : Workload.t -> Injector.t -> Vm.Exec.result
+(** The reference oracle: one faulty run on the seed interpreter
+    ({!Vm.Exec.run}) under {!Injector.hooks}, from the top, on a private
+    memory clone ([Mem]) or program image ([Code]).  It never restores a
+    checkpoint and never exits early.  The differential tests and
+    [onebit reproduce] compare {!run_raw} against it. *)
 
 val conclude : Workload.t -> Injector.t -> Vm.Exec.result -> t
 (** Classify a finished faulty run against the workload's golden output

@@ -13,11 +13,9 @@ val win_values : Win.t list
 val win_positive : Win.t list
 (** w2..w9 — the windows used for multi-register experiments (§IV-C). *)
 
-val multi_specs : Technique.t -> Spec.t list
-(** The 90 multiple-bit clusters for one technique, max-MBF-major order. *)
-
 val specs : Technique.t -> Spec.t list
-(** Single first, then {!multi_specs}: 91 specs. *)
+(** Single first, then the 90 multiple-bit clusters for the technique in
+    max-MBF-major order: 91 specs. *)
 
 val all_specs : Spec.t list
 (** Both techniques: the paper's 182 campaigns per program. *)

@@ -18,8 +18,8 @@ type t = {
   prog : Vm.Program.t;
   code : Vm.Code.t;
       (** the program's compiled form, decoded once at workload creation;
-          it runs the golden run, and every faulty run on the [Compiled]
-          backend ({!Config.active_backend}) *)
+          it runs the golden run and every production faulty run
+          ({!Experiment.run_raw}); {!Experiment.run_oracle} runs [prog] *)
   golden : Vm.Exec.result;
   checkpoints : Vm.Checkpoint.set;
       (** golden-prefix checkpoints at {!Vm.Checkpoint.interval},

@@ -40,7 +40,6 @@ val term_uses : Ir.Ty.t array -> Ir.Instr.terminator -> (int * int) list
 type t
 
 val analyse : ?call_demand:(string -> int array option) -> Ir.Func.t -> t
-val analyse_cfg : ?call_demand:(string -> int array option) -> Cfg.t -> t
 
 val demand_before : t -> bidx:int -> idx:int -> int array
 (** Per-register demand just before point [idx] of block [bidx]; [idx]

@@ -12,9 +12,6 @@ type counts = { reads : int; writes : int }
 val zero : counts
 val add : counts -> counts -> counts
 
-val block_counts : Ir.Func.block -> counts
-val func_counts : Ir.Func.t -> counts array
-
 val predict : Ir.Func.modl -> profile:int array array -> counts
 (** Static per-block counts, from a walk over the IR, weighted by the
     golden-run block execution frequencies [profile] (indexed

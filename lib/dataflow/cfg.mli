@@ -15,9 +15,6 @@ type t = {
   reachable : bool array;  (** whether each block is reachable from entry *)
 }
 
-val term_succs : Ir.Instr.terminator -> int list
-(** Successor targets of a terminator, deduplicated. *)
-
 val of_func : Ir.Func.t -> t
 (** Requires branch targets in range (i.e. a module that passed
     [Ir.Validate.check]). *)

@@ -19,11 +19,6 @@ type t
 val analyse : Cfg.t -> t
 val defs : t -> def array
 
-val reaching_before : t -> bidx:int -> idx:int -> Bitset.t
-(** Ids (indices into [defs]) of the definitions reaching the point just
-    before [idx] in block [bidx]; [idx] at or past the instruction count
-    designates the terminator. *)
-
 val reaching_of_reg : t -> bidx:int -> idx:int -> reg:int -> def list
 (** The reaching definitions of one register at a point — the def-use
     chain entry for that use. *)

@@ -93,9 +93,6 @@ type msg =
 val version : int
 (** Protocol version carried in [Welcome]. *)
 
-val to_json : msg -> Store.Jsonx.t
-val of_json : Store.Jsonx.t -> (msg, string) result
-
 val to_line : msg -> string
 (** One line, no newline, canonical {!Store.Jsonx} rendering. *)
 

@@ -198,13 +198,6 @@ let merge_hvalue a b =
     sum = a.sum +. b.sum;
   }
 
-let merge_value a b =
-  match (a, b) with
-  | Counter x, Counter y -> Counter (x + y)
-  | Gauge x, Gauge y -> Gauge (x +. y)
-  | Histogram x, Histogram y -> Histogram (merge_hvalue x y)
-  | _ -> invalid_arg "Obs.Metrics.merge_value: kind mismatch"
-
 (* ---- Prometheus-style text rendering ---- *)
 
 let escape_label v =

@@ -45,10 +45,8 @@ val histogram :
   ?buckets:float array ->
   string -> histogram
 (** Fixed-bucket histogram; [buckets] are strictly increasing upper
-    bounds (default {!default_buckets}, a latency scale in seconds); an
-    implicit +inf bucket is appended. *)
-
-val default_buckets : float array
+    bounds (default: decades from 1e-6 to 10, a latency scale in
+    seconds); an implicit +inf bucket is appended. *)
 
 val count_buckets : float array
 (** Decade-scale bounds (1 .. 1e8) for count-valued observations —
@@ -91,10 +89,6 @@ val merge_hvalue : hvalue -> hvalue -> hvalue
 (** Bucket-wise sum; raises [Invalid_argument] on bucket mismatch.
     Associative and commutative on integer counts; sums are float
     additions (exact while the observations are integer-valued). *)
-
-val merge_value : value -> value -> value
-(** Kind-wise merge: counters and gauges add, histograms
-    {!merge_hvalue}; raises [Invalid_argument] on kind mismatch. *)
 
 val render : sample list -> string
 (** Prometheus-style text exposition: [# TYPE] comments, one

@@ -29,13 +29,6 @@ val http_response : unit -> string
     ([text/plain; version=0.0.4], [Connection: close]) — what a
     Prometheus scrape of an embedded metrics endpoint expects. *)
 
-val dump_metrics : string -> unit
-(** Write {!render} to a file path ("-" or "stderr" for stderr). *)
-
-val dump_trace : string -> unit
-(** Write the recorded trace events as JSONL to a file path ("-" or
-    "stderr" for stderr). *)
-
 val install_sink : ?metrics:string -> ?trace:string -> unit -> unit
 (** Enable collection (and tracing if [trace] is given) and register an
     at-exit writer for each given path.  May be called more than once;

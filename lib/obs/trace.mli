@@ -2,21 +2,12 @@
 
     A span brackets a unit of work with begin/end events; spans nest
     per domain.  Recording is gated on its own enabled flag (separate
-    from metrics) and a disabled {!begin_} returns {!null}, which
-    {!end_} ignores, so disabled tracing costs one atomic load.  Events
-    are exported as JSONL, one object per line:
-    [{"name":…,"ph":"B"|"E","ts":…,"dom":…}]. *)
+    from metrics), so a {!with_span} while tracing is disabled records
+    nothing and costs one atomic load.  Events are exported as JSONL, one
+    object per line: [{"name":…,"ph":"B"|"E","ts":…,"dom":…}]. *)
 
 val enabled : unit -> bool
 val set_enabled : bool -> unit
-
-type span
-
-val null : span
-(** The inert span returned while tracing is disabled. *)
-
-val begin_ : string -> span
-val end_ : span -> unit
 
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f] inside a span; the end event is

@@ -146,5 +146,4 @@ module Running = struct
   let n t = t.n
   let mean t = t.mean
   let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
 end

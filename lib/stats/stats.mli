@@ -13,9 +13,6 @@ module Proportion : sig
     hi : float;  (** upper bound of the interval, clamped to \[0, 1\] *)
   }
 
-  val z95 : float
-  (** 1.959964..., the two-sided 95% normal quantile. *)
-
   val wald : ?z:float -> successes:int -> trials:int -> unit -> ci
   (** Normal-approximation interval, the estimator used in the paper's
       error bars.  Requires [trials > 0]. *)
@@ -83,6 +80,4 @@ module Running : sig
   val mean : t -> float
   val variance : t -> float
   (** Unbiased sample variance; 0 for fewer than two observations. *)
-
-  val stddev : t -> float
 end

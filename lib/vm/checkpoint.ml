@@ -16,9 +16,9 @@
    point from the jumps alone.  Because the injector draws no
    randomness and fires no events during the golden prefix, resuming
    from a checkpoint is observationally identical to full execution:
-   same injections, outputs, counters.  The differential suite
-   (test/suite_checkpoint.ml) and the CI pipeline differential enforce
-   this bit-for-bit.
+   same injections, outputs, counters.  The differential suites
+   (test/suite_checkpoint.ml, test/suite_oracle.ml) enforce this
+   bit-for-bit.
 
    A set also carries the reference for Code's early exits: the golden
    run's end state and, per memory page, its last read.  And it carries

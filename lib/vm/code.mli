@@ -59,9 +59,9 @@
       run.
     - {b Hang cycle.}  Past the last window and the golden run's length,
       Brent's search compares the stack (function, pc and registers of
-      every frame) and the whole memory with an anchor state, for
-      {!cycle_window} instructions.  An exact repeat after [L]
-      instructions repeats forever: the probe adds as many whole periods
+      every frame) and the whole memory with an anchor state, for 4096
+      instructions.  An exact repeat after [L] instructions repeats
+      forever: the probe adds as many whole periods
       as fit below [budget] to [dyn_count], with a copy of the period's
       output each, and runs the remainder to the watchdog.
     Either way the result is field-for-field the full run's.  Every call
@@ -190,10 +190,6 @@ val rejoin_window : int
     exit compares a run with it (512); a constant, not a knob.  Only
     the point nearest in dyn is watched, so a window also ends halfway
     to the next point. *)
-
-val cycle_window : int
-(** Instructions the cycle exit searches past the golden run's length
-    before giving up (4096); a constant, not a knob. *)
 
 type exit_stats = {
   golden_exits : int;

@@ -94,7 +94,6 @@ val exec_fbinop : Ir.Instr.fbinop -> float -> float -> float
 val exec_icmp : Ir.Instr.icmp -> Ir.Ty.t -> int -> int -> int
 val exec_fcmp : Ir.Instr.fcmp -> float -> float -> int
 val float_to_int : Ir.Ty.t -> float -> int
-val ucompare : int -> int -> int
 val to_u64 : int -> int64
 
 val add_output : Buffer.t -> Ir.Ty.t -> int -> float -> unit

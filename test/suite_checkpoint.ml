@@ -12,7 +12,6 @@
    stack shape. *)
 
 let with_checkpoints = Thelpers.with_checkpoints
-let on_oracle = Thelpers.on_oracle
 
 let injection_equal (a : Core.Injector.injection) (b : Core.Injector.injection)
     =
@@ -161,14 +160,16 @@ let test_campaign_differential () =
   with_checkpoints ~interval:100 w (fun w ->
       List.iter
         (fun spec ->
-          let run () =
-            Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L
+          let oracle =
+            Thelpers.oracle_campaign ~keep_experiments:true w spec ~n:60
+              ~seed:99L
           in
-          let oracle = on_oracle run in
           Alcotest.(check bool)
             (Core.Spec.label spec ^ " campaign equal")
             true
-            (Core.Campaign.equal_result oracle (run ())))
+            (Core.Campaign.equal_result oracle
+               (Core.Campaign.run ~keep_experiments:true w spec ~n:60
+                  ~seed:99L)))
         (List.concat_map
            (fun domain ->
              [
@@ -187,8 +188,8 @@ let test_engine_differential () =
         (fun domain ->
           let spec = Core.Spec.multi ~domain Read ~max_mbf:3 ~win:(Fixed 10) in
           let oracle =
-            on_oracle (fun () ->
-                Core.Campaign.run ~keep_experiments:true w spec ~n:80 ~seed:3L)
+            Thelpers.oracle_campaign ~keep_experiments:true w spec ~n:80
+              ~seed:3L
           in
           List.iter
             (fun jobs ->
@@ -204,22 +205,6 @@ let test_engine_differential () =
                 (Core.Campaign.equal_result oracle eng))
             [ 1; 4 ])
         Core.Domain.all)
-
-(* [Workload.make] runs its golden run compiled on either backend: a
-   workload made on the oracle has production's golden run, budget and
-   checkpoint set. *)
-let test_oracle_workload () =
-  let prod = registry_workload "qsort" in
-  let oracle = on_oracle (fun () -> registry_workload "qsort") in
-  result_equal "golden" prod.golden oracle.golden;
-  Alcotest.(check int) "read cands" prod.checkpoints.read_cands
-    oracle.checkpoints.read_cands;
-  Alcotest.(check int) "write cands" prod.checkpoints.write_cands
-    oracle.checkpoints.write_cands;
-  Alcotest.(check int) "budget" prod.budget oracle.budget;
-  let points (w : Core.Workload.t) = Array.length w.checkpoints.points in
-  Alcotest.(check bool) "production has points" true (points prod > 0);
-  Alcotest.(check int) "checkpoint points" (points prod) (points oracle)
 
 (* ---- dirty-page undo log ---- *)
 
@@ -461,8 +446,6 @@ let suites =
           test_campaign_differential;
         Alcotest.test_case "engine differential" `Quick
           test_engine_differential;
-        Alcotest.test_case "workload made on the oracle" `Quick
-          test_oracle_workload;
         Alcotest.test_case "memory undo log" `Quick test_memory_undo;
         Alcotest.test_case "working memory after traps" `Quick
           test_working_memory_after_traps;

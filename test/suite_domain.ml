@@ -33,42 +33,35 @@ let domain_specs domain =
     Core.Spec.multi ~domain Read ~max_mbf:4 ~win:(Rnd (2, 50));
   ]
 
-(* One experiment, same (spec, seed, index), through the seed
-   interpreter and the compiled micro-op VM via [Experiment.run_raw]
-   (which owns the per-domain target binding): runs and full injection
-   logs must be bit-identical. *)
+(* One experiment, same (spec, seed, index), on the seed oracle
+   ([Experiment.run_oracle]) and on the compiled micro-op VM in full
+   ([Experiment.run_raw ~checkpoint:false]), each owning its per-domain
+   target binding: runs and full injection logs must be bit-identical. *)
 let check_backend_pair w spec ~base i =
-  let saved = Core.Config.active_backend () in
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_backend saved)
-    (fun () ->
-      let run backend =
-        Core.Config.set_backend backend;
-        let inj =
-          Core.Injector.create ~spec
-            ~candidates:(Core.Workload.candidates w spec)
-            (Prng.split_at base i)
-        in
-        let r = Core.Experiment.run_raw ~checkpoint:false w inj in
-        (r, Core.Injector.injections inj, Core.Injector.activated inj)
-      in
-      let r_s, log_s, act_s = run Core.Config.Seed in
-      let r_c, log_c, act_c = run Core.Config.Compiled in
-      let label = Printf.sprintf "%s #%d" (Core.Spec.label spec) i in
-      result_equal label r_s r_c;
-      Alcotest.(check int) (label ^ " activated") act_s act_c;
-      Alcotest.(check int) (label ^ " log length") (List.length log_s)
-        (List.length log_c);
-      List.iter2
-        (fun a b ->
-          Alcotest.(check bool) (label ^ " injection") true
-            (injection_equal a b);
-          Alcotest.(check bool)
-            (label ^ " domain tag")
-            true
-            (Core.Domain.equal a.Core.Injector.inj_domain
-               spec.Core.Spec.domain))
-        log_s log_c)
+  let run exec =
+    let inj =
+      Core.Injector.create ~spec
+        ~candidates:(Core.Workload.candidates w spec)
+        (Prng.split_at base i)
+    in
+    let r = exec w inj in
+    (r, Core.Injector.injections inj, Core.Injector.activated inj)
+  in
+  let r_s, log_s, act_s = run Core.Experiment.run_oracle in
+  let r_c, log_c, act_c = run (Core.Experiment.run_raw ~checkpoint:false) in
+  let label = Printf.sprintf "%s #%d" (Core.Spec.label spec) i in
+  result_equal label r_s r_c;
+  Alcotest.(check int) (label ^ " activated") act_s act_c;
+  Alcotest.(check int) (label ^ " log length") (List.length log_s)
+    (List.length log_c);
+  List.iter2
+    (fun a b ->
+      Alcotest.(check bool) (label ^ " injection") true (injection_equal a b);
+      Alcotest.(check bool)
+        (label ^ " domain tag")
+        true
+        (Core.Domain.equal a.Core.Injector.inj_domain spec.Core.Spec.domain))
+    log_s log_c
 
 let test_backend_differential domain () =
   let w = Lazy.force workload in
@@ -116,10 +109,7 @@ let test_campaign_determinism domain () =
   let w = Lazy.force workload in
   let spec = Core.Spec.multi ~domain Write ~max_mbf:2 ~win:(Fixed 0) in
   let n = 40 and seed = 7L in
-  let oracle =
-    Thelpers.on_oracle (fun () ->
-        Engine.run_campaign ~jobs:1 w spec ~n ~seed)
-  in
+  let oracle = Thelpers.oracle_campaign w spec ~n ~seed in
   Thelpers.with_checkpoints ~interval:64 w (fun w ->
       let r1 = Engine.run_campaign ~jobs:1 w spec ~n ~seed in
       let r4 = Engine.run_campaign ~jobs:4 w spec ~n ~seed in
@@ -141,10 +131,7 @@ let test_code_resume_in_flight_calls () =
       (d.build ())
   in
   let spec = Core.Spec.single ~domain:Core.Domain.Code Write in
-  let oracle =
-    Thelpers.on_oracle (fun () ->
-        Engine.run_campaign ~jobs:1 w spec ~n:80 ~seed:11L)
-  in
+  let oracle = Thelpers.oracle_campaign w spec ~n:80 ~seed:11L in
   Thelpers.with_checkpoints ~interval:64 w (fun w ->
       let on = Engine.run_campaign ~jobs:2 w spec ~n:80 ~seed:11L in
       Alcotest.(check bool) "ckpt resume == oracle" true

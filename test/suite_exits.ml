@@ -348,9 +348,7 @@ let test_full_execution_arms_nothing () =
           (Core.Experiment.run_raw ~checkpoint:false w inj : Vm.Exec.result)
       done;
       ignore
-        (Thelpers.on_oracle (fun () ->
-             Core.Campaign.run w spec ~n:20 ~seed:1L)
-          : Core.Campaign.result))
+        (Thelpers.oracle_campaign w spec ~n:20 ~seed:1L : Core.Campaign.result))
     [
       Core.Spec.multi ~domain:Core.Domain.Code Read ~max_mbf:3 ~win:(Fixed 10);
       Core.Spec.multi ~domain:Core.Domain.Mem Read ~max_mbf:3 ~win:(Fixed 10);

@@ -62,16 +62,16 @@ let ordinals (w : Core.Workload.t) technique fname =
    production, in full and on the seed oracle; and [Experiment.run_at]
    must report the production run.  Returns the production result. *)
 let check_three label w spec ~first =
-  let run ?checkpoint () =
+  let run exec =
     let inj =
       Core.Injector.create ~spec
         ~candidates:(Core.Workload.candidates w spec)
         ~first (Prng.of_seed 1L)
     in
-    let r = Core.Experiment.run_raw ?checkpoint w inj in
+    let r = exec w inj in
     (r, Core.Injector.injections inj)
   in
-  let prod, log = run () in
+  let prod, log = run Core.Experiment.run_raw in
   List.iter
     (fun (how, (r, l)) ->
       result_equal (label ^ " " ^ how) r prod;
@@ -80,8 +80,8 @@ let check_three label w spec ~first =
         true
         (List.equal injection_equal l log))
     [
-      ("full", run ~checkpoint:false ());
-      ("oracle", Thelpers.on_oracle (fun () -> run ()));
+      ("full", run (Core.Experiment.run_raw ~checkpoint:false));
+      ("oracle", run Core.Experiment.run_oracle);
     ];
   let e = Core.Experiment.run_at w spec ~first (Prng.of_seed 1L) in
   Alcotest.(check int) (label ^ " run_at dyn") prod.dyn_count e.dyn_count;

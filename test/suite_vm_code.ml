@@ -154,32 +154,26 @@ let test_experiments_differential () =
         [ `Faulty; `Golden ])
     specs
 
-(* Whole campaigns through the backend switch: results (counters, trap
-   breakdown, activation histogram, per-experiment records) must be
+(* Whole campaigns, the oracle's and production's: results (counters,
+   trap breakdown, activation histogram, per-experiment records) must be
    equal. *)
 let test_campaign_differential () =
   let w = Lazy.force workload in
-  let saved = Core.Config.active_backend () in
-  Fun.protect
-    ~finally:(fun () -> Core.Config.set_backend saved)
-    (fun () ->
-      List.iter
-        (fun spec ->
-          let run b =
-            Core.Config.set_backend b;
-            Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L
-          in
-          let a = run Core.Config.Seed in
-          let b = run Core.Config.Compiled in
-          Alcotest.(check bool)
-            (Core.Spec.label spec ^ " campaign equal")
-            true
-            (Core.Campaign.equal_result a b))
-        [
-          Core.Spec.single Read;
-          Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10);
-          Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
-        ])
+  List.iter
+    (fun spec ->
+      let a =
+        Thelpers.oracle_campaign ~keep_experiments:true w spec ~n:60 ~seed:99L
+      in
+      let b = Core.Campaign.run ~keep_experiments:true w spec ~n:60 ~seed:99L in
+      Alcotest.(check bool)
+        (Core.Spec.label spec ^ " campaign equal")
+        true
+        (Core.Campaign.equal_result a b))
+    [
+      Core.Spec.single Read;
+      Core.Spec.multi Write ~max_mbf:3 ~win:(Fixed 10);
+      Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
+    ]
 
 let suites =
   [

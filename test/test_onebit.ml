@@ -6,4 +6,4 @@ let () =
    @ Suite_obs.suites @ Suite_vm_code.suites @ Suite_checkpoint.suites
    @ Suite_incremental.suites @ Suite_fleet.suites @ Suite_domain.suites
    @ Suite_adaptive.suites @ Suite_exits.suites @ Suite_quiet.suites
-   @ Suite_fuzz.suites)
+   @ Suite_oracle.suites @ Suite_fuzz.suites)

@@ -53,11 +53,26 @@ let status_testable =
   in
   Alcotest.testable pp ( = )
 
-(* Run [f] on the seed interpreter, the reference oracle. *)
-let on_oracle f =
-  let saved = Core.Config.active_backend () in
-  Core.Config.set_backend Core.Config.Seed;
-  Fun.protect ~finally:(fun () -> Core.Config.set_backend saved) f
+(* The reference campaign: experiments [0, n) of [spec] on
+   [Experiment.run_oracle], each on its private generator as in
+   [Campaign.run], folded into one shard and merged. *)
+let oracle_campaign ?(keep_experiments = false) (w : Core.Workload.t) spec ~n
+    ~seed =
+  let base = Prng.of_seed seed in
+  let candidates = Core.Workload.candidates w spec in
+  let exps =
+    Array.init n (fun i ->
+        let inj =
+          Core.Injector.create ~spec ~candidates (Prng.split_at base i)
+        in
+        Core.Experiment.conclude w inj (Core.Experiment.run_oracle w inj))
+  in
+  Core.Campaign.merge ~workload_name:w.name spec ~n ~seed
+    [
+      Core.Campaign.shard_of_profile ~lo:0 ~hi:n
+        ~experiments:(if keep_experiments then exps else [||])
+        (Core.Campaign.profile_of_experiments exps);
+    ]
 
 (* Run [f] on a copy of the workload whose checkpoint set is recorded
    every [interval] candidate instructions: a set denser than
