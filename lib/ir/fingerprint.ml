@@ -126,13 +126,19 @@ let reachable ?(entry = "main") (m : Func.modl) =
   end
 
 let environment ?(entry = "main") (m : Func.modl) =
-  let buf = Buffer.create 256 in
+  let hex =
+    List.fold_left
+      (fun n (g : Func.global) ->
+        n + (2 * Bytes.length g.g_init) + String.length g.g_name + 3)
+      0 m.m_globals
+  in
+  let buf = Buffer.create (hex + 256) in
   List.iter
     (fun (g : Func.global) ->
-      Buffer.add_string buf ("@" ^ g.g_name ^ "=");
-      Bytes.iter
-        (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c)))
-        g.g_init;
+      Buffer.add_char buf '@';
+      Buffer.add_string buf g.g_name;
+      Buffer.add_char buf '=';
+      Pp.add_hex buf g.g_init;
       Buffer.add_char buf '\n')
     m.m_globals;
   Buffer.add_string buf ("entry=" ^ entry ^ "\n");

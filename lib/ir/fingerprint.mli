@@ -30,7 +30,9 @@ val canonical : Func.t -> Func.t
 
 val modl : Func.modl -> string
 (** Whole-module digest: MD5 hex of [Pp.modl].  This is the
-    [Core.Workload] digest that result-store keys carry. *)
+    [Core.Workload] digest that result-store keys carry, and the one
+    perfbench manifests record; test/cli/digests.t pins it for every
+    registry program. *)
 
 val callees : Func.t -> string list
 (** Direct callee names in first-occurrence order, deduplicated;
@@ -43,6 +45,7 @@ val reachable : ?entry:string -> Func.modl -> string list
 
 val environment : ?entry:string -> Func.modl -> string
 (** Environment digest: MD5 hex over the globals (in module order —
-    layout assigns addresses by position) and the sorted
+    layout assigns addresses by position, each as [@name=] and its
+    initialiser in [Pp.add_hex]'s form) and the sorted
     [(name, semantic digest)] pairs of the functions reachable from
     [entry]. *)

@@ -81,17 +81,37 @@ let func (f : Func.t) =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
+(* Byte [c]'s two lowercase hex digits as one little-endian 16-bit
+   value: the high digit is the first character written. *)
+let hex_pairs =
+  let digit d = Char.code "0123456789abcdef".[d] in
+  Array.init 256 (fun c -> digit (c lsr 4) lor (digit (c land 15) lsl 8))
+
+let add_hex buf b =
+  for i = 0 to Bytes.length b - 1 do
+    Buffer.add_uint16_le buf
+      (Array.unsafe_get hex_pairs (Char.code (Bytes.unsafe_get b i)))
+  done
+
+(* Sized for the globals' lines, which dominate large modules; the
+   functions' text grows it as needed. *)
 let modl (m : Func.modl) =
-  let buf = Buffer.create 4096 in
+  let hex =
+    List.fold_left
+      (fun n (g : Func.global) ->
+        n + (2 * Bytes.length g.g_init) + String.length g.g_name + 32)
+      0 m.m_globals
+  in
+  let buf = Buffer.create (hex + 4096) in
   List.iter
     (fun (g : Func.global) ->
-      let hex = Buffer.create (2 * Bytes.length g.g_init) in
-      Bytes.iter
-        (fun c -> Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c)))
-        g.g_init;
-      Buffer.add_string buf
-        (Printf.sprintf "@%s = global [%d x i8] 0x%s\n" g.g_name
-           (Bytes.length g.g_init) (Buffer.contents hex)))
+      Buffer.add_char buf '@';
+      Buffer.add_string buf g.g_name;
+      Buffer.add_string buf " = global [";
+      Buffer.add_string buf (string_of_int (Bytes.length g.g_init));
+      Buffer.add_string buf " x i8] 0x";
+      add_hex buf g.g_init;
+      Buffer.add_char buf '\n')
     m.m_globals;
   if m.m_globals <> [] then Buffer.add_char buf '\n';
   List.iter

@@ -35,8 +35,8 @@ type frame_snap = {
   fs_call_dyn : int;
       (* outer frames: the call instruction's dynamic index, needed to
          replay its write-candidate post-block exactly *)
-  fs_ints : int array;
-  fs_flts : float array;
+  fs_ints : int array; (* the real registers, not the constant slots *)
+  fs_flts : float array; (* [||] for a function without a float register *)
   fs_lw : int array;
 }
 
@@ -46,7 +46,9 @@ type point = {
   ck_wc : int; (* write-candidate ordinals consumed *)
   ck_out : string; (* output emitted so far *)
   ck_stack : frame_snap array; (* outermost first *)
-  ck_pages : (int * bytes) array; (* dirty pages at capture *)
+  ck_pages : (int * bytes) array;
+      (* dirty pages at capture; an unchanged page shares the previous
+         point's copy *)
 }
 
 type set = {

@@ -39,10 +39,17 @@ type frame_snap = {
       (** outer frames: the call's dynamic index, used to replay its
           write-candidate post-block exactly; 0 for the innermost *)
   fs_ints : int array;
+      (** the function's real registers, its first [nregs] slots; the
+          constant slots after them never change, so resuming takes them
+          from the function's initial frame *)
   fs_flts : float array;
-  fs_lw : int array;
+      (** the real registers' float slots, or one shared empty array for
+          a function without a float register, which nothing writes *)
+  fs_lw : int array;  (** per real register, the dyn of its last write *)
 }
-(** One frame of the captured call stack (private copies). *)
+(** One frame of the captured call stack (private copies).  It keeps
+    only what a run can change, and the rejoin probe and the cycle exit
+    compare exactly that. *)
 
 type point = {
   ck_dyn : int;  (** dynamic instructions executed before this point *)
@@ -52,7 +59,9 @@ type point = {
   ck_stack : frame_snap array;  (** outermost first *)
   ck_pages : (int * bytes) array;
       (** dirty pages at capture; with the pristine template this is the
-          whole memory image *)
+          whole memory image.  A page whose bytes did not change since
+          the previous point shares that point's copy
+          ({!Memory.snapshot_pages}); nothing mutates a copy *)
 }
 
 type set = {

@@ -129,6 +129,8 @@ type cfunc = {
   flt_init : float array;
   lw_init : int array; (* nregs of -1 *)
   reg_ty : Ir.Ty.t array; (* the real registers only *)
+  has_flt : bool;
+      (* has a float register; without one, nothing writes [flts] *)
 }
 
 type t = {
@@ -364,6 +366,7 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
     flt_init;
     lw_init = Array.make nregs (-1);
     reg_ty = f.reg_ty;
+    has_flt = Array.exists Ir.Ty.is_float f.reg_ty;
   }
 
 let compile (p : Program.t) : t =
@@ -512,7 +515,9 @@ let exit_stats () =
   }
 
 (* Index of the first slot at which [a] and [b] (no shorter than [a])
-   differ, or -1. *)
+   differ, or -1.  [a] is a frame snapshot, [b] a live frame of the same
+   function: the snapshot holds the real registers, the frame those and
+   the constant slots. *)
 let first_diff (a : int array) (b : int array) =
   let n = Array.length a in
   let rec go j =
@@ -522,10 +527,9 @@ let first_diff (a : int array) (b : int array) =
   in
   go 0
 
-let same_ints (a : int array) (b : int array) =
-  Array.length b = Array.length a && first_diff a b < 0
-
-(* By bits: -0.0 <> 0.0, and NaN payloads are told apart. *)
+(* By bits: -0.0 <> 0.0, and NaN payloads are told apart.  [a] is a
+   snapshot's float file, empty for a function without a float
+   register. *)
 let same_flts (a : float array) (b : float array) =
   let n = Array.length a in
   let rec go j =
@@ -534,18 +538,20 @@ let same_flts (a : float array) (b : float array) =
        = Int64.bits_of_float (Array.unsafe_get b j)
        && go (j + 1)
   in
-  Array.length b = n && go 0
+  go 0
 
 (* Does a captured stack ([snaps], outermost first) equal the live one:
    the innermost [frame] at [fidx]/[pc] plus the shadow stack [outer]
    (innermost first)?  In-progress calls' dynamic indexes are not
    compared: they only feed [last_write], which nothing reads once the
-   injector is done. *)
+   injector is done.  A snapshot keeps only what a run can change (see
+   [snapshot_stack]), so the kept prefix is the whole comparison. *)
 let same_stack (snaps : Checkpoint.frame_snap array) fidx
     (frame : Exec.frame) pc outer =
   let top = Array.length snaps - 1 in
   let same (s : Checkpoint.frame_snap) f (fr : Exec.frame) =
-    s.fs_fidx = f && same_ints s.fs_ints fr.Exec.ints
+    s.fs_fidx = f
+    && first_diff s.fs_ints fr.Exec.ints < 0
     && same_flts s.fs_flts fr.Exec.flts
   in
   let rec outers k = function
@@ -675,20 +681,33 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let shadow = rec_on || exits_on in
   let rstack : (int * Exec.frame * int * int) list ref = ref [] in
   let funcs = if rec_on then recording_funcs code else code.funcs in
+  (* A frame snapshot keeps what a run can change: the real registers,
+     never the constant slots (a code flip that names a register past
+     them is an illegal instruction), and no float file for a function
+     without a float register.  [rebuild] puts the rest back from the
+     function's initial frame. *)
   let snapshot_stack fidx (frame : Exec.frame) i =
     let snap_of (fidx, (fr : Exec.frame), pc, calld) =
+      let cf = Array.unsafe_get funcs fidx in
+      let nregs = Array.length cf.reg_ty in
       {
         Checkpoint.fs_fidx = fidx;
         fs_pc = pc;
         fs_call_dyn = calld;
-        fs_ints = Array.copy fr.Exec.ints;
-        fs_flts = Array.copy fr.Exec.flts;
+        fs_ints = Array.sub fr.Exec.ints 0 nregs;
+        fs_flts =
+          (if cf.has_flt then Array.sub fr.Exec.flts 0 nregs else [||]);
         fs_lw = Array.copy fr.Exec.last_write;
       }
     in
     Array.of_list (List.rev_map snap_of ((fidx, frame, i, 0) :: !rstack))
   in
   let capture fidx frame i =
+    let prev =
+      match recd.Checkpoint.rev_points with
+      | p :: _ -> p.Checkpoint.ck_pages
+      | [] -> [||]
+    in
     Checkpoint.add recd
       {
         Checkpoint.ck_dyn = st.dyn;
@@ -696,7 +715,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         ck_wc = st.wc;
         ck_out = Buffer.contents out;
         ck_stack = snapshot_stack fidx frame i;
-        ck_pages = Memory.snapshot_pages mem;
+        ck_pages = Memory.snapshot_pages mem ~prev;
       }
   in
   (* ---- the early-exit probe ----
@@ -781,9 +800,9 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     if
       fidx = top.fs_fidx
       && g.Exec.dyn_count + delta <= budget
-      && (m >= Array.length ints
+      && (m >= Array.length top.fs_ints
          || Array.unsafe_get ints m = Array.unsafe_get top.fs_ints m)
-      && (match first_diff ints top.fs_ints with
+      && (match first_diff top.fs_ints ints with
          | -1 -> true
          | j ->
              miss := j;
@@ -807,12 +826,15 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let jumped fidx frame i =
     match exits with Some set -> probe_point set fidx frame i | None -> ()
   in
+  (* An anchor lives only until the next power of two, so its page
+     copies are young garbage: it copies afresh rather than compare each
+     page with the previous anchor's. *)
   let take_anchor fidx frame i =
     anchor :=
       Some
         {
           a_stack = snapshot_stack fidx frame i;
-          a_pages = Memory.snapshot_pages mem;
+          a_pages = Memory.snapshot_pages mem ~prev:[||];
           a_dyn = st.dyn;
           a_out = Buffer.length out;
         };
@@ -1382,12 +1404,11 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     end
   in
   let rebuild (s : Checkpoint.frame_snap) =
-    {
-      Exec.ints = Array.copy s.fs_ints;
-      flts = Array.copy s.fs_flts;
-      reg_ty = funcs.(s.fs_fidx).reg_ty;
-      last_write = Array.copy s.fs_lw;
-    }
+    let cf = funcs.(s.fs_fidx) in
+    let ints = Array.copy cf.int_init and flts = Array.copy cf.flt_init in
+    Array.blit s.fs_ints 0 ints 0 (Array.length s.fs_ints);
+    Array.blit s.fs_flts 0 flts 0 (Array.length s.fs_flts);
+    { Exec.ints; flts; reg_ty = cf.reg_ty; last_write = Array.copy s.fs_lw }
   in
   (* Re-enter the captured stack: the innermost frame runs to completion
      first, then each outer frame completes its call and continues. *)

@@ -123,14 +123,40 @@ let reset t =
       if Obs.Metrics.enabled () then Obs.Metrics.add m_pages_reset u.n_dirty;
       u.n_dirty <- 0
 
-let snapshot_pages t =
+(* Byte equality of [len] bytes at [a.(ao)] and [b.(bo)], a word at a
+   time. *)
+let equal_range a ao b bo len =
+  let rec words j =
+    j + 8 > len
+    || Bytes.get_int64_ne a (ao + j) = Bytes.get_int64_ne b (bo + j)
+       && words (j + 8)
+  in
+  let rec tail j =
+    j >= len || (Bytes.get a (ao + j) = Bytes.get b (bo + j) && tail (j + 1))
+  in
+  words 0 && tail (len land lnot 7)
+
+(* Both the dirty pages and [prev] are sorted by page index, so one
+   cursor walks [prev] alongside. *)
+let snapshot_pages t ~prev =
   match t.undo with
   | None -> invalid_arg "Memory.snapshot_pages: not an undo-tracking memory"
   | Some u ->
       let pages = Array.sub u.dirty 0 u.n_dirty in
-      Array.sort compare pages;
+      Array.sort Int.compare pages;
+      let k = ref 0 and n = Array.length prev in
       Array.map
-        (fun p -> (p, Bytes.sub t.arena (p lsl page_bits) (page_len t p)))
+        (fun p ->
+          let off = p lsl page_bits and len = page_len t p in
+          while !k < n && fst prev.(!k) < p do
+            incr k
+          done;
+          if
+            !k < n
+            && fst prev.(!k) = p
+            && equal_range t.arena off (snd prev.(!k)) 0 len
+          then prev.(!k)
+          else (p, Bytes.sub t.arena off len))
         pages
 
 let restore_pages t pages =
@@ -154,19 +180,6 @@ let pages t = (t.size + page_size - 1) / page_size
 let[@inline] note_read last ~width ~addr dyn =
   Array.unsafe_set last (addr lsr page_bits) dyn;
   Array.unsafe_set last ((addr + width - 1) lsr page_bits) dyn
-
-(* Byte equality of [len] bytes at [a.(ao)] and [b.(bo)], a word at a
-   time. *)
-let equal_range a ao b bo len =
-  let rec words j =
-    j + 8 > len
-    || Bytes.get_int64_ne a (ao + j) = Bytes.get_int64_ne b (bo + j)
-       && words (j + 8)
-  in
-  let rec tail j =
-    j >= len || (Bytes.get a (ao + j) = Bytes.get b (bo + j) && tail (j + 1))
-  in
-  words 0 && tail (len land lnot 7)
 
 (* Index of page [p] in a snapshot sorted by page index, or -1. *)
 let find_page (image : (int * bytes) array) p =
@@ -267,20 +280,40 @@ let flip_bit t ~addr ~bit =
 
 (* The mapped (flippable) addresses of the arena, in address order.  The
    mapped table is immutable and shared across clones, so this is a pure
-   function of the program's layout — compute it once per workload. *)
+   function of the program's layout — compute it once per workload.
+   Mapped bytes come in runs, one per global: one scan of the flags
+   collects the runs, and the fill walks them. *)
 let mapped_addrs t =
-  let n = ref 0 in
-  for i = 0 to t.size - 1 do
-    if Bytes.unsafe_get t.mapped i <> '\000' then incr n
-  done;
-  let out = Array.make !n 0 in
-  let k = ref 0 in
-  for i = 0 to t.size - 1 do
-    if Bytes.unsafe_get t.mapped i <> '\000' then begin
-      out.(!k) <- i;
-      incr k
+  let runs = ref [] and n = ref 0 and i = ref 0 in
+  (* Past the bytes flagged [c] from [!i] on, eight at a time while it
+     can. *)
+  let run_end c =
+    let word = if c = '\000' then 0L else 0x0101010101010101L in
+    while !i + 8 <= t.size && Bytes.get_int64_ne t.mapped !i = word do
+      i := !i + 8
+    done;
+    while !i < t.size && Bytes.unsafe_get t.mapped !i = c do
+      incr i
+    done
+  in
+  while !i < t.size do
+    let start = !i in
+    if Bytes.unsafe_get t.mapped start = '\000' then run_end '\000'
+    else begin
+      run_end '\001';
+      runs := (start, !i - start) :: !runs;
+      n := !n + (!i - start)
     end
   done;
+  (* [runs] is last run first: fill from the end. *)
+  let out = Array.make !n 0 and k = ref !n in
+  List.iter
+    (fun (start, len) ->
+      k := !k - len;
+      for j = 0 to len - 1 do
+        Array.unsafe_set out (!k + j) (start + j)
+      done)
+    !runs;
   out
 
 let peek_bytes t ~addr ~len =

@@ -42,10 +42,14 @@ val reset : t -> unit
     trap mid-run, hang): never-written pages already equal the template.
     Raises [Invalid_argument] on a memory without undo tracking. *)
 
-val snapshot_pages : t -> (int * bytes) array
+val snapshot_pages : t -> prev:(int * bytes) array -> (int * bytes) array
 (** Copies of the currently dirty pages, sorted by page index.  Together
     with the template this is a complete mid-run memory image: restoring
-    it onto a [reset] memory reproduces the arena byte-for-byte. *)
+    it onto a [reset] memory reproduces the arena byte-for-byte.  [prev]
+    is an earlier snapshot of a memory of the same template ([[||]] for
+    none): a page whose bytes equal its copy there is that entry, shared
+    rather than copied again.  Sound because no reader mutates a copy:
+    {!restore_pages} and {!equal_image} only read them. *)
 
 val restore_pages : t -> (int * bytes) array -> unit
 (** [reset] followed by blitting the snapshot pages back in (re-marking

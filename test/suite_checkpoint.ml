@@ -220,7 +220,7 @@ let test_memory_undo () =
   Vm.Memory.write_int m ~width:8 ~addr:1056 77;
   Alcotest.(check bool) "dirty after writes" true (Vm.Memory.dirty_pages m > 0);
   (* Snapshot the touched pages, dirty some more, then restore. *)
-  let snap = Vm.Memory.snapshot_pages m in
+  let snap = Vm.Memory.snapshot_pages m ~prev:[||] in
   Vm.Memory.write_int m ~width:4 ~addr:1028 123456;
   Vm.Memory.restore_pages m snap;
   Alcotest.(check int) "restored word" 0xDEAD
@@ -364,6 +364,67 @@ let test_points_at_jump_targets () =
         pts)
     [ "crc32"; "qsort"; "sha"; "nn" ]
 
+(* Points keep only what a run can change.  A frame snapshot holds the
+   function's real registers, and its float file only when the function
+   has a float register; a point shares the previous point's copy of a
+   page whose bytes did not change.  A shared copy must still be the
+   memory at its point: the sampled points' images equal a run stopped
+   by the watchdog at their dyn.  fft adds the float files. *)
+let test_compact_points () =
+  List.iter
+    (fun name ->
+      let w = registry_workload name in
+      let pts = w.checkpoints.Vm.Checkpoint.points in
+      let int_only = ref 0 and with_flt = ref 0 in
+      Array.iter
+        (fun (p : Vm.Checkpoint.point) ->
+          Array.iter
+            (fun (s : Vm.Checkpoint.frame_snap) ->
+              let tys = w.prog.funcs.(s.fs_fidx).reg_ty in
+              let nregs = Array.length tys in
+              let has_flt = Array.exists Ir.Ty.is_float tys in
+              incr (if has_flt then with_flt else int_only);
+              let label = Printf.sprintf "%s dyn %d" name p.ck_dyn in
+              Alcotest.(check int) (label ^ " ints") nregs
+                (Array.length s.fs_ints);
+              Alcotest.(check int) (label ^ " floats")
+                (if has_flt then nregs else 0)
+                (Array.length s.fs_flts))
+            p.ck_stack)
+        pts;
+      Alcotest.(check bool)
+        (name ^ " has the frames it is here for")
+        true
+        (if name = "fft" then !with_flt > 0 else !int_only > 0);
+      let shares k =
+        k > 0
+        && Array.exists
+             (fun (pg, b) ->
+               Array.exists
+                 (fun (q, b') -> q = pg && b == b')
+                 pts.(k - 1).Vm.Checkpoint.ck_pages)
+             pts.(k).ck_pages
+      in
+      let shared =
+        List.filter shares (List.init (Array.length pts) Fun.id)
+      in
+      Alcotest.(check bool) (name ^ " shares page copies") true (shared <> []);
+      let n = List.length shared in
+      List.iteri
+        (fun j k ->
+          if j mod max 1 (n / 8) = 0 then begin
+            let p = pts.(k) in
+            let mem = Vm.Memory.with_undo w.prog.mem_template in
+            let r = Vm.Code.run ~mem ~budget:p.ck_dyn w.code in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s image at dyn %d" name p.ck_dyn)
+              true
+              (r.status = Vm.Exec.Hung
+              && Vm.Memory.equal_image mem p.ck_pages ~live:(fun _ -> true))
+          end)
+        shared)
+    [ "crc32"; "nn"; "fft" ]
+
 (* Checkpoint selection: the chosen point never overshoots the target
    ordinal, and recording monotonically orders both ordinal axes. *)
 let test_select () =
@@ -453,6 +514,7 @@ let suites =
           test_workload_owns_memories;
         Alcotest.test_case "points sit at jump targets" `Quick
           test_points_at_jump_targets;
+        Alcotest.test_case "compact points" `Quick test_compact_points;
         Alcotest.test_case "point selection" `Quick test_select;
         Alcotest.test_case "reproduce from campaign record" `Quick
           test_reproduce_from_campaign_record;
