@@ -28,7 +28,7 @@ let run_oracle (workload : Workload.t) inj =
   | Domain.Reg -> Vm.Exec.run ~hooks ~budget:workload.budget workload.prog
   | Domain.Mem ->
       let mem = Vm.Memory.clone workload.prog.Vm.Program.mem_template in
-      Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
+      Injector.bind_mem inj ~mapped:workload.Workload.mem_mapped ~mem;
       Vm.Exec.run ~hooks ~mem ~budget:workload.budget workload.prog
   | Domain.Code ->
       (* The interpreter executes the injector's private image directly:
@@ -61,7 +61,7 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
               ();
             fork
         | Domain.Mem ->
-            Injector.bind_mem inj ~addrs:workload.Workload.mem_addrs ~mem;
+            Injector.bind_mem inj ~mapped:workload.Workload.mem_mapped ~mem;
             workload.code
         | Domain.Reg -> workload.code
       in

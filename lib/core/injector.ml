@@ -17,7 +17,7 @@ type state = Wait_first of int | Wait_next of int | Done
 type binding =
   | Unbound
   | Breg
-  | Bmem of { addrs : int array; mem : Vm.Memory.t }
+  | Bmem of { mapped : Vm.Memory.mapped; mem : Vm.Memory.t }
   | Bcode of {
       sites : Vm.Codeflip.sites;
       image : Vm.Program.t;
@@ -64,11 +64,11 @@ let create ~spec ~candidates ?(spacing = `Faulty) ?first rng =
 
 let domain t = t.spec.Spec.domain
 
-let bind_mem t ~addrs ~mem =
+let bind_mem t ~mapped ~mem =
   (match t.spec.Spec.domain with
   | Domain.Mem -> ()
   | _ -> invalid_arg "Injector.bind_mem: not a Mem-domain injector");
-  t.binding <- Bmem { addrs; mem }
+  t.binding <- Bmem { mapped; mem }
 
 let bind_code t ~sites ~image ?apply () =
   (match t.spec.Spec.domain with
@@ -219,8 +219,8 @@ let fire_next t ~dyn frame meta =
 (* Flip a uniform bit of a uniform live (mapped) arena byte.  The flip
    marks the page dirty, so undo-tracking memories restore it like any
    program store. *)
-let fire_mem t ~dyn ~first addrs mem =
-  let n = Array.length addrs in
+let fire_mem t ~dyn ~first mapped mem =
+  let n = Vm.Memory.mapped_count mapped in
   if n = 0 then t.state <- Done
   else begin
     let forced_bit =
@@ -230,7 +230,7 @@ let fire_mem t ~dyn ~first addrs mem =
         | _ -> None
       else None
     in
-    let addr = addrs.(Prng.int t.rng n) in
+    let addr = Vm.Memory.mapped_addr mapped (Prng.int t.rng n) in
     if first && win0_multi t then begin
       let k = min t.spec.max_mbf 8 in
       let bits =
@@ -315,7 +315,7 @@ let fire_code t ~dyn ~first sites image apply =
 
 let fire_domain t ~dyn ~first =
   match t.binding with
-  | Bmem { addrs; mem } -> fire_mem t ~dyn ~first addrs mem
+  | Bmem { mapped; mem } -> fire_mem t ~dyn ~first mapped mem
   | Bcode { sites; image; apply } -> fire_code t ~dyn ~first sites image apply
   | Breg -> assert false
   | Unbound ->

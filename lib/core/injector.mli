@@ -76,9 +76,9 @@ val create :
 
 val domain : t -> Domain.t
 
-val bind_mem : t -> addrs:int array -> mem:Vm.Memory.t -> unit
-(** Attach the Mem-domain target: the mapped-address table (static per
-    workload, {!Vm.Memory.mapped_addrs} of the template) and the live
+val bind_mem : t -> mapped:Vm.Memory.mapped -> mem:Vm.Memory.t -> unit
+(** Attach the Mem-domain target: the mapped bytes (static per
+    workload, {!Vm.Memory.mapped} of the template) and the live
     memory this run executes against.  Re-bind per run — the memory is
     run-private (a clone, or one of the workload's undo-tracking
     memories; flips mark pages dirty, so page-restore undoes them). *)

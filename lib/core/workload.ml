@@ -11,8 +11,8 @@ type t = {
   budget : int;
   digest : string;
       (* md5 of the printed IR; part of every result-store key *)
-  mem_addrs : int array;
-      (* mapped arena addresses of the template — the Mem domain's
+  mem_mapped : Vm.Memory.mapped;
+      (* mapped arena bytes of the template, as runs — the Mem domain's
          location space *)
   code_sites : Vm.Codeflip.sites;
       (* static instruction-field table — the Code domain's location
@@ -51,7 +51,7 @@ let make ?(hang_factor = 10) ?expected_output ~name m =
     checkpoints;
     budget = (hang_factor * golden.dyn_count) + 1000;
     digest = Ir.Fingerprint.modl m;
-    mem_addrs = Vm.Memory.mapped_addrs prog.mem_template;
+    mem_mapped = Vm.Memory.mapped prog.mem_template;
     code_sites = Vm.Codeflip.sites prog;
     mems = Atomic.make [];
   }

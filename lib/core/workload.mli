@@ -37,9 +37,10 @@ type t = {
       (** md5 hex digest of the printed IR; campaign results are only
           reusable across processes when the program text is unchanged, so
           the digest is part of every result-store key *)
-  mem_addrs : int array;
-      (** mapped arena addresses of the memory template, in address
-          order — the [Mem] fault domain's location space *)
+  mem_mapped : Vm.Memory.mapped;
+      (** the mapped bytes of the memory template, as runs
+          ({!Vm.Memory.mapped}) — the [Mem] fault domain's location
+          space *)
   code_sites : Vm.Codeflip.sites;
       (** the program's static instruction-field table — the [Code]
           fault domain's location space *)

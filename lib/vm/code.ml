@@ -10,24 +10,33 @@
    arrays.  The per-site candidate metadata ({!Meta.t}) and packed
    candidate flags ride alongside each micro-op.
 
-   [run] is an event-driven loop with two instantiations of one body.
-   The counting loop keeps candidate ordinals and [last_write], and
-   enters the hooked slow path (the fault injector) only when a
-   scheduled event threshold is crossed; recording runs and faulty runs
-   up to their last flip use it.  The quiet loop, which runs everything
-   else, pays the budget compare and the dispatch per instruction.
-   After the final flip, a run given the golden checkpoint set leaves
-   it only at the early-exit probe's stops, which share the budget
-   compare, and at jumps to one watched pc: the probe finishes the run
-   as the golden run finishes once it has rejoined the golden run, at
-   any dyn and past any output, and fast-forwards a hang whose state
-   repeats exactly to the watchdog.
+   It then compiles every micro-op to OCaml closures with one builder
+   ([build]), the only place a micro-op's semantics is written, in two
+   forms.  A {e dyn segment} runs from a pc to the next call, patched
+   instruction or terminator, inclusive.  The chained form at pc p
+   executes p and tail-calls the chained closure of p + 1, up to its
+   segment's end, which returns the next pc.  The single-step form
+   executes one micro-op and returns the next pc.
+
+   [run] is an event-driven runner over them.  The counting loop keeps
+   candidate ordinals and [last_write], and enters the hooked slow path
+   (the fault injector) only when a scheduled event threshold is
+   crossed; recording runs and faulty runs up to their last flip use
+   it, single-stepping.  The quiet runner, which runs everything else,
+   adds a whole segment's length to the dyn and runs its chain when the
+   segment ends below [limit], and single-steps it otherwise.  After the
+   final flip, a run given the golden checkpoint set leaves it only at
+   the early-exit probe's stops, which share the limit compare, and at
+   jumps to one watched pc: the probe finishes the run as the golden
+   run finishes once it has rejoined the golden run, at any dyn and
+   past any output, and fast-forwards a hang whose state repeats exactly
+   to the watchdog.
 
    The decode is behaviour-preserving by construction: every micro-op's
    semantics is the specialisation of the corresponding [Exec.step] case
    with the operand resolution and type dispatch hoisted to decode time.
-   The differential suite (test/suite_vm_code.ml) and the CI pipeline
-   smoke hold the two backends bit-identical. *)
+   The differential suite (test/suite_vm_code.ml) holds the two backends
+   bit-identical. *)
 
 type events = {
   watch : [ `Read | `Write | `Dyn ];
@@ -117,6 +126,53 @@ type uop =
   | Uinterp of Ir.Instr.t
   | Uinterp_t of Ir.Instr.terminator
 
+(* The state of one run, which the compiled closures read and write: the
+   closures are built once per code and shared across domains, so every
+   per-run value reaches them through this argument. *)
+type ctx = {
+  mutable dyn : int;
+      (* the next instruction's dyn; past a chained segment's end while
+         its chain runs, so a trapping closure takes off what follows it *)
+  mutable rc : int;
+  mutable wc : int;
+  mutable ret_i : int;
+  mutable ret_f : float;
+  mutable limit : int;
+      (* the runner leaves its fast path once [dyn] reaches this: the
+         budget, or the early-exit probe's next stop if sooner *)
+  mutable watch_pc : int;
+      (* a jump to this pc probes the golden point the probe watches;
+         -1 (no pc) when it watches none *)
+  mutable fr : Exec.frame; (* the running frame *)
+  mutable ints : int array; (* its register files *)
+  mutable flts : float array;
+  mutable depth : int; (* the running frame's call depth *)
+  mutable rstack : (int * Exec.frame * int * int) list;
+      (* shadow call stack, innermost first: (fidx, frame, call pc, call
+         dyn) of every in-progress call, [Ucall] or a patched call alike,
+         so its length is always the current depth.  Maintained when
+         [shadow]. *)
+  shadow : bool; (* when recording and when the exits may arm *)
+  mem : Memory.t;
+  out : Buffer.t;
+  last_read : int array;
+      (* per memory page, the last dyn at which a recording run loads
+         from it: the golden-rejoin exit's page liveness *)
+  mutable enter : int -> Exec.frame -> unit;
+      (* run function [fidx] on a fresh frame from its first pc, at
+         [depth], on the running code, then make the caller's frame the
+         running one again *)
+  mutable jumped : int -> Exec.frame -> int -> unit;
+      (* the probe, after a jump to [watch_pc] *)
+  mutable interp : int -> Exec.frame -> int -> Ir.Instr.t -> unit;
+      (* a patched instruction, at [fidx] and pc *)
+}
+
+(* A compiled micro-op: runs against the run's running frame and returns
+   the next pc (-1 once the frame returns).  One argument, so a chain's
+   tail call jumps straight to the next closure's code. *)
+type op = ctx -> int
+
 type cfunc = {
   name : string;
   uops : uop array; (* blocks flattened in order; block b at block_off.(b) *)
@@ -131,6 +187,11 @@ type cfunc = {
   reg_ty : Ir.Ty.t array; (* the real registers only *)
   has_flt : bool;
       (* has a float register; without one, nothing writes [flts] *)
+  chain : op array; (* per pc: the chained form *)
+  step : op array;
+      (* per pc: the single-step form; a segment's end has one form,
+         shared *)
+  seg : int array; (* per pc: instructions from it to its segment's end *)
 }
 
 type t = {
@@ -144,6 +205,10 @@ type t = {
 }
 
 let program t = t.source
+
+(* The continuation of a single-step closure, which returns to the
+   runner instead of calling it ([go]). *)
+let fall : op = fun _ -> assert false
 
 (* ---- decode ---- *)
 
@@ -367,11 +432,571 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
     lw_init = Array.make nregs (-1);
     reg_ty = f.reg_ty;
     has_flt = Array.exists Ir.Ty.is_float f.reg_ty;
+    chain = Array.make !total fall;
+    step = Array.make !total fall;
+    seg = Array.make !total 0;
   }
 
+(* ---- the closure builder ---- *)
+
+let to_u64 v = Int64.logand (Int64.of_int v) 0x7FFFFFFFFFFFFFFFL
+
+(* Operand reads for the generic [Uinterp] path.  Register slots 0..nregs-1
+   of a compiled frame hold exactly the seed interpreter's register values
+   (the backends' core bit-identity invariant), so reading a flipped
+   register index out of them matches the seed run on the mutated image. *)
+let igeti (frame : Exec.frame) (op : Ir.Instr.operand) =
+  match op with
+  | Ir.Instr.Reg r -> frame.Exec.ints.(r)
+  | Imm n -> n
+  | FImm _ | Glob _ -> assert false (* canonicalised; flips preserve kind *)
+
+let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
+  match op with
+  | Ir.Instr.Reg r -> frame.Exec.flts.(r)
+  | FImm x -> x
+  | Imm _ | Glob _ -> assert false
+
+(* Does the micro-op end its dyn segment?  Terminators, whose block ends
+   there; calls, whose callee runs at the call's dyn + 1 and may move
+   [limit] or [watch_pc]; and patched instructions, which interpret
+   generically and cannot take a chain's dyn off before they trap. *)
+let ends = function
+  | Ucall _ | Uinterp _ | Uinterp_t _ | Ujmp _ | Ucbr _ | Uret | Uret_i _
+  | Uret_f _ | Uabort ->
+      true
+  | _ -> false
+
+(* A trap at a chained closure with [after] more instructions in its
+   segment: the run ends at the trapping instruction's dyn + 1, as it
+   would single-stepping. *)
+let trap c after t =
+  c.dyn <- c.dyn - after;
+  raise (Trap.Trap t)
+
+(* Go on at [i + 1]: down the chain, or, single-stepping, back to the
+   runner. *)
+let[@inline] go k c i = if k == fall then i + 1 else k c
+
+(* A block exit to [p]: a jump to the watched pc probes first. *)
+let[@inline] exit_to c fidx p =
+  if p = c.watch_pc then c.jumped fidx c.fr p;
+  p
+
+let[@inline] fcmp op x y =
+  let ordered = (not (Float.is_nan x)) && not (Float.is_nan y) in
+  let r =
+    match op with
+    | 0 -> ordered && x = y
+    | 1 -> ordered && x <> y
+    | 2 -> x < y
+    | 3 -> x <= y
+    | 4 -> x > y
+    | _ -> x >= y
+  in
+  if r then 1 else 0
+
+(* The closure of micro-op [u] at pc [i] of function [fidx].  [k] runs
+   next: the chain's closure at [i + 1], or [fall] single-stepping.
+   [after] is the number of instructions in the segment after [i] that
+   the run's dyn already counts (0 single-stepping).  [next] is the
+   micro-op at [i + 1] when chaining: an [icmp] whose register the
+   block's [cbr] reads fuses with it, still writing the register, which
+   later code may read.  A micro-op that ends its segment ignores [k]
+   and returns the pc to go on at.  [funcs] gives a callee's initial
+   frame, which is immutable and shared by every fork; the callee's
+   closures are the running code's ([ctx.enter]). *)
+let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
+    ~next : op =
+  match u with
+  | Uadd (dst, a, b, m) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          ((Array.unsafe_get ints a + Array.unsafe_get ints b) land m);
+        go k c i
+  | Usub (dst, a, b, m) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          ((Array.unsafe_get ints a - Array.unsafe_get ints b) land m);
+        go k c i
+  | Umul (dst, a, b, m) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          ((Array.unsafe_get ints a * Array.unsafe_get ints b) land m);
+        go k c i
+  | Usdiv (dst, a, b, sh, m) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        if y = 0 then trap c after Div_by_zero;
+        let x = Array.unsafe_get ints a in
+        Array.unsafe_set ints dst
+          ((((x lsl sh) asr sh) / ((y lsl sh) asr sh)) land m);
+        go k c i
+  | Uudiv_s (dst, a, b) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        if y = 0 then trap c after Div_by_zero;
+        Array.unsafe_set ints dst (Array.unsafe_get ints a / y);
+        go k c i
+  | Uudiv_l (dst, a, b, m) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        if y = 0 then trap c after Div_by_zero;
+        let x = Array.unsafe_get ints a in
+        Array.unsafe_set ints dst
+          (Int64.to_int (Int64.div (to_u64 x) (to_u64 y)) land m);
+        go k c i
+  | Usrem (dst, a, b, sh, m) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        if y = 0 then trap c after Div_by_zero;
+        let x = Array.unsafe_get ints a in
+        Array.unsafe_set ints dst
+          (Stdlib.( mod ) ((x lsl sh) asr sh) ((y lsl sh) asr sh) land m);
+        go k c i
+  | Uurem_s (dst, a, b) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        if y = 0 then trap c after Div_by_zero;
+        Array.unsafe_set ints dst (Stdlib.( mod ) (Array.unsafe_get ints a) y);
+        go k c i
+  | Uurem_l (dst, a, b, m) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        if y = 0 then trap c after Div_by_zero;
+        let x = Array.unsafe_get ints a in
+        Array.unsafe_set ints dst
+          (Int64.to_int (Int64.rem (to_u64 x) (to_u64 y)) land m);
+        go k c i
+  | Uand (dst, a, b) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          (Array.unsafe_get ints a land Array.unsafe_get ints b);
+        go k c i
+  | Uor (dst, a, b) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          (Array.unsafe_get ints a lor Array.unsafe_get ints b);
+        go k c i
+  | Uxor (dst, a, b) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          (Array.unsafe_get ints a lxor Array.unsafe_get ints b);
+        go k c i
+  | Ushl (dst, a, b, w, m) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        Array.unsafe_set ints dst
+          (if y < 0 || y >= w then 0
+           else (Array.unsafe_get ints a lsl y) land m);
+        go k c i
+  | Ulshr (dst, a, b, w) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        Array.unsafe_set ints dst
+          (if y < 0 || y >= w then 0 else Array.unsafe_get ints a lsr y);
+        go k c i
+  | Uashr (dst, a, b, w, sh, m) ->
+      fun c ->
+        let ints = c.ints in
+        let y = Array.unsafe_get ints b in
+        let s = if y < 0 || y >= w then w - 1 else y in
+        Array.unsafe_set ints dst
+          ((((Array.unsafe_get ints a lsl sh) asr sh) asr s) land m);
+        go k c i
+  | Uicmp (op, sh, dst, a, b) -> (
+      (* sgt, sge, ugt and uge are slt, sle, ult and ule on swapped
+         operands *)
+      let op, a, b =
+        if op = 4 || op = 5 || op = 8 || op = 9 then (op - 2, b, a)
+        else (op, a, b)
+      in
+      match next with
+      | Some (Ucbr (cnd, tpc, fpc)) when cnd = dst -> (
+          let[@inline] br c ints r =
+            Array.unsafe_set ints dst (if r then 1 else 0);
+            exit_to c fidx (if r then tpc else fpc)
+          in
+          match op with
+          | 0 ->
+              fun c ->
+                let ints = c.ints in
+                br c ints (Array.unsafe_get ints a = Array.unsafe_get ints b)
+          | 1 ->
+              fun c ->
+                let ints = c.ints in
+                br c ints
+                  (Array.unsafe_get ints a <> Array.unsafe_get ints b)
+          | 2 ->
+              fun c ->
+                let ints = c.ints in
+                br c ints
+                  ((Array.unsafe_get ints a lsl sh) asr sh
+                  < (Array.unsafe_get ints b lsl sh) asr sh)
+          | 3 ->
+              fun c ->
+                let ints = c.ints in
+                br c ints
+                  ((Array.unsafe_get ints a lsl sh) asr sh
+                  <= (Array.unsafe_get ints b lsl sh) asr sh)
+          | 6 ->
+              fun c ->
+                let ints = c.ints in
+                br c ints
+                  (Array.unsafe_get ints a lxor min_int
+                  < Array.unsafe_get ints b lxor min_int)
+          | _ ->
+              fun c ->
+                let ints = c.ints in
+                br c ints
+                  (Array.unsafe_get ints a lxor min_int
+                  <= Array.unsafe_get ints b lxor min_int))
+      | _ -> (
+          let[@inline] set ints r =
+            Array.unsafe_set ints dst (if r then 1 else 0)
+          in
+          match op with
+          | 0 ->
+              fun c ->
+                let ints = c.ints in
+                set ints (Array.unsafe_get ints a = Array.unsafe_get ints b);
+                go k c i
+          | 1 ->
+              fun c ->
+                let ints = c.ints in
+                set ints (Array.unsafe_get ints a <> Array.unsafe_get ints b);
+                go k c i
+          | 2 ->
+              fun c ->
+                let ints = c.ints in
+                set ints
+                  ((Array.unsafe_get ints a lsl sh) asr sh
+                  < (Array.unsafe_get ints b lsl sh) asr sh);
+                go k c i
+          | 3 ->
+              fun c ->
+                let ints = c.ints in
+                set ints
+                  ((Array.unsafe_get ints a lsl sh) asr sh
+                  <= (Array.unsafe_get ints b lsl sh) asr sh);
+                go k c i
+          | 6 ->
+              fun c ->
+                let ints = c.ints in
+                set ints
+                  (Array.unsafe_get ints a lxor min_int
+                  < Array.unsafe_get ints b lxor min_int);
+                go k c i
+          | _ ->
+              fun c ->
+                let ints = c.ints in
+                set ints
+                  (Array.unsafe_get ints a lxor min_int
+                  <= Array.unsafe_get ints b lxor min_int);
+                go k c i))
+  | Ufadd (dst, a, b) ->
+      fun c ->
+        let flts = c.flts in
+        Array.unsafe_set flts dst
+          (Array.unsafe_get flts a +. Array.unsafe_get flts b);
+        go k c i
+  | Ufsub (dst, a, b) ->
+      fun c ->
+        let flts = c.flts in
+        Array.unsafe_set flts dst
+          (Array.unsafe_get flts a -. Array.unsafe_get flts b);
+        go k c i
+  | Ufmul (dst, a, b) ->
+      fun c ->
+        let flts = c.flts in
+        Array.unsafe_set flts dst
+          (Array.unsafe_get flts a *. Array.unsafe_get flts b);
+        go k c i
+  | Ufdiv (dst, a, b) ->
+      fun c ->
+        let flts = c.flts in
+        Array.unsafe_set flts dst
+          (Array.unsafe_get flts a /. Array.unsafe_get flts b);
+        go k c i
+  | Ufcmp (op, dst, a, b) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        Array.unsafe_set ints dst
+          (fcmp op (Array.unsafe_get flts a) (Array.unsafe_get flts b));
+        go k c i
+  | Usel_i (dst, cnd, a, b) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          (if Array.unsafe_get ints cnd <> 0 then Array.unsafe_get ints a
+           else Array.unsafe_get ints b);
+        go k c i
+  | Usel_f (dst, cnd, a, b) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        Array.unsafe_set flts dst
+          (if Array.unsafe_get ints cnd <> 0 then Array.unsafe_get flts a
+           else Array.unsafe_get flts b);
+        go k c i
+  | Umask (dst, a, m) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst (Array.unsafe_get ints a land m);
+        go k c i
+  | Usext (dst, a, sh, m) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst
+          (((Array.unsafe_get ints a lsl sh) asr sh) land m);
+        go k c i
+  | Ufptosi (dst, a, m) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        let x = Array.unsafe_get flts a in
+        Array.unsafe_set ints dst
+          (if Float.is_nan x || Float.abs x >= 4.611686018427387904e18 then 0
+           else int_of_float x land m);
+        go k c i
+  | Usitofp (dst, a, sh) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        Array.unsafe_set flts dst
+          (float_of_int ((Array.unsafe_get ints a lsl sh) asr sh));
+        go k c i
+  | Umov_i (dst, a) ->
+      fun c ->
+        let ints = c.ints in
+        Array.unsafe_set ints dst (Array.unsafe_get ints a);
+        go k c i
+  | Umov_f (dst, a) ->
+      fun c ->
+        let flts = c.flts in
+        Array.unsafe_set flts dst (Array.unsafe_get flts a);
+        go k c i
+  | Uload_i (dst, addr, w) ->
+      fun c ->
+        let ints = c.ints in
+        (match
+           Memory.read_int c.mem ~width:w ~addr:(Array.unsafe_get ints addr)
+         with
+        | v -> Array.unsafe_set ints dst v
+        | exception Trap.Trap t -> trap c after t);
+        go k c i
+  | Uload_f (dst, addr) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        (match Memory.read_f64 c.mem ~addr:(Array.unsafe_get ints addr) with
+        | v -> Array.unsafe_set flts dst v
+        | exception Trap.Trap t -> trap c after t);
+        go k c i
+  | Urload_i (dst, addr, w) ->
+      fun c ->
+        let ints = c.ints in
+        let a = Array.unsafe_get ints addr in
+        (match Memory.read_int c.mem ~width:w ~addr:a with
+        | v -> Array.unsafe_set ints dst v
+        | exception Trap.Trap t -> trap c after t);
+        Memory.note_read c.last_read ~width:w ~addr:a (c.dyn - 1 - after);
+        go k c i
+  | Urload_f (dst, addr) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        let a = Array.unsafe_get ints addr in
+        (match Memory.read_f64 c.mem ~addr:a with
+        | v -> Array.unsafe_set flts dst v
+        | exception Trap.Trap t -> trap c after t);
+        Memory.note_read c.last_read ~width:8 ~addr:a (c.dyn - 1 - after);
+        go k c i
+  | Ustore_i (v, addr, w) ->
+      fun c ->
+        let ints = c.ints in
+        (match
+           Memory.write_int c.mem ~width:w
+             ~addr:(Array.unsafe_get ints addr)
+             (Array.unsafe_get ints v)
+         with
+        | () -> ()
+        | exception Trap.Trap t -> trap c after t);
+        go k c i
+  | Ustore_f (v, addr) ->
+      fun c ->
+        let ints = c.ints and flts = c.flts in
+        (match
+           Memory.write_f64 c.mem
+             ~addr:(Array.unsafe_get ints addr)
+             (Array.unsafe_get flts v)
+         with
+        | () -> ()
+        | exception Trap.Trap t -> trap c after t);
+        go k c i
+  | Ugep (dst, base, index, scale) ->
+      fun c ->
+        let ints = c.ints in
+        let idx =
+          ((Array.unsafe_get ints index land 0xFFFFFFFF) lsl 31) asr 31
+        in
+        Array.unsafe_set ints dst
+          ((Array.unsafe_get ints base + (idx * scale)) land 0xFFFFFFFF);
+        go k c i
+  | Ucall cr ->
+      let callee = funcs.(cr.c_callee) in
+      let int_init = callee.int_init and flt_init = callee.flt_init in
+      let reg_ty = callee.reg_ty and lw_init = callee.lw_init in
+      fun c ->
+        let ints = c.ints and flts = c.flts and fr = c.fr in
+        let depth = c.depth in
+        if depth >= Exec.max_call_depth then trap c after Stack_overflow;
+        let cframe =
+          {
+            Exec.ints = Array.copy int_init;
+            flts = Array.copy flt_init;
+            reg_ty;
+            last_write = Array.copy lw_init;
+          }
+        in
+        for j = 0 to Array.length cr.c_args - 1 do
+          if cr.c_arg_f.(j) then
+            cframe.Exec.flts.(j) <- Array.unsafe_get flts cr.c_args.(j)
+          else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
+        done;
+        if c.shadow then c.rstack <- (fidx, fr, i, c.dyn - 1) :: c.rstack;
+        c.depth <- depth + 1;
+        c.enter cr.c_callee cframe;
+        c.depth <- depth;
+        if c.shadow then c.rstack <- List.tl c.rstack;
+        if cr.c_dst >= 0 then
+          if cr.c_dst_f then Array.unsafe_set flts cr.c_dst c.ret_f
+          else Array.unsafe_set ints cr.c_dst c.ret_i;
+        i + 1
+  | Ucall_b1 (dst, fn, a) ->
+      fun c ->
+        let flts = c.flts in
+        let r = fn (Array.unsafe_get flts a) in
+        if dst >= 0 then Array.unsafe_set flts dst r;
+        go k c i
+  | Ucall_b2 (dst, fn, a, b) ->
+      fun c ->
+        let flts = c.flts in
+        let r = fn (Array.unsafe_get flts a) (Array.unsafe_get flts b) in
+        if dst >= 0 then Array.unsafe_set flts dst r;
+        go k c i
+  | Uout_i (s, tag) ->
+      fun c ->
+        let ints = c.ints in
+        let v = Array.unsafe_get ints s in
+        (match tag with
+        | 0 -> Buffer.add_uint8 c.out (v land 0xFF)
+        | 1 -> Buffer.add_uint16_le c.out v
+        | 2 -> Buffer.add_int32_le c.out (Int32.of_int v)
+        | _ -> Buffer.add_int64_le c.out (to_u64 v));
+        go k c i
+  | Uout_f s ->
+      fun c ->
+        let flts = c.flts in
+        Buffer.add_int64_le c.out
+          (Int64.bits_of_float (Array.unsafe_get flts s));
+        go k c i
+  | Uguard_i (a, b) ->
+      fun c ->
+        let ints = c.ints in
+        if Array.unsafe_get ints a <> Array.unsafe_get ints b then
+          trap c after Guard_violation;
+        go k c i
+  | Uguard_f (a, b) ->
+      fun c ->
+        let flts = c.flts in
+        if
+          not
+            (Int64.equal
+               (Int64.bits_of_float (Array.unsafe_get flts a))
+               (Int64.bits_of_float (Array.unsafe_get flts b)))
+        then trap c after Guard_violation;
+        go k c i
+  | Uabort -> fun c -> trap c after Abort_called
+  | Ujmp p -> fun c -> exit_to c fidx p
+  | Ucbr (cnd, tpc, fpc) ->
+      fun c ->
+        exit_to c fidx (if Array.unsafe_get c.ints cnd <> 0 then tpc else fpc)
+  | Uret -> fun _ -> -1
+  | Uret_i s ->
+      fun c ->
+        c.ret_i <- Array.unsafe_get c.ints s;
+        -1
+  | Uret_f s ->
+      fun c ->
+        c.ret_f <- Array.unsafe_get c.flts s;
+        -1
+  | Uinterp ins ->
+      fun c ->
+        c.interp fidx c.fr i ins;
+        i + 1
+  | Uinterp_t tm -> (
+      let block_off = funcs.(fidx).block_off in
+      match tm with
+      | Br l ->
+          let p = block_off.(l) in
+          fun _ -> p
+      | Cbr { cond; if_true; if_false } ->
+          fun c ->
+            block_off.(if igeti c.fr cond <> 0 then if_true else if_false)
+      | Ret None -> fun _ -> -1
+      | Ret (Some v) -> (
+          match src.Program.funcs.(fidx).Program.ret with
+          | Some rt when Ir.Ty.is_float rt ->
+              fun c ->
+                c.ret_f <- igetf c.fr v;
+                -1
+          | Some _ ->
+              fun c ->
+                c.ret_i <- igeti c.fr v;
+                -1
+          | None -> fun _ -> -1)
+      | Unreachable -> fun c -> trap c after Abort_called)
+
+(* (Re)build the closures and segment lengths of pcs [lo, hi), where the
+   micro-op at [hi - 1] ends its segment, back to front so each chain
+   links to its successor's closure. *)
+let build_range funcs src fidx (cf : cfunc) lo hi =
+  let e = ref hi in
+  for i = hi - 1 downto lo do
+    let u = cf.uops.(i) in
+    if ends u then begin
+      e := i + 1;
+      let f = build funcs src fidx i u ~after:0 ~k:fall ~next:None in
+      cf.chain.(i) <- f;
+      cf.step.(i) <- f
+    end
+    else begin
+      cf.chain.(i) <-
+        build funcs src fidx i u ~after:(!e - i - 1) ~k:cf.chain.(i + 1)
+          ~next:(Some cf.uops.(i + 1));
+      cf.step.(i) <- build funcs src fidx i u ~after:0 ~k:fall ~next:None
+    end;
+    cf.seg.(i) <- !e - i
+  done
+
 let compile (p : Program.t) : t =
+  let funcs = Array.map (compile_func p) p.funcs in
+  (* Every block ends with a terminator, so no segment crosses one. *)
+  Array.iteri
+    (fun fidx cf -> build_range funcs p fidx cf 0 (Array.length cf.uops))
+    funcs;
   {
-    funcs = Array.map (compile_func p) p.funcs;
+    funcs;
     main = p.main;
     mem_template = p.mem_template;
     source = p;
@@ -380,14 +1005,25 @@ let compile (p : Program.t) : t =
 
 (* ---- code-domain mutation ---- *)
 
-(* A private copy whose uop arrays may be patched.  Everything else
-   (flags, metas, inits, source) is immutable and shared, so a fork
-   costs one array copy per function.  The workload's code stays
-   pristine — forks are created per experiment and dropped. *)
+(* A private copy whose micro-ops and closures may be patched.
+   Everything else (flags, metas, inits, source) is immutable and
+   shared, so a fork costs four array copies per function.  The
+   workload's code stays pristine — forks are created per experiment and
+   dropped. *)
 let fork t =
   {
     t with
-    funcs = Array.map (fun cf -> { cf with uops = Array.copy cf.uops }) t.funcs;
+    funcs =
+      Array.map
+        (fun cf ->
+          {
+            cf with
+            uops = Array.copy cf.uops;
+            chain = Array.copy cf.chain;
+            step = Array.copy cf.step;
+            seg = Array.copy cf.seg;
+          })
+        t.funcs;
     patched = false;
   }
 
@@ -395,30 +1031,40 @@ let fork t =
    keeps its original flags/metas: candidate accounting and last_write
    bookkeeping follow the golden program structure while execution
    follows the flipped instruction, exactly like the seed interpreter
-   running the mutated image (whose metas are also untouched). *)
+   running the mutated image (whose metas are also untouched).  The site
+   now ends its segment, so the segment is rebuilt from its start up to
+   the site; the pcs past it keep their chains. *)
 let patch t ~fidx ~bidx ~idx p =
   let cf = t.funcs.(fidx) in
-  let off = cf.block_off.(bidx) + idx in
+  let off = cf.block_off.(bidx) in
+  let site = off + idx in
   t.patched <- true;
-  cf.uops.(off) <-
-    (match p with `Instr ins -> Uinterp ins | `Term tm -> Uinterp_t tm)
+  cf.uops.(site) <-
+    (match p with `Instr ins -> Uinterp ins | `Term tm -> Uinterp_t tm);
+  let lo = ref site in
+  while !lo > off && not (ends cf.uops.(!lo - 1)) do
+    decr lo
+  done;
+  build_range t.funcs t.source fidx cf !lo (site + 1)
 
 (* ---- execution ---- *)
 
-(* The functions with every load replaced by its recording twin. *)
-let recording_funcs t =
-  Array.map
-    (fun cf ->
-      {
-        cf with
-        uops =
-          Array.map
-            (function
-              | Uload_i (dst, addr, w) -> Urload_i (dst, addr, w)
-              | Uload_f (dst, addr) -> Urload_f (dst, addr)
-              | u -> u)
-            cf.uops;
-      })
+(* A recording run's single-step closures: every load replaced by its
+   twin, which also notes the page it read, so production loads pay
+   nothing for the liveness. *)
+let recording_steps t =
+  Array.mapi
+    (fun fidx cf ->
+      Array.mapi
+        (fun i f ->
+          let twin u =
+            build t.funcs t.source fidx i u ~after:0 ~k:fall ~next:None
+          in
+          match cf.uops.(i) with
+          | Uload_i (dst, addr, w) -> twin (Urload_i (dst, addr, w))
+          | Uload_f (dst, addr) -> twin (Urload_f (dst, addr))
+          | _ -> f)
+        cf.step)
     t.funcs
 
 exception Hang_exn
@@ -426,20 +1072,6 @@ exception Hang_exn
 (* Raised by the probe when a faulty run has rejoined the golden run,
    once it has set the counters and output to the run's end state. *)
 exception Rejoined
-
-type rstate = {
-  mutable dyn : int;
-  mutable rc : int;
-  mutable wc : int;
-  mutable ret_i : int;
-  mutable ret_f : float;
-  mutable limit : int;
-      (* the top of the loop leaves its fast path once [dyn] reaches
-         this: the budget, or the early-exit probe's next stop if sooner *)
-  mutable watch_pc : int;
-      (* a jump to this pc probes the golden point the probe watches;
-         -1 (no pc) when it watches none *)
-}
 
 (* ---- early exits ---- *)
 
@@ -583,26 +1215,8 @@ let no_events =
     handle = (fun ~dyn:_ ~cand:_ _ _ -> ());
   }
 
-let to_u64 v = Int64.logand (Int64.of_int v) 0x7FFFFFFFFFFFFFFFL
-
-(* Operand reads for the generic [Uinterp] path.  Register slots 0..nregs-1
-   of a compiled frame hold exactly the seed interpreter's register values
-   (the backends' core bit-identity invariant), so reading a flipped
-   register index out of them matches the seed run on the mutated image. *)
-let igeti (frame : Exec.frame) (op : Ir.Instr.operand) =
-  match op with
-  | Ir.Instr.Reg r -> frame.Exec.ints.(r)
-  | Imm n -> n
-  | FImm _ | Glob _ -> assert false (* canonicalised; flips preserve kind *)
-
-let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
-  match op with
-  | Ir.Instr.Reg r -> frame.Exec.flts.(r)
-  | FImm x -> x
-  | Imm _ | Glob _ -> assert false
-
-(* The interpreter behind [run] and [resume]: one loop body, counting
-   and quiet ([loop] below).
+(* The runner behind [run] and [resume]: a counting loop and a quiet
+   runner over the compiled closures.
 
    Recording ([record]): a golden run counts throughout, additionally
    maintains a shadow call stack and, at the first jump target at the
@@ -618,9 +1232,9 @@ let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
    first: each outer frame's in-progress [Ucall] is completed exactly as
    the original iteration would have (return-value assignment, then the
    call's write-candidate post-block using the call's own dynamic index)
-   before that frame continues at the following pc, on the quiet loop
-   once the run is quiet.  [st.ret_i]/[st.ret_f] are dead at the top of
-   the loop, so zero-initialising them is exact. *)
+   before that frame continues at the following pc, on the quiet runner
+   once the run is quiet.  [c.ret_i]/[c.ret_f] are dead between
+   instructions, so zero-initialising them is exact. *)
 let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     (code : t) =
   let rec_on = Option.is_some record in
@@ -642,8 +1256,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   in
   if exits_on && not (Memory.tracks_undo mem) then
     invalid_arg "Code.run: early exits need an undo-tracking memory";
-  let out = Buffer.create 256 in
-  let st =
+  let c =
     {
       dyn = 0;
       rc = 0;
@@ -652,14 +1265,27 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       ret_f = 0.0;
       limit = budget;
       watch_pc = -1;
+      fr = { Exec.ints = [||]; flts = [||]; reg_ty = [||]; last_write = [||] };
+      ints = [||];
+      flts = [||];
+      depth = 0;
+      rstack = [];
+      shadow = rec_on || exits_on;
+      mem;
+      out = Buffer.create 256;
+      last_read = (if rec_on then Array.make (Memory.pages mem) (-1) else [||]);
+      enter = (fun _ _ -> ());
+      jumped = (fun _ _ _ -> ());
+      interp = (fun _ _ _ _ -> ());
     }
   in
+  let out = c.out in
   (match resume with
   | Some (p : Checkpoint.point) ->
       Buffer.add_string out p.ck_out;
-      st.dyn <- p.ck_dyn;
-      st.rc <- p.ck_rc;
-      st.wc <- p.ck_wc
+      c.dyn <- p.ck_dyn;
+      c.rc <- p.ck_rc;
+      c.wc <- p.ck_wc
   | None -> ());
   let watch_read, watch_write, watch_dyn, ev =
     match events with
@@ -669,18 +1295,8 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let recd =
     match record with Some r -> r | None -> Checkpoint.null_recorder
   in
-  (* Per memory page, the last dyn at which a recording run loads from
-     it: the golden-rejoin exit's page liveness. *)
-  let last_read =
-    if rec_on then Array.make (Memory.pages mem) (-1) else [||]
-  in
-  (* Shadow call stack, innermost first: (fidx, frame, call pc, call dyn)
-     of every in-progress call, Ucall or a patched call interpreted by
-     [interp_step] alike, so its length is always the current depth.
-     Maintained when recording and when the exits may arm. *)
-  let shadow = rec_on || exits_on in
-  let rstack : (int * Exec.frame * int * int) list ref = ref [] in
-  let funcs = if rec_on then recording_funcs code else code.funcs in
+  let funcs = code.funcs in
+  let rsteps = if rec_on then recording_steps code else [||] in
   (* A frame snapshot keeps what a run can change: the real registers,
      never the constant slots (a code flip that names a register past
      them is an illegal instruction), and no float file for a function
@@ -700,7 +1316,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         fs_lw = Array.copy fr.Exec.last_write;
       }
     in
-    Array.of_list (List.rev_map snap_of ((fidx, frame, i, 0) :: !rstack))
+    Array.of_list (List.rev_map snap_of ((fidx, frame, i, 0) :: c.rstack))
   in
   let capture fidx frame i =
     let prev =
@@ -710,9 +1326,9 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     in
     Checkpoint.add recd
       {
-        Checkpoint.ck_dyn = st.dyn;
-        ck_rc = st.rc;
-        ck_wc = st.wc;
+        Checkpoint.ck_dyn = c.dyn;
+        ck_rc = c.rc;
+        ck_wc = c.wc;
         ck_out = Buffer.contents out;
         ck_stack = snapshot_stack fidx frame i;
         ck_pages = Memory.snapshot_pages mem ~prev;
@@ -734,11 +1350,11 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let next_point = ref 0 and miss = ref 0 in
   let anchor = ref None and lam = ref 0 and power = ref 1 in
   let cycle_end = ref max_int in
-  let probe_at d = st.limit <- min d budget in
+  let probe_at d = c.limit <- min d budget in
   let start_cycle (set : Checkpoint.set) =
     next_point := Array.length set.points;
-    st.watch_pc <- -1;
-    probe_at (max st.dyn set.golden.Exec.dyn_count)
+    c.watch_pc <- -1;
+    probe_at (max c.dyn set.golden.Exec.dyn_count)
   in
   (* Watch the first point from [k] on whose window has not ended: its pc
      from the window's start, until the window's end.  A window holds the
@@ -753,17 +1369,17 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       let p = pts.(k) in
       let hi = p.ck_dyn + rejoin_window + 1 in
       let hi = if k + 1 < n then min hi (split k) else hi in
-      if st.dyn >= hi then watch_from set (k + 1)
+      if c.dyn >= hi then watch_from set (k + 1)
       else begin
         let lo = p.ck_dyn - rejoin_window in
         let lo = if k > 0 then max lo (split (k - 1)) else lo in
         next_point := k;
-        if st.dyn >= lo then begin
-          st.watch_pc <- p.ck_stack.(Array.length p.ck_stack - 1).fs_pc;
+        if c.dyn >= lo then begin
+          c.watch_pc <- p.ck_stack.(Array.length p.ck_stack - 1).fs_pc;
           probe_at hi
         end
         else begin
-          st.watch_pc <- -1;
+          c.watch_pc <- -1;
           probe_at lo
         end
       end
@@ -777,14 +1393,14 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       if lo >= hi then lo
       else
         let mid = (lo + hi) / 2 in
-        if pts.(mid).Checkpoint.ck_dyn < st.dyn then first (mid + 1) hi
+        if pts.(mid).Checkpoint.ck_dyn < c.dyn then first (mid + 1) hi
         else first lo mid
     in
     if code.patched then start_cycle set
     else watch_from set (max 0 (first 0 (Array.length pts) - 1))
   in
-  (* After a jump to the watched pc [i], in the state the top of the
-     loop will see there.  The full run would finish [delta] instructions
+  (* After a jump to the watched pc [i], in the state the next
+     instruction sees there.  The full run would finish [delta] instructions
      after the golden run, so only within the budget (which also keeps a
      run at the watchdog from rejoining: the golden run executes the
      point's instruction).  Failing visits are kept cheap, since skipping
@@ -794,7 +1410,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let probe_point (set : Checkpoint.set) fidx (frame : Exec.frame) i =
     let k = !next_point in
     let p = set.points.(k) and g = set.golden in
-    let delta = st.dyn - p.ck_dyn in
+    let delta = c.dyn - p.ck_dyn in
     let top = p.ck_stack.(Array.length p.ck_stack - 1) in
     let ints = frame.Exec.ints and m = !miss in
     if
@@ -807,7 +1423,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
          | j ->
              miss := j;
              false)
-      && same_stack p.ck_stack fidx frame i !rstack
+      && same_stack p.ck_stack fidx frame i c.rstack
     then
       if
         Memory.equal_image mem p.ck_pages ~live:(fun pg ->
@@ -818,14 +1434,14 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           ~skipped:(g.dyn_count - p.ck_dyn);
         let n = String.length p.ck_out in
         Buffer.add_substring out g.output n (String.length g.output - n);
-        st.dyn <- g.dyn_count + delta;
+        c.dyn <- g.dyn_count + delta;
         raise Rejoined
       end
       else watch_from set (k + 1)
   in
-  let jumped fidx frame i =
-    match exits with Some set -> probe_point set fidx frame i | None -> ()
-  in
+  (match exits with
+  | Some set -> c.jumped <- probe_point set
+  | None -> ());
   (* An anchor lives only until the next power of two, so its page
      copies are young garbage: it copies afresh rather than compare each
      page with the previous anchor's. *)
@@ -835,7 +1451,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
         {
           a_stack = snapshot_stack fidx frame i;
           a_pages = Memory.snapshot_pages mem ~prev:[||];
-          a_dyn = st.dyn;
+          a_dyn = c.dyn;
           a_out = Buffer.length out;
         };
     lam := 0
@@ -844,31 +1460,31 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
      budget; the remainder then runs, and the watchdog fires at exactly
      the dyn a full run would reach. *)
   let fast_forward a =
-    let period = st.dyn - a.a_dyn in
-    let k = (budget - st.dyn) / period in
+    let period = c.dyn - a.a_dyn in
+    let k = (budget - c.dyn) / period in
     if k > 0 then begin
       let chunk = Buffer.sub out a.a_out (Buffer.length out - a.a_out) in
       if chunk <> "" then
         for _ = 1 to k do
           Buffer.add_string out chunk
         done;
-      st.dyn <- st.dyn + (k * period);
+      c.dyn <- c.dyn + (k * period);
       note_exit cycle_exit ~skipped:(k * period)
     end;
-    st.limit <- budget
+    c.limit <- budget
   in
   (* Brent's search: compare against an anchor that moves to the current
      state whenever the steps since it reach the next power of two. *)
   let cycle_step fidx frame i =
     match !anchor with
     | None ->
-        cycle_end := st.dyn + cycle_window;
+        cycle_end := c.dyn + cycle_window;
         take_anchor fidx frame i
-    | Some _ when st.dyn >= !cycle_end -> st.limit <- budget
+    | Some _ when c.dyn >= !cycle_end -> c.limit <- budget
     | Some a ->
         incr lam;
         if
-          same_stack a.a_stack fidx frame i !rstack
+          same_stack a.a_stack fidx frame i c.rstack
           && Memory.equal_image mem a.a_pages ~live:(fun _ -> true)
         then fast_forward a
         else if !lam = !power then begin
@@ -876,10 +1492,10 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           take_anchor fidx frame i
         end
   in
-  (* The top of the loop past [st.limit]: move the watch or search for a
-     cycle while below the budget, then the watchdog, at the dyn the
-     probe may have moved.  Returns the dyn of the instruction about to
-     execute. *)
+  (* The top of an instruction past [c.limit]: move the watch or search
+     for a cycle while below the budget, then the watchdog, at the dyn
+     the probe may have moved.  Returns the dyn of the instruction about
+     to execute. *)
   let slow_top fidx frame i d =
     (match exits with
     | Some set when d < budget ->
@@ -887,9 +1503,9 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
           watch_from set !next_point
         else cycle_step fidx frame i
     | _ -> ());
-    let d = st.dyn in
+    let d = c.dyn in
     if d >= budget then begin
-      st.dyn <- d + 1;
+      c.dyn <- d + 1;
       raise Hang_exn
     end;
     d
@@ -897,482 +1513,213 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   (* Quiet: nothing reads the candidate ordinals, [last_write] or the
      events again, because the run records nothing and the injector has
      nothing pending.  Monotone: the injector never schedules again once
-     both thresholds are [max_int]. *)
+     both thresholds are [max_int].  Only the injector's slow path moves
+     them, so [counting] is refreshed there alone. *)
   let quiet () =
     (not rec_on) && ev.ev_cand = max_int && ev.ev_dyn = max_int
   in
+  let counting = ref (not (quiet ())) in
   (* The exits arm once the run is quiet: at the start of an eventless
      run, else after the injector's last event. *)
   let arm_when_done () =
     match exits with Some set when quiet () -> arm set | _ -> ()
   in
-  (* The injector's slow path; true once the run has gone quiet. *)
   let handle ~dyn ~cand frame meta =
     ev.handle ~dyn ~cand frame meta;
     arm_when_done ();
-    quiet ()
+    counting := not (quiet ())
   in
-  (* The one loop body, instantiated twice below with a literal
-     [counting]: [exec_fn] counts (candidate ordinals, [last_write], the
-     injector's events, the recorder's captures), [exec_quiet] does only
-     the budget compare and the dispatch, keeping the probe's watched
-     jumps and shadow stack.  A counting frame whose run goes quiet (at
-     an event, or in a call it made) finishes the iteration, then
-     [handover] runs the rest of the frame from the next pc.  [enter]
-     runs a callee and [interp] a patched instruction.  Defined outside
-     the recursive group, so it is inlined there and [counting] folds
-     away. *)
-  let[@inline always] loop ~counting ~enter ~handover ~interp fidx
-      (frame : Exec.frame) depth ~start =
+  (* The quiet runner: a segment whose instructions all sit below
+     [c.limit] runs as its chain, with one dyn update; one that reaches
+     it single-steps, through the probe's stops and the watchdog. *)
+  let exec_quiet fidx (frame : Exec.frame) ~start =
     let cf = Array.unsafe_get funcs fidx in
-    let uops = cf.uops and flags = cf.flags and metas = cf.metas in
-    let ints = frame.Exec.ints
-    and flts = frame.Exec.flts
-    and lw = frame.Exec.last_write in
+    let chain = cf.chain and step = cf.step and seg = cf.seg in
+    c.fr <- frame;
+    c.ints <- frame.Exec.ints;
+    c.flts <- frame.Exec.flts;
     let pc = ref start in
-    (* 0 while running, 1 once the frame has returned, 2 once its run has
-       gone quiet (counting only) *)
-    let state = ref 0 in
-    while !state = 0 do
+    while !pc >= 0 do
       let i = !pc in
-      if counting && rec_on
-         && (st.rc >= recd.Checkpoint.next_rc
-            || st.wc >= recd.Checkpoint.next_wc)
+      let d = c.dyn in
+      let e = d + Array.unsafe_get seg i in
+      if e <= c.limit then begin
+        c.dyn <- e;
+        pc := (Array.unsafe_get chain i) c
+      end
+      else begin
+        let d = if d >= c.limit then slow_top fidx frame i d else d in
+        c.dyn <- d + 1;
+        pc := (Array.unsafe_get step i) c
+      end
+    done
+  in
+  (* The counting loop single-steps, keeping candidate ordinals,
+     [last_write], the injector's events and the recorder's captures.  A
+     frame whose run goes quiet (at an event, or in a call it made)
+     finishes the instruction, then runs the rest of the frame quiet. *)
+  let exec_count fidx (frame : Exec.frame) ~start =
+    let cf = Array.unsafe_get funcs fidx in
+    let step = if rec_on then Array.unsafe_get rsteps fidx else cf.step in
+    let uops = cf.uops and flags = cf.flags and metas = cf.metas in
+    let lw = frame.Exec.last_write in
+    c.fr <- frame;
+    c.ints <- frame.Exec.ints;
+    c.flts <- frame.Exec.flts;
+    let pc = ref start in
+    while !pc >= 0 && !counting do
+      let i = !pc in
+      if rec_on
+         && (c.rc >= recd.Checkpoint.next_rc
+            || c.wc >= recd.Checkpoint.next_wc)
          && jump_target uops i
       then capture fidx frame i;
       let d =
-        let d = st.dyn in
-        if d >= st.limit then slow_top fidx frame i d else d
+        let d = c.dyn in
+        if d >= c.limit then slow_top fidx frame i d else d
       in
-      st.dyn <- d + 1;
-      let fl =
-        if counting then begin
-          if watch_dyn && d >= ev.ev_dyn
-             && handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i)
-          then state := 2;
-          let fl = Array.unsafe_get flags i in
-          if fl land 1 <> 0 then begin
-            let c = st.rc in
-            st.rc <- c + 1;
-            if watch_read
-               && (c >= ev.ev_cand || d >= ev.ev_dyn)
-               && handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
-            then state := 2
-          end;
-          fl
-        end
-        else 0
-      in
-      (match Array.unsafe_get uops i with
-      | Uadd (dst, a, b, m) ->
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints a + Array.unsafe_get ints b) land m);
-          pc := i + 1
-      | Usub (dst, a, b, m) ->
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints a - Array.unsafe_get ints b) land m);
-          pc := i + 1
-      | Umul (dst, a, b, m) ->
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints a * Array.unsafe_get ints b) land m);
-          pc := i + 1
-      | Usdiv (dst, a, b, k, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            ((((x lsl k) asr k) / ((y lsl k) asr k)) land m);
-          pc := i + 1
-      | Uudiv_s (dst, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          Array.unsafe_set ints dst (Array.unsafe_get ints a / y);
-          pc := i + 1
-      | Uudiv_l (dst, a, b, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            (Int64.to_int (Int64.div (to_u64 x) (to_u64 y)) land m);
-          pc := i + 1
-      | Usrem (dst, a, b, k, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            (Stdlib.( mod ) ((x lsl k) asr k) ((y lsl k) asr k) land m);
-          pc := i + 1
-      | Uurem_s (dst, a, b) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          Array.unsafe_set ints dst (Stdlib.( mod ) (Array.unsafe_get ints a) y);
-          pc := i + 1
-      | Uurem_l (dst, a, b, m) ->
-          let y = Array.unsafe_get ints b in
-          if y = 0 then raise (Trap.Trap Div_by_zero);
-          let x = Array.unsafe_get ints a in
-          Array.unsafe_set ints dst
-            (Int64.to_int (Int64.rem (to_u64 x) (to_u64 y)) land m);
-          pc := i + 1
-      | Uand (dst, a, b) ->
-          Array.unsafe_set ints dst
-            (Array.unsafe_get ints a land Array.unsafe_get ints b);
-          pc := i + 1
-      | Uor (dst, a, b) ->
-          Array.unsafe_set ints dst
-            (Array.unsafe_get ints a lor Array.unsafe_get ints b);
-          pc := i + 1
-      | Uxor (dst, a, b) ->
-          Array.unsafe_set ints dst
-            (Array.unsafe_get ints a lxor Array.unsafe_get ints b);
-          pc := i + 1
-      | Ushl (dst, a, b, w, m) ->
-          let y = Array.unsafe_get ints b in
-          Array.unsafe_set ints dst
-            (if y < 0 || y >= w then 0
-             else (Array.unsafe_get ints a lsl y) land m);
-          pc := i + 1
-      | Ulshr (dst, a, b, w) ->
-          let y = Array.unsafe_get ints b in
-          Array.unsafe_set ints dst
-            (if y < 0 || y >= w then 0 else Array.unsafe_get ints a lsr y);
-          pc := i + 1
-      | Uashr (dst, a, b, w, k, m) ->
-          let y = Array.unsafe_get ints b in
-          let s = if y < 0 || y >= w then w - 1 else y in
-          Array.unsafe_set ints dst
-            ((((Array.unsafe_get ints a lsl k) asr k) asr s) land m);
-          pc := i + 1
-      | Uicmp (op, k, dst, a, b) ->
-          let x = Array.unsafe_get ints a and y = Array.unsafe_get ints b in
-          let r =
-            match op with
-            | 0 -> x = y
-            | 1 -> x <> y
-            | 2 -> (x lsl k) asr k < (y lsl k) asr k
-            | 3 -> (x lsl k) asr k <= (y lsl k) asr k
-            | 4 -> (x lsl k) asr k > (y lsl k) asr k
-            | 5 -> (x lsl k) asr k >= (y lsl k) asr k
-            | 6 -> x lxor min_int < y lxor min_int
-            | 7 -> x lxor min_int <= y lxor min_int
-            | 8 -> x lxor min_int > y lxor min_int
-            | _ -> x lxor min_int >= y lxor min_int
-          in
-          Array.unsafe_set ints dst (if r then 1 else 0);
-          pc := i + 1
-      | Ufadd (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a +. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufsub (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a -. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufmul (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a *. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufdiv (dst, a, b) ->
-          Array.unsafe_set flts dst
-            (Array.unsafe_get flts a /. Array.unsafe_get flts b);
-          pc := i + 1
-      | Ufcmp (op, dst, a, b) ->
-          let x = Array.unsafe_get flts a and y = Array.unsafe_get flts b in
-          let ordered = (not (Float.is_nan x)) && not (Float.is_nan y) in
-          let r =
-            match op with
-            | 0 -> ordered && x = y
-            | 1 -> ordered && x <> y
-            | 2 -> x < y
-            | 3 -> x <= y
-            | 4 -> x > y
-            | _ -> x >= y
-          in
-          Array.unsafe_set ints dst (if r then 1 else 0);
-          pc := i + 1
-      | Usel_i (dst, c, a, b) ->
-          Array.unsafe_set ints dst
-            (if Array.unsafe_get ints c <> 0 then Array.unsafe_get ints a
-             else Array.unsafe_get ints b);
-          pc := i + 1
-      | Usel_f (dst, c, a, b) ->
-          Array.unsafe_set flts dst
-            (if Array.unsafe_get ints c <> 0 then Array.unsafe_get flts a
-             else Array.unsafe_get flts b);
-          pc := i + 1
-      | Umask (dst, a, m) ->
-          Array.unsafe_set ints dst (Array.unsafe_get ints a land m);
-          pc := i + 1
-      | Usext (dst, a, k, m) ->
-          Array.unsafe_set ints dst
-            (((Array.unsafe_get ints a lsl k) asr k) land m);
-          pc := i + 1
-      | Ufptosi (dst, a, m) ->
-          let x = Array.unsafe_get flts a in
-          Array.unsafe_set ints dst
-            (if Float.is_nan x || Float.abs x >= 4.611686018427387904e18 then 0
-             else int_of_float x land m);
-          pc := i + 1
-      | Usitofp (dst, a, k) ->
-          Array.unsafe_set flts dst
-            (float_of_int ((Array.unsafe_get ints a lsl k) asr k));
-          pc := i + 1
-      | Umov_i (dst, a) ->
-          Array.unsafe_set ints dst (Array.unsafe_get ints a);
-          pc := i + 1
-      | Umov_f (dst, a) ->
-          Array.unsafe_set flts dst (Array.unsafe_get flts a);
-          pc := i + 1
-      | Uload_i (dst, addr, w) ->
-          Array.unsafe_set ints dst
-            (Memory.read_int mem ~width:w ~addr:(Array.unsafe_get ints addr));
-          pc := i + 1
-      | Uload_f (dst, addr) ->
-          Array.unsafe_set flts dst
-            (Memory.read_f64 mem ~addr:(Array.unsafe_get ints addr));
-          pc := i + 1
-      | Urload_i (dst, addr, w) ->
-          let a = Array.unsafe_get ints addr in
-          Array.unsafe_set ints dst (Memory.read_int mem ~width:w ~addr:a);
-          Memory.note_read last_read ~width:w ~addr:a d;
-          pc := i + 1
-      | Urload_f (dst, addr) ->
-          let a = Array.unsafe_get ints addr in
-          Array.unsafe_set flts dst (Memory.read_f64 mem ~addr:a);
-          Memory.note_read last_read ~width:8 ~addr:a d;
-          pc := i + 1
-      | Ustore_i (v, addr, w) ->
-          Memory.write_int mem ~width:w
-            ~addr:(Array.unsafe_get ints addr)
-            (Array.unsafe_get ints v);
-          pc := i + 1
-      | Ustore_f (v, addr) ->
-          Memory.write_f64 mem
-            ~addr:(Array.unsafe_get ints addr)
-            (Array.unsafe_get flts v);
-          pc := i + 1
-      | Ugep (dst, base, index, scale) ->
-          let idx =
-            ((Array.unsafe_get ints index land 0xFFFFFFFF) lsl 31) asr 31
-          in
-          Array.unsafe_set ints dst
-            ((Array.unsafe_get ints base + (idx * scale)) land 0xFFFFFFFF);
-          pc := i + 1
-      | Ucall cr ->
-          if depth >= Exec.max_call_depth then
-            raise (Trap.Trap Stack_overflow);
-          let cf2 = Array.unsafe_get funcs cr.c_callee in
-          let cframe =
-            {
-              Exec.ints = Array.copy cf2.int_init;
-              flts = Array.copy cf2.flt_init;
-              reg_ty = cf2.reg_ty;
-              last_write = Array.copy cf2.lw_init;
-            }
-          in
-          let n = Array.length cr.c_args in
-          for j = 0 to n - 1 do
-            if cr.c_arg_f.(j) then
-              cframe.Exec.flts.(j) <- Array.unsafe_get flts cr.c_args.(j)
-            else cframe.Exec.ints.(j) <- Array.unsafe_get ints cr.c_args.(j)
-          done;
-          if shadow then rstack := (fidx, frame, i, d) :: !rstack;
-          enter cr.c_callee cframe (depth + 1) ~start:0;
-          if shadow then rstack := List.tl !rstack;
-          if cr.c_dst >= 0 then
-            if cr.c_dst_f then Array.unsafe_set flts cr.c_dst st.ret_f
-            else Array.unsafe_set ints cr.c_dst st.ret_i;
-          pc := i + 1;
-          if counting && quiet () then state := 2
-      | Ucall_b1 (dst, fn, a) ->
-          let r = fn (Array.unsafe_get flts a) in
-          if dst >= 0 then Array.unsafe_set flts dst r;
-          pc := i + 1
-      | Ucall_b2 (dst, fn, a, b) ->
-          let r = fn (Array.unsafe_get flts a) (Array.unsafe_get flts b) in
-          if dst >= 0 then Array.unsafe_set flts dst r;
-          pc := i + 1
-      | Uout_i (s, tag) ->
-          let v = Array.unsafe_get ints s in
-          (match tag with
-          | 0 -> Buffer.add_uint8 out (v land 0xFF)
-          | 1 -> Buffer.add_uint16_le out v
-          | 2 -> Buffer.add_int32_le out (Int32.of_int v)
-          | _ -> Buffer.add_int64_le out (to_u64 v));
-          pc := i + 1
-      | Uout_f s ->
-          Buffer.add_int64_le out (Int64.bits_of_float (Array.unsafe_get flts s));
-          pc := i + 1
-      | Uguard_i (a, b) ->
-          if Array.unsafe_get ints a <> Array.unsafe_get ints b then
-            raise (Trap.Trap Guard_violation);
-          pc := i + 1
-      | Uguard_f (a, b) ->
-          if
-            not
-              (Int64.equal
-                 (Int64.bits_of_float (Array.unsafe_get flts a))
-                 (Int64.bits_of_float (Array.unsafe_get flts b)))
-          then raise (Trap.Trap Guard_violation);
-          pc := i + 1
-      | Uabort -> raise (Trap.Trap Abort_called)
-      | Ujmp p ->
-          pc := p;
-          if p = st.watch_pc then jumped fidx frame p
-      | Ucbr (c, tpc, fpc) ->
-          let p = if Array.unsafe_get ints c <> 0 then tpc else fpc in
-          pc := p;
-          if p = st.watch_pc then jumped fidx frame p
-      | Uret -> state := 1
-      | Uret_i s ->
-          st.ret_i <- Array.unsafe_get ints s;
-          state := 1
-      | Uret_f s ->
-          st.ret_f <- Array.unsafe_get flts s;
-          state := 1
-      | Uinterp ins ->
-          interp fidx frame i d depth ins;
-          pc := i + 1;
-          if counting && quiet () then state := 2
-      | Uinterp_t tm -> (
-          match tm with
-          | Br l -> pc := cf.block_off.(l)
-          | Cbr { cond; if_true; if_false } ->
-              let l = if igeti frame cond <> 0 then if_true else if_false in
-              pc := cf.block_off.(l)
-          | Ret None -> state := 1
-          | Ret (Some v) ->
-              (match code.source.Program.funcs.(fidx).Program.ret with
-              | Some rt when Ir.Ty.is_float rt -> st.ret_f <- igetf frame v
-              | Some _ -> st.ret_i <- igeti frame v
-              | None -> ());
-              state := 1
-          | Unreachable -> raise (Trap.Trap Abort_called)));
+      c.dyn <- d + 1;
+      if watch_dyn && d >= ev.ev_dyn then
+        handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
+      let fl = Array.unsafe_get flags i in
+      if fl land 1 <> 0 then begin
+        let n = c.rc in
+        c.rc <- n + 1;
+        if watch_read && (n >= ev.ev_cand || d >= ev.ev_dyn) then
+          handle ~dyn:d ~cand:n frame (Array.unsafe_get metas i)
+      end;
+      pc := (Array.unsafe_get step i) c;
       (* Returns write no register, so this never follows a return. *)
-      if counting && fl land 2 <> 0 then begin
-        let c = st.wc in
-        st.wc <- c + 1;
+      if fl land 2 <> 0 then begin
+        let n = c.wc in
+        c.wc <- n + 1;
         Array.unsafe_set lw ((fl lsr 2) - 1) d;
-        if watch_write
-           && (c >= ev.ev_cand || d >= ev.ev_dyn)
-           && handle ~dyn:d ~cand:c frame (Array.unsafe_get metas i)
-        then state := 2
+        if watch_write && (n >= ev.ev_cand || d >= ev.ev_dyn) then
+          handle ~dyn:d ~cand:n frame (Array.unsafe_get metas i)
       end
     done;
-    if counting && !state = 2 then handover fidx frame depth ~start:!pc
+    if !pc >= 0 then exec_quiet fidx frame ~start:!pc
   in
-  let rec exec_fn fidx frame depth ~start =
-    if quiet () then exec_quiet fidx frame depth ~start
-    else
-      loop ~counting:true ~enter:exec_fn ~handover:exec_quiet
-        ~interp:interp_step fidx frame depth ~start
-  and exec_quiet fidx frame depth ~start =
-    loop ~counting:false ~enter:exec_quiet ~handover:exec_quiet
-      ~interp:interp_step fidx frame depth ~start
+  let exec_fn fidx frame ~start =
+    if !counting then exec_count fidx frame ~start
+    else exec_quiet fidx frame ~start
+  in
+  c.enter <-
+    (fun fidx frame ->
+      let fr = c.fr and ints = c.ints and flts = c.flts in
+      exec_fn fidx frame ~start:0;
+      c.fr <- fr;
+      c.ints <- ints;
+      c.flts <- flts);
   (* One mutated instruction, interpreted generically — the mirror of the
      seed interpreter's [step] over the same (flipped) [Ir.Instr.t], with
-     calls re-entering compiled code.  [fidx], [i] and [d] locate the
-     instruction for the shadow stack. *)
-  and interp_step fidx (frame : Exec.frame) i d depth (ins : Ir.Instr.t) =
-    let ints = frame.Exec.ints and flts = frame.Exec.flts in
-    match ins with
-    | Binop { op; ty; dst; a; b } ->
-        ints.(dst) <- Exec.exec_binop op ty (igeti frame a) (igeti frame b)
-    | Fbinop { op; dst; a; b } ->
-        flts.(dst) <- Exec.exec_fbinop op (igetf frame a) (igetf frame b)
-    | Icmp { op; ty; dst; a; b } ->
-        ints.(dst) <- Exec.exec_icmp op ty (igeti frame a) (igeti frame b)
-    | Fcmp { op; dst; a; b } ->
-        ints.(dst) <- Exec.exec_fcmp op (igetf frame a) (igetf frame b)
-    | Select { ty; dst; cond; a; b } ->
-        if Ir.Ty.is_float ty then
-          flts.(dst) <-
-            (if igeti frame cond <> 0 then igetf frame a else igetf frame b)
-        else
-          ints.(dst) <-
-            (if igeti frame cond <> 0 then igeti frame a else igeti frame b)
-    | Cast { op; from_ty; to_ty; dst; a } -> (
-        match op with
-        | Trunc | Ptrtoint | Inttoptr ->
-            ints.(dst) <- Ir.Bits.mask to_ty (igeti frame a)
-        | Zext -> ints.(dst) <- igeti frame a
-        | Sext ->
-            ints.(dst) <-
-              Ir.Bits.mask to_ty (Ir.Bits.sext from_ty (igeti frame a))
-        | Fptosi -> ints.(dst) <- Exec.float_to_int to_ty (igetf frame a)
-        | Sitofp ->
-            flts.(dst) <- float_of_int (Ir.Bits.sext from_ty (igeti frame a)))
-    | Mov { ty; dst; a } ->
-        if Ir.Ty.is_float ty then flts.(dst) <- igetf frame a
-        else ints.(dst) <- igeti frame a
-    | Load { ty; dst; addr } ->
-        let a = igeti frame addr in
-        if Ir.Ty.is_float ty then flts.(dst) <- Memory.read_f64 mem ~addr:a
-        else ints.(dst) <- Memory.read_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
-    | Store { ty; value; addr } ->
-        let a = igeti frame addr in
-        if Ir.Ty.is_float ty then
-          Memory.write_f64 mem ~addr:a (igetf frame value)
-        else
-          Memory.write_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
-            (igeti frame value)
-    | Gep { dst; base; index; scale } ->
-        let idx = Ir.Bits.sext I32 (Ir.Bits.mask I32 (igeti frame index)) in
-        ints.(dst) <- Ir.Bits.mask Ptr (igeti frame base + (idx * scale))
-    | Call { dst; callee; args } -> (
-        match Hashtbl.find_opt code.source.Program.targets callee with
-        | None -> assert false (* validated; flips never touch names *)
-        | Some (Program.B1 f) ->
-            let r = f (igetf frame (List.hd args)) in
-            (match dst with Some d -> flts.(d) <- r | None -> ())
-        | Some (Program.B2 f) -> (
-            match args with
-            | [ a; b ] ->
-                let r = f (igetf frame a) (igetf frame b) in
-                (match dst with Some d -> flts.(d) <- r | None -> ())
-            | _ -> assert false)
-        | Some (Program.Fn cidx) ->
-            if depth >= Exec.max_call_depth then
-              raise (Trap.Trap Stack_overflow);
-            let cf2 = funcs.(cidx) in
-            let cframe =
-              {
-                Exec.ints = Array.copy cf2.int_init;
-                flts = Array.copy cf2.flt_init;
-                reg_ty = cf2.reg_ty;
-                last_write = Array.copy cf2.lw_init;
-              }
-            in
-            let src = code.source.Program.funcs.(cidx) in
-            List.iteri
-              (fun j arg ->
-                if Ir.Ty.is_float src.Program.params.(j) then
-                  cframe.Exec.flts.(j) <- igetf frame arg
-                else cframe.Exec.ints.(j) <- igeti frame arg)
-              args;
-            if shadow then rstack := (fidx, frame, i, d) :: !rstack;
-            exec_fn cidx cframe (depth + 1) ~start:0;
-            if shadow then rstack := List.tl !rstack;
-            (match (dst, src.Program.ret) with
-            | Some d, Some rt ->
-                if Ir.Ty.is_float rt then flts.(d) <- st.ret_f
-                else ints.(d) <- st.ret_i
-            | _ -> ()))
-    | Output { ty; value } ->
-        if Ir.Ty.is_float ty then
-          Exec.add_output out ty 0 (igetf frame value)
-        else Exec.add_output out ty (igeti frame value) 0.0
-    | Guard { ty; a; b } ->
-        let equal =
+     calls re-entering compiled code.  [fidx] and [i] locate the
+     instruction for the shadow stack; it ends its segment, so its dyn is
+     [c.dyn - 1]. *)
+  c.interp <-
+    (fun fidx (frame : Exec.frame) i (ins : Ir.Instr.t) ->
+      let ints = frame.Exec.ints and flts = frame.Exec.flts in
+      match ins with
+      | Binop { op; ty; dst; a; b } ->
+          ints.(dst) <- Exec.exec_binop op ty (igeti frame a) (igeti frame b)
+      | Fbinop { op; dst; a; b } ->
+          flts.(dst) <- Exec.exec_fbinop op (igetf frame a) (igetf frame b)
+      | Icmp { op; ty; dst; a; b } ->
+          ints.(dst) <- Exec.exec_icmp op ty (igeti frame a) (igeti frame b)
+      | Fcmp { op; dst; a; b } ->
+          ints.(dst) <- Exec.exec_fcmp op (igetf frame a) (igetf frame b)
+      | Select { ty; dst; cond; a; b } ->
           if Ir.Ty.is_float ty then
-            Int64.equal
-              (Int64.bits_of_float (igetf frame a))
-              (Int64.bits_of_float (igetf frame b))
-          else igeti frame a = igeti frame b
-        in
-        if not equal then raise (Trap.Trap Guard_violation)
-    | Abort -> raise (Trap.Trap Abort_called)
-  in
+            flts.(dst) <-
+              (if igeti frame cond <> 0 then igetf frame a else igetf frame b)
+          else
+            ints.(dst) <-
+              (if igeti frame cond <> 0 then igeti frame a else igeti frame b)
+      | Cast { op; from_ty; to_ty; dst; a } -> (
+          match op with
+          | Trunc | Ptrtoint | Inttoptr ->
+              ints.(dst) <- Ir.Bits.mask to_ty (igeti frame a)
+          | Zext -> ints.(dst) <- igeti frame a
+          | Sext ->
+              ints.(dst) <-
+                Ir.Bits.mask to_ty (Ir.Bits.sext from_ty (igeti frame a))
+          | Fptosi -> ints.(dst) <- Exec.float_to_int to_ty (igetf frame a)
+          | Sitofp ->
+              flts.(dst) <- float_of_int (Ir.Bits.sext from_ty (igeti frame a)))
+      | Mov { ty; dst; a } ->
+          if Ir.Ty.is_float ty then flts.(dst) <- igetf frame a
+          else ints.(dst) <- igeti frame a
+      | Load { ty; dst; addr } ->
+          let a = igeti frame addr in
+          if Ir.Ty.is_float ty then flts.(dst) <- Memory.read_f64 mem ~addr:a
+          else ints.(dst) <- Memory.read_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
+      | Store { ty; value; addr } ->
+          let a = igeti frame addr in
+          if Ir.Ty.is_float ty then
+            Memory.write_f64 mem ~addr:a (igetf frame value)
+          else
+            Memory.write_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
+              (igeti frame value)
+      | Gep { dst; base; index; scale } ->
+          let idx = Ir.Bits.sext I32 (Ir.Bits.mask I32 (igeti frame index)) in
+          ints.(dst) <- Ir.Bits.mask Ptr (igeti frame base + (idx * scale))
+      | Call { dst; callee; args } -> (
+          match Hashtbl.find_opt code.source.Program.targets callee with
+          | None -> assert false (* validated; flips never touch names *)
+          | Some (Program.B1 f) ->
+              let r = f (igetf frame (List.hd args)) in
+              (match dst with Some d -> flts.(d) <- r | None -> ())
+          | Some (Program.B2 f) -> (
+              match args with
+              | [ a; b ] ->
+                  let r = f (igetf frame a) (igetf frame b) in
+                  (match dst with Some d -> flts.(d) <- r | None -> ())
+              | _ -> assert false)
+          | Some (Program.Fn cidx) ->
+              let depth = c.depth in
+              if depth >= Exec.max_call_depth then
+                raise (Trap.Trap Stack_overflow);
+              let cf2 = funcs.(cidx) in
+              let cframe =
+                {
+                  Exec.ints = Array.copy cf2.int_init;
+                  flts = Array.copy cf2.flt_init;
+                  reg_ty = cf2.reg_ty;
+                  last_write = Array.copy cf2.lw_init;
+                }
+              in
+              let src = code.source.Program.funcs.(cidx) in
+              List.iteri
+                (fun j arg ->
+                  if Ir.Ty.is_float src.Program.params.(j) then
+                    cframe.Exec.flts.(j) <- igetf frame arg
+                  else cframe.Exec.ints.(j) <- igeti frame arg)
+                args;
+              if c.shadow then
+                c.rstack <- (fidx, frame, i, c.dyn - 1) :: c.rstack;
+              c.depth <- depth + 1;
+              c.enter cidx cframe;
+              c.depth <- depth;
+              if c.shadow then c.rstack <- List.tl c.rstack;
+              (match (dst, src.Program.ret) with
+              | Some d, Some rt ->
+                  if Ir.Ty.is_float rt then flts.(d) <- c.ret_f
+                  else ints.(d) <- c.ret_i
+              | _ -> ()))
+      | Output { ty; value } ->
+          if Ir.Ty.is_float ty then
+            Exec.add_output out ty 0 (igetf frame value)
+          else Exec.add_output out ty (igeti frame value) 0.0
+      | Guard { ty; a; b } ->
+          let equal =
+            if Ir.Ty.is_float ty then
+              Int64.equal
+                (Int64.bits_of_float (igetf frame a))
+                (Int64.bits_of_float (igetf frame b))
+            else igeti frame a = igeti frame b
+          in
+          if not equal then raise (Trap.Trap Guard_violation)
+      | Abort -> raise (Trap.Trap Abort_called));
   (* Complete an outer frame's in-progress call exactly as the original
      Ucall iteration would have after its callee returned: assign the
      return value, then run the call's write-candidate post-block with
@@ -1391,16 +1738,16 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     (match orig_funcs.(fidx).uops.(i) with
     | Ucall cr ->
         if cr.c_dst >= 0 then
-          if cr.c_dst_f then frame.Exec.flts.(cr.c_dst) <- st.ret_f
-          else frame.Exec.ints.(cr.c_dst) <- st.ret_i
+          if cr.c_dst_f then frame.Exec.flts.(cr.c_dst) <- c.ret_f
+          else frame.Exec.ints.(cr.c_dst) <- c.ret_i
     | _ -> assert false);
     let fl = cf.flags.(i) in
     if fl land 2 <> 0 then begin
-      let c = st.wc in
-      st.wc <- c + 1;
+      let n = c.wc in
+      c.wc <- n + 1;
       frame.Exec.last_write.((fl lsr 2) - 1) <- calld;
-      if watch_write && (c >= ev.ev_cand || calld >= ev.ev_dyn) then
-        ignore (handle ~dyn:calld ~cand:c frame cf.metas.(i) : bool)
+      if watch_write && (n >= ev.ev_cand || calld >= ev.ev_dyn) then
+        handle ~dyn:calld ~cand:n frame cf.metas.(i)
     end
   in
   let rebuild (s : Checkpoint.frame_snap) =
@@ -1416,23 +1763,25 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     match snaps with
     | [] -> assert false
     | [ (inner : Checkpoint.frame_snap) ] ->
-        exec_fn inner.fs_fidx (rebuild inner) depth ~start:inner.fs_pc
+        c.depth <- depth;
+        exec_fn inner.fs_fidx (rebuild inner) ~start:inner.fs_pc
     | (outer : Checkpoint.frame_snap) :: rest ->
         let frame = rebuild outer in
-        if shadow then
-          rstack :=
-            (outer.fs_fidx, frame, outer.fs_pc, outer.fs_call_dyn) :: !rstack;
+        if c.shadow then
+          c.rstack <-
+            (outer.fs_fidx, frame, outer.fs_pc, outer.fs_call_dyn) :: c.rstack;
         resume_stack rest (depth + 1);
-        if shadow then rstack := List.tl !rstack;
+        if c.shadow then c.rstack <- List.tl c.rstack;
         complete_call outer.fs_fidx frame outer.fs_pc outer.fs_call_dyn;
-        exec_fn outer.fs_fidx frame depth ~start:(outer.fs_pc + 1)
+        c.depth <- depth;
+        exec_fn outer.fs_fidx frame ~start:(outer.fs_pc + 1)
   in
   arm_when_done ();
   let ended status =
     {
       Exec.status;
       output = Buffer.contents out;
-      dyn_count = st.dyn;
+      dyn_count = c.dyn;
     }
   in
   let result =
@@ -1449,7 +1798,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
               last_write = Array.copy mainf.lw_init;
             }
           in
-          exec_fn code.main frame 0 ~start:0
+          exec_fn code.main frame ~start:0
     with
     | () -> ended Exec.Finished
     | exception Trap.Trap t -> ended (Exec.Trapped t)
@@ -1457,8 +1806,8 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     | exception Rejoined -> ended Exec.Finished
   in
   if rec_on then
-    Checkpoint.complete recd ~last_read ~read_cands:st.rc ~write_cands:st.wc
-      result;
+    Checkpoint.complete recd ~last_read:c.last_read ~read_cands:c.rc
+      ~write_cands:c.wc result;
   Exec.record_run result;
   result
 

@@ -10,23 +10,37 @@
     A workload decodes its program once ([Core.Workload.make]) and the
     resulting code is immutable, shared freely across engine domains.
 
-    {!run} executes compiled code with run-until-event fault scheduling,
-    on one loop body instantiated twice.
-    - The {b counting} loop keeps the candidate ordinals and
-      [last_write] and watches the injector's event thresholds; the
-      injector's slow path runs only when one is crossed.  Recording
-      runs use it throughout, and faulty runs until the injector's last
-      event.
-    - The {b quiet} loop does, per instruction, only the budget compare
-      and the dispatch; jumps still compare their target with the early
-      exits' watched pc, and calls still push the probe's shadow stack.
-      A run is quiet when it records nothing and the injector has
-      nothing pending ([ev_cand = ev_dyn = max_int]): from the start of
-      an eventless run, else from the injector's last event on.  Quiet
-      is monotone.  A counting frame hands over to the quiet loop at the
-      end of the iteration in which its run went quiet (at an event, or
-      when a call it made returns), and every frame entered while quiet
-      (a call, a patched call, a resumed outer frame) starts on it.
+    It then compiles each micro-op to OCaml closures, once per code, with
+    one builder: the only place a micro-op's semantics is written.  A
+    {e dyn segment} runs from a pc to the next call, patched instruction
+    or terminator, inclusive.  The {b chained} closure at a pc executes
+    it and tail-calls the next one, up to its segment's end, which
+    returns the next pc; the {b single-step} closure executes one
+    micro-op.  Every pc is an entry point (a handover, a resumed frame
+    and a call return land mid-block).  The closures hold no run state:
+    the run is their argument, so one code serves every domain.
+
+    {!run} executes compiled code with run-until-event fault scheduling.
+    - The {b counting} loop single-steps, keeping the candidate
+      ordinals and [last_write] and watching the injector's event
+      thresholds; the injector's slow path runs only when one is
+      crossed.  Recording runs use it throughout, and faulty runs until
+      the injector's last event.
+    - The {b quiet} runner runs a segment that ends below the run's
+      limit (the budget, or the early exits' next stop) as its chain,
+      with one dyn update and one limit compare, and single-steps a
+      segment that would cross it, so the watchdog and every probe stop
+      fall on their exact instruction.  A trap mid-chain reports its own
+      instruction's dyn; a callee starts at its call's dyn + 1.  Block
+      exits still compare their target with the early exits' watched
+      pc, and calls still push the probe's shadow stack.  A run is quiet
+      when it records nothing and the injector has nothing pending
+      ([ev_cand = ev_dyn = max_int]): from the start of an eventless
+      run, else from the injector's last event on.  Quiet is monotone.
+      A counting frame hands over to the quiet runner at the end of the
+      instruction in which its run went quiet (at an event, or when a
+      call it made returns), and every frame entered while quiet (a
+      call, a patched call, a resumed outer frame) starts on it.
     So a faulty run pays for fault injection only up to its last flip:
     its result carries no candidate counts, and the golden totals are
     the recording run's ({!Checkpoint.set}).
@@ -34,10 +48,10 @@
     Given a golden {!Checkpoint.set} ([exits]), a faulty run also stops
     once its result is decided.  Both exits arm only when the injector
     has no pending events ([ev_cand = ev_dyn = max_int]); until then, and
-    in a run without [exits], the loop pays one compare per instruction
-    for them (the dyn against the probe's next stop, which is also the
-    budget compare) and one per jump (its target against the watched
-    pc).
+    in a run without [exits], the runner pays one compare per segment
+    for them (the segment's end against the probe's next stop, which is
+    also the budget compare) and one per block exit (its target against
+    the watched pc).
     - {b Golden rejoin}, unless {!patch} has rewritten the code (a
       patched instruction outlives the last flip, so the run no longer
       runs the golden program).  The probe watches the pc of one golden
@@ -163,10 +177,11 @@ val resume :
     [exits] is {!run}'s. *)
 
 val fork : t -> t
-(** A private copy whose micro-op arrays may be {!patch}ed: the
+(** A private copy whose micro-ops and closures may be {!patch}ed: the
     workload's code stays pristine, and a mutated experiment of the code
-    fault domain runs on a throwaway fork (one array copy per function;
-    flags, metas, constant pools and the source program are shared). *)
+    fault domain runs on a throwaway fork (per function, copies of the
+    micro-op, closure and segment arrays; flags, metas, constant pools
+    and the source program are shared). *)
 
 val patch :
   t ->
@@ -183,7 +198,9 @@ val patch :
     [last_write] bookkeeping still follow the golden program structure
     while execution follows the mutated instruction — mirroring the seed
     interpreter on a {!Codeflip} image, with which it stays
-    bit-identical.  Only call on a {!fork}. *)
+    bit-identical.  The site then ends its dyn segment, and only that
+    segment's closures are rebuilt, on the fork.  Only call on a
+    {!fork}. *)
 
 val rejoin_window : int
 (** How far in dyn, either way, from a golden point the golden-rejoin

@@ -228,7 +228,8 @@ let equal_image t image ~live =
       && dirty 0 && images 0
 
 let check t ~width ~addr =
-  if addr < 0 || addr + width > t.size then raise (Trap.Trap Trap.Segfault);
+  (* [addr + width] would overflow for an address near [max_int]. *)
+  if addr < 0 || addr > t.size - width then raise (Trap.Trap Trap.Segfault);
   let align = if width < 4 then width else 4 in
   if addr land (align - 1) <> 0 then raise (Trap.Trap Trap.Misaligned);
   (* Guard gaps exceed the largest access width, so checking the first and
@@ -278,12 +279,18 @@ let flip_bit t ~addr ~bit =
   mark t ~width:1 ~addr;
   Bytes.set_uint8 t.arena addr (Bytes.get_uint8 t.arena addr lxor (1 lsl bit))
 
-(* The mapped (flippable) addresses of the arena, in address order.  The
-   mapped table is immutable and shared across clones, so this is a pure
-   function of the program's layout — compute it once per workload.
-   Mapped bytes come in runs, one per global: one scan of the flags
-   collects the runs, and the fill walks them. *)
-let mapped_addrs t =
+(* The mapped (flippable) bytes of the arena, as runs (one per global)
+   with the count of mapped bytes before each, so the k-th byte is a
+   binary search away.  The mapped table is immutable and shared across
+   clones, so this is a pure function of the program's layout — compute
+   it once per workload. *)
+type mapped = {
+  starts : int array; (* first address of each run, increasing *)
+  before : int array; (* mapped bytes before each run *)
+  count : int;
+}
+
+let mapped t =
   let runs = ref [] and n = ref 0 and i = ref 0 in
   (* Past the bytes flagged [c] from [!i] on, eight at a time while it
      can. *)
@@ -301,20 +308,24 @@ let mapped_addrs t =
     if Bytes.unsafe_get t.mapped start = '\000' then run_end '\000'
     else begin
       run_end '\001';
-      runs := (start, !i - start) :: !runs;
+      runs := (start, !n) :: !runs;
       n := !n + (!i - start)
     end
   done;
-  (* [runs] is last run first: fill from the end. *)
-  let out = Array.make !n 0 and k = ref !n in
-  List.iter
-    (fun (start, len) ->
-      k := !k - len;
-      for j = 0 to len - 1 do
-        Array.unsafe_set out (!k + j) (start + j)
-      done)
-    !runs;
-  out
+  let runs = Array.of_list (List.rev !runs) in
+  { starts = Array.map fst runs; before = Array.map snd runs; count = !n }
+
+let mapped_count m = m.count
+
+let mapped_addr m k =
+  if k < 0 || k >= m.count then invalid_arg "Memory.mapped_addr";
+  (* the last run with [before <= k] *)
+  let lo = ref 0 and hi = ref (Array.length m.starts - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if m.before.(mid) <= k then lo := mid else hi := mid - 1
+  done;
+  m.starts.(!lo) + (k - m.before.(!lo))
 
 let peek_bytes t ~addr ~len =
   if addr < 0 || len < 0 || addr + len > t.size then

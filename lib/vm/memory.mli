@@ -100,11 +100,23 @@ val flip_bit : t -> addr:int -> bit:int -> unit
     rewind the flip on {!reset} exactly like a program store.  Raises
     [Invalid_argument] on an out-of-bounds or unmapped address. *)
 
-val mapped_addrs : t -> int array
-(** All mapped arena addresses in increasing order — the memory-domain
-    fault target space.  Determined entirely by the program's global
-    layout (shared by every clone of a template), so it can be computed
-    once per workload. *)
+type mapped
+(** The mapped arena bytes — the memory-domain fault target space — as
+    runs of consecutive addresses with cumulative counts, not one entry
+    per byte. *)
+
+val mapped : t -> mapped
+(** The mapped bytes of the arena.  Determined entirely by the program's
+    global layout (shared by every clone of a template), so it can be
+    computed once per workload. *)
+
+val mapped_count : mapped -> int
+(** The number of mapped bytes. *)
+
+val mapped_addr : mapped -> int -> int
+(** [mapped_addr m k] is the [k]-th mapped address in increasing order
+    ([0 <= k < mapped_count m]), by binary search over the runs.
+    Raises [Invalid_argument] otherwise. *)
 
 val peek_bytes : t -> addr:int -> len:int -> bytes
 (** Unchecked snapshot for tests and debugging (still bounds-checked). *)

@@ -314,6 +314,57 @@ let test_global_addr_lookup () =
     | exception Not_found -> true
     | _ -> false)
 
+(* An access within its width of [max_int] traps like any other address
+   past the arena: the bounds check must not overflow. *)
+let test_addresses_near_max_int () =
+  let d = Option.get (Bench_suite.Registry.find "crc32") in
+  let prog = Vm.Program.load (d.build ()) in
+  let m = Vm.Memory.clone prog.mem_template in
+  let segfault what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no trap" what
+    | exception Vm.Trap.Trap Segfault -> ()
+    | exception Vm.Trap.Trap t ->
+        Alcotest.failf "%s: %s" what (Vm.Trap.to_string t)
+  in
+  for k = 0 to 7 do
+    let addr = max_int - k in
+    List.iter
+      (fun width ->
+        segfault (Printf.sprintf "read_int %d at max_int - %d" width k)
+          (fun () -> ignore (Vm.Memory.read_int m ~width ~addr : int));
+        segfault (Printf.sprintf "write_int %d at max_int - %d" width k)
+          (fun () -> Vm.Memory.write_int m ~width ~addr 1))
+      [ 1; 2; 4; 8 ];
+    segfault (Printf.sprintf "read_f64 at max_int - %d" k) (fun () ->
+        ignore (Vm.Memory.read_f64 m ~addr : float));
+    segfault (Printf.sprintf "write_f64 at max_int - %d" k) (fun () ->
+        Vm.Memory.write_f64 m ~addr 1.0)
+  done
+
+(* The Mem domain's location space: on every registry program, the k-th
+   entry of the run table is the k-th byte a one-byte read does not
+   segfault on. *)
+let test_mapped_runs () =
+  List.iter
+    (fun (d : Bench_suite.Desc.t) ->
+      let prog = Vm.Program.load (d.build ()) in
+      let m = prog.mem_template in
+      let mapped = Vm.Memory.mapped m in
+      let k = ref 0 in
+      for addr = 0 to Vm.Memory.size m - 1 do
+        match Vm.Memory.read_int m ~width:1 ~addr with
+        | _ ->
+            if Vm.Memory.mapped_addr mapped !k <> addr then
+              Alcotest.failf "%s: mapped byte %d is not %d" d.name !k addr;
+            incr k
+        | exception Vm.Trap.Trap Segfault -> ()
+      done;
+      Alcotest.(check int) (d.name ^ " mapped bytes") !k
+        (Vm.Memory.mapped_count mapped))
+    (Bench_suite.Registry.all
+    @ List.filter_map Bench_suite.Registry.find [ "nn"; "nn-large" ])
+
 let suites =
   [
     ( "vm",
@@ -344,5 +395,8 @@ let suites =
         Alcotest.test_case "memory isolation" `Quick
           test_memory_isolated_between_runs;
         Alcotest.test_case "global layout" `Quick test_global_addr_lookup;
+        Alcotest.test_case "addresses near max_int" `Quick
+          test_addresses_near_max_int;
+        Alcotest.test_case "mapped runs" `Quick test_mapped_runs;
       ] );
   ]

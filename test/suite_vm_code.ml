@@ -3,8 +3,9 @@
    (Vm.Exec) on golden runs, under fault injection, and across whole
    campaigns — same outputs, statuses, dynamic counts and injection
    logs — and a recording run must count the seed interpreter's
-   candidates.  An eventless compiled run executes on the quiet loop and
-   a recording run on the counting loop, so both are pinned. *)
+   candidates.  An eventless compiled run executes on the quiet runner,
+   which runs whole dyn segments as closure chains, and a recording run
+   on the counting loop, which single-steps, so both are pinned. *)
 
 let golden_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check bool) (name ^ " status") true (a.status = b.status);
@@ -175,6 +176,110 @@ let test_campaign_differential () =
       Core.Spec.multi Read ~max_mbf:5 ~win:(Rnd (2, 10));
     ]
 
+(* ---- block-granular execution ---- *)
+
+(* An event that never fires but keeps the run counting: the counting
+   loop single-steps every instruction. *)
+let never () =
+  {
+    Vm.Code.watch = `Dyn;
+    ev_cand = max_int;
+    ev_dyn = max_int - 1;
+    handle = (fun ~dyn:_ ~cand:_ _ _ -> Alcotest.fail "the event fired");
+  }
+
+(* [code] against the seed interpreter on [prog], quiet and counting. *)
+let both_forms name ~budget prog code =
+  let seed = Vm.Exec.run ~budget prog in
+  golden_equal (name ^ " quiet") seed (Vm.Code.run ~budget code);
+  golden_equal (name ^ " counting") seed
+    (Vm.Code.run ~events:(never ()) ~budget code)
+
+(* Every budget from 0 to 1,000 stops a run where the seed interpreter
+   stops it, whether the watchdog falls mid-block, mid-callee or at a
+   block's end: on crc32, stringsearch (a call every 23 instructions) and
+   qsort (recursion). *)
+let test_budget_sweep () =
+  List.iter
+    (fun name ->
+      let d = Option.get (Bench_suite.Registry.find name) in
+      let prog = Vm.Program.load (d.build ()) in
+      let code = Vm.Code.compile prog in
+      for budget = 0 to 1000 do
+        both_forms (Printf.sprintf "%s budget %d" name budget) ~budget prog code
+      done)
+    [ "crc32"; "stringsearch"; "qsort" ]
+
+(* A trap with more instructions after it in its block reports its own
+   dyn: a segfault, a division by zero and a guard, in [main] and in a
+   callee that [main] calls mid-block. *)
+let test_traps_mid_block () =
+  let module B = Ir.Build in
+  let trap kind f =
+    match kind with
+    | `Segfault -> ignore (B.load f I32 (B.ci 0))
+    | `Div ->
+        let z = B.local_init f I32 (B.ci 0) in
+        ignore (B.sdiv f I32 (B.ci 5) (B.r z))
+    | `Guard -> B.guard f I32 (B.ci 1) (B.mov f I32 (B.ci 2))
+  in
+  List.iter
+    (fun (kind, label) ->
+      List.iter
+        (fun in_callee ->
+          let m = B.create () in
+          B.func m "callee" ~params:[ I32 ] ~ret:(Some I32) (fun f ->
+              let x = B.add f I32 (B.param f 0) (B.ci 1) in
+              let y = B.mul f I32 x (B.ci 3) in
+              if in_callee then trap kind f;
+              B.ret f (Some (B.add f I32 y (B.ci 2))));
+          B.func m "main" ~params:[] ~ret:None (fun f ->
+              let a = B.add f I32 (B.ci 1) (B.ci 2) in
+              let b = B.mul f I32 a (B.ci 3) in
+              let r = B.call1 f "callee" [ b ] in
+              let c = B.add f I32 r (B.ci 4) in
+              if not in_callee then trap kind f;
+              B.output f I32 (B.add f I32 c (B.ci 5));
+              B.output f I32 c);
+          let prog = Vm.Program.load (B.finish m) in
+          let name =
+            Printf.sprintf "%s in %s" label
+              (if in_callee then "callee" else "main")
+          in
+          let seed = Vm.Exec.run ~budget:10_000 prog in
+          Alcotest.(check bool) (name ^ " traps") true
+            (match seed.status with Trapped _ -> true | _ -> false);
+          both_forms name ~budget:10_000 prog (Vm.Code.compile prog))
+        [ false; true ])
+    [ (`Segfault, "segfault"); (`Div, "division by zero"); (`Guard, "guard") ]
+
+(* A patched fork runs as the seed interpreter runs the flipped image,
+   quiet and counting, and the workload's code still runs the golden
+   run afterwards: forty flips spread over crc32's code bits, each on a
+   fresh fork (undecodable ones are skipped). *)
+let test_fork_isolation () =
+  let w = Lazy.force workload in
+  let sites = w.code_sites in
+  let total = Vm.Codeflip.total_bits sites in
+  let patched = ref 0 in
+  for k = 0 to 39 do
+    let site, bit = Vm.Codeflip.locate sites (k * (total / 40)) in
+    let image = Vm.Codeflip.image w.prog in
+    match Vm.Codeflip.flip sites image ~site ~bit with
+    | exception Vm.Trap.Trap Ill_instr -> ()
+    | p ->
+        incr patched;
+        let fork = Vm.Code.fork w.code in
+        let fidx, bidx, idx = Vm.Codeflip.site_coords sites site in
+        Vm.Code.patch fork ~fidx ~bidx ~idx p;
+        both_forms
+          (Printf.sprintf "site %d bit %d" site bit)
+          ~budget:w.budget image fork;
+        golden_equal "workload code after the fork" w.golden
+          (Vm.Code.run ~budget:Vm.Exec.golden_budget w.code)
+  done;
+  Alcotest.(check bool) "some flips decode" true (!patched >= 20)
+
 let suites =
   [
     ( "vm_code",
@@ -186,5 +291,8 @@ let suites =
           test_experiments_differential;
         Alcotest.test_case "campaign differential" `Quick
           test_campaign_differential;
+        Alcotest.test_case "budget sweep" `Quick test_budget_sweep;
+        Alcotest.test_case "traps mid-block" `Quick test_traps_mid_block;
+        Alcotest.test_case "fork isolation" `Quick test_fork_isolation;
       ] );
   ]
