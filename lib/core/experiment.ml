@@ -42,7 +42,7 @@ let run_raw ?(checkpoint = true) (workload : Workload.t) inj =
   match Config.active_backend () with
   | Config.Seed -> run_oracle workload inj
   | Config.Compiled ->
-      (* One of the workload's undo-tracking memories: resetting it costs
+      (* One of the workload's memories: resetting it costs
          O(dirty pages), and Mem flips dirty their page, so the next
          experiment's reset or restore undoes them like any store. *)
       Workload.with_mem workload @@ fun mem ->

@@ -16,7 +16,7 @@ val run_raw : ?checkpoint:bool -> Workload.t -> Injector.t -> Vm.Exec.result
     production path, on the compiled micro-op pipeline.  Building block
     for {!run}/{!run_at} and the CLI's replay commands.
 
-    The run takes one of the workload's undo-tracking memories
+    The run takes one of the workload's memories
     ({!Workload.with_mem}; it gives it back when the run returns) and
     binds the injector's fault domain —
     [Mem] flips land in that memory, [Code] flips patch a private

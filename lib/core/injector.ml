@@ -165,6 +165,17 @@ let after_injection t ~dyn =
 let win0_multi t =
   t.spec.max_mbf > 1 && Win.equal t.spec.win (Fixed 0)
 
+(* A win-0 burst's bits: [max_mbf] distinct bits of a [w]-bit field,
+   capped by [w], the [forced] bit first when there is one. *)
+let burst t ~w forced =
+  let k = min t.spec.max_mbf w in
+  match forced with
+  | Some b ->
+      b
+      :: (Prng.sample_distinct t.rng ~k:(k - 1) ~n:(w - 1)
+         |> List.map (fun x -> if x >= b then x + 1 else x))
+  | None -> Prng.sample_distinct t.rng ~k ~n:w
+
 let fire_first t ~dyn frame meta =
   let forced_slot, forced_bit =
     match t.forced_first with
@@ -174,26 +185,14 @@ let fire_first t ~dyn frame meta =
   let reg, slot = choose_target t meta ~forced_slot in
   let width = reg_width frame reg in
   if win0_multi t then begin
-    (* All flips at once: distinct bits of the same register operand,
-       capped by the register width. *)
-    let k = min t.spec.max_mbf width in
-    let bits =
-      match forced_bit with
-      | Some b ->
-          let rest =
-            Prng.sample_distinct t.rng ~k:(k - 1) ~n:(width - 1)
-            |> List.map (fun x -> if x >= b then x + 1 else x)
-          in
-          b :: rest
-      | None -> Prng.sample_distinct t.rng ~k ~n:width
-    in
+    (* All flips at once: distinct bits of the same register operand. *)
     List.iteri
       (fun i bit ->
         flip_reg frame reg bit;
         record t frame ~dyn
           ~cand:(if i = 0 then t.cand_seen else -1)
           ~reg ~ty:frame.reg_ty.(reg) ~slot ~bit)
-      bits;
+      (burst t ~w:width forced_bit);
     t.state <- Done
   end
   else begin
@@ -217,8 +216,8 @@ let fire_next t ~dyn frame meta =
 (* ---- Mem / Code effectors ---- *)
 
 (* Flip a uniform bit of a uniform live (mapped) arena byte.  The flip
-   marks the page dirty, so undo-tracking memories restore it like any
-   program store. *)
+   marks the page dirty, so a reset restores it like any program
+   store. *)
 let fire_mem t ~dyn ~first mapped mem =
   let n = Vm.Memory.mapped_count mapped in
   if n = 0 then t.state <- Done
@@ -232,24 +231,13 @@ let fire_mem t ~dyn ~first mapped mem =
     in
     let addr = Vm.Memory.mapped_addr mapped (Prng.int t.rng n) in
     if first && win0_multi t then begin
-      let k = min t.spec.max_mbf 8 in
-      let bits =
-        match forced_bit with
-        | Some b ->
-            let rest =
-              Prng.sample_distinct t.rng ~k:(k - 1) ~n:7
-              |> List.map (fun x -> if x >= b then x + 1 else x)
-            in
-            b :: rest
-        | None -> Prng.sample_distinct t.rng ~k ~n:8
-      in
       List.iteri
         (fun i bit ->
           Vm.Memory.flip_bit mem ~addr ~bit;
           record_at t ~dyn
             ~cand:(if i = 0 then dyn else -1)
             ~loc:addr ~ty:Ir.Ty.I8 ~bit)
-        bits;
+        (burst t ~w:8 forced_bit);
       t.state <- Done
     end
     else begin
@@ -293,12 +281,8 @@ let fire_code t ~dyn ~first sites image apply =
       | None -> ()
     in
     if first && win0_multi t then begin
-      let sb = Vm.Codeflip.site_bits sites site in
-      let k = min t.spec.max_mbf sb in
       let bits =
-        sbit
-        :: (Prng.sample_distinct t.rng ~k:(k - 1) ~n:(sb - 1)
-           |> List.map (fun x -> if x >= sbit then x + 1 else x))
+        burst t ~w:(Vm.Codeflip.site_bits sites site) (Some sbit)
       in
       (* Mark Done before applying: a flip may raise Ill_instr and the
          state machine must not be re-entered by an outer handler. *)

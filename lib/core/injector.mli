@@ -80,8 +80,8 @@ val bind_mem : t -> mapped:Vm.Memory.mapped -> mem:Vm.Memory.t -> unit
 (** Attach the Mem-domain target: the mapped bytes (static per
     workload, {!Vm.Memory.mapped} of the template) and the live
     memory this run executes against.  Re-bind per run — the memory is
-    run-private (a clone, or one of the workload's undo-tracking
-    memories; flips mark pages dirty, so page-restore undoes them). *)
+    run-private (a clone, or one of the workload's memories; flips
+    mark pages dirty, so a reset or page-restore undoes them). *)
 
 val bind_code :
   t ->

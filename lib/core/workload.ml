@@ -72,7 +72,7 @@ let candidates t (spec : Spec.t) =
    compare-and-set on the head fails whenever the stack changed. *)
 let rec take_mem t =
   match Atomic.get t.mems with
-  | [] -> Vm.Memory.with_undo t.prog.mem_template
+  | [] -> Vm.Memory.clone t.prog.mem_template
   | m :: rest as spare ->
       if Atomic.compare_and_set t.mems spare rest then m else take_mem t
 
@@ -90,17 +90,19 @@ let with_mem t f =
 let ensure_checkpoints t = Some t.checkpoints
 
 (* Analysis-only: the golden run again, on the seed interpreter, counting
-   block entries.  Nothing is kept, so campaigns never carry it. *)
+   block entries: a block's first instruction, or its terminator when it
+   has none, is its [idx = 0].  Nothing is kept, so campaigns never carry
+   it. *)
 let profile t =
   let counts =
     Array.map
       (fun (f : Vm.Program.lfunc) -> Array.make (Array.length f.blocks) 0)
       t.prog.funcs
   in
-  let block_hook ~fidx ~bidx =
-    counts.(fidx).(bidx) <- counts.(fidx).(bidx) + 1
+  let at ~dyn:_ _ (m : Vm.Meta.t) =
+    if m.idx = 0 then counts.(m.fidx).(m.bidx) <- counts.(m.fidx).(m.bidx) + 1
   in
+  let hooks = { Vm.Exec.pre = Vm.Exec.no_hook; post = Vm.Exec.no_hook; at } in
   ignore
-    (Vm.Exec.run ~block_hook ~budget:Vm.Exec.golden_budget t.prog
-      : Vm.Exec.result);
+    (Vm.Exec.run ~hooks ~budget:Vm.Exec.golden_budget t.prog : Vm.Exec.result);
   counts

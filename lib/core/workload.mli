@@ -4,10 +4,10 @@
     candidate counts the injector samples time-location pairs from
     (Table II, kept in [checkpoints]), the dynamic instruction count the
     watchdog budget is derived from, the checkpoint set faulty runs
-    restore from, and the undo-tracking memories they run on.  A workload owns all of it:
-    nothing is cached process-wide, so a second [make] of the same module
-    decodes and runs it again, and everything lives exactly as long as
-    the workload. *)
+    restore from, and the memories they run on.  A workload owns all of
+    it: nothing is cached process-wide, so a second [make] of the same
+    module decodes and runs it again, and everything lives exactly as
+    long as the workload. *)
 
 type t = {
   name : string;
@@ -45,9 +45,9 @@ type t = {
       (** the program's static instruction-field table — the [Code]
           fault domain's location space *)
   mems : Vm.Memory.t list Atomic.t;
-      (** the spare undo-tracking memories ({!Vm.Memory.with_undo} of
-          [prog.mem_template]) of this workload's runs, a lock-free
-          stack; take one only through {!with_mem} *)
+      (** the spare memories ({!Vm.Memory.clone}s of [prog.mem_template])
+          of this workload's runs, a lock-free stack; take one only
+          through {!with_mem} *)
 }
 
 val make : ?hang_factor:int -> ?expected_output:string -> name:string ->
@@ -68,8 +68,8 @@ val candidates : t -> Spec.t -> int
     instructions). *)
 
 val with_mem : t -> (Vm.Memory.t -> 'a) -> 'a
-(** [with_mem t f] applies [f] to a spare undo-tracking memory of [t]'s
-    program, made from [prog.mem_template] only when none is spare, and
+(** [with_mem t f] applies [f] to a spare memory of [t]'s program,
+    made from [prog.mem_template] only when none is spare, and
     keeps it as a spare again once [f] returns (a memory whose [f]
     raises is dropped).  The memory holds whatever its last run left:
     [f] must {!Vm.Memory.reset} or {!Vm.Memory.restore_pages} it before
@@ -84,7 +84,8 @@ val ensure_checkpoints : t -> Vm.Checkpoint.set option
 val profile : t -> int array array
 (** The golden run's execution count of each (function, block), indexed
     [fidx].[bidx].  Each call runs the golden run again on the seed
-    interpreter ({!Vm.Exec.run}'s [block_hook]) and keeps nothing.  No
-    experiment reads it: only the static analyses do — Table II's
-    candidate prediction ([Dataflow.Candidates.predict]) and the pruning
-    study ([Dataflow.Prune.summarise]). *)
+    interpreter, counting in its [at] hook each block's first instruction
+    ([Vm.Meta.t]'s [idx = 0]: the terminator of an empty block), and
+    keeps nothing.  No experiment reads it: only the static analyses do
+    — Table II's candidate prediction ([Dataflow.Candidates.predict])
+    and the pruning study ([Dataflow.Prune.summarise]). *)

@@ -17,7 +17,7 @@
    that never made it to the store.
 
    Within a shard, each worker domain runs its experiments one at a time
-   on an undo-tracking memory it takes from the workload for each run
+   on a memory it takes from the workload for each run
    (Core.Workload.with_mem), restoring each golden prefix from the
    workload's checkpoint set (Core.Experiment.run_raw). *)
 

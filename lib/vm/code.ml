@@ -116,13 +116,12 @@ type uop =
   | Uret
   | Uret_i of int
   | Uret_f of int
-  (* Generic fallback uops holding a (possibly bit-flipped) source
-     instruction, installed by [patch] when the code domain mutates a
-     site of a forked copy.  They interpret the IR instruction directly
-     against the frame — semantics shared with the seed interpreter via
-     the Exec.exec_* helpers, so a flipped instruction means exactly the
-     same thing on both backends.  Slow, but a code-domain experiment
-     executes at most [max_mbf] of them per dynamic occurrence. *)
+  (* A (possibly bit-flipped) source instruction, installed by [patch]
+     when the code domain mutates a site of a forked copy.  It runs on
+     the seed interpreter's [Exec.step] or [Exec.branch] against the
+     running frame, so a flipped instruction means exactly the same
+     thing on both backends.  Slow, but a code-domain experiment patches
+     at most [max_mbf] sites. *)
   | Uinterp of Ir.Instr.t
   | Uinterp_t of Ir.Instr.terminator
 
@@ -164,8 +163,9 @@ type ctx = {
          running one again *)
   mutable jumped : int -> Exec.frame -> int -> unit;
       (* the probe, after a jump to [watch_pc] *)
-  mutable interp : int -> Exec.frame -> int -> Ir.Instr.t -> unit;
-      (* a patched instruction, at [fidx] and pc *)
+  env : Exec.env;
+      (* the patched sites' view of the run: [mem], [out], calls through
+         [enter], return values copied to and from [ret_i]/[ret_f] *)
 }
 
 (* A compiled micro-op: runs against the run's running frame and returns
@@ -439,28 +439,24 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
 
 (* ---- the closure builder ---- *)
 
-let to_u64 v = Int64.logand (Int64.of_int v) 0x7FFFFFFFFFFFFFFFL
-
-(* Operand reads for the generic [Uinterp] path.  Register slots 0..nregs-1
-   of a compiled frame hold exactly the seed interpreter's register values
-   (the backends' core bit-identity invariant), so reading a flipped
-   register index out of them matches the seed run on the mutated image. *)
-let igeti (frame : Exec.frame) (op : Ir.Instr.operand) =
-  match op with
-  | Ir.Instr.Reg r -> frame.Exec.ints.(r)
-  | Imm n -> n
-  | FImm _ | Glob _ -> assert false (* canonicalised; flips preserve kind *)
-
-let igetf (frame : Exec.frame) (op : Ir.Instr.operand) =
-  match op with
-  | Ir.Instr.Reg r -> frame.Exec.flts.(r)
-  | FImm x -> x
-  | Imm _ | Glob _ -> assert false
+(* A frame as a call enters [cf]: the constant slots filled, every
+   register zero and never written.  Register slots 0..nregs-1 then hold
+   exactly the seed interpreter's register values (the backends' core
+   bit-identity invariant), so a patched site's [Exec.step] reads a
+   flipped register index out of them as the seed run on the mutated
+   image does. *)
+let[@inline] fresh_frame cf =
+  {
+    Exec.ints = Array.copy cf.int_init;
+    flts = Array.copy cf.flt_init;
+    reg_ty = cf.reg_ty;
+    last_write = Array.copy cf.lw_init;
+  }
 
 (* Does the micro-op end its dyn segment?  Terminators, whose block ends
    there; calls, whose callee runs at the call's dyn + 1 and may move
-   [limit] or [watch_pc]; and patched instructions, which interpret
-   generically and cannot take a chain's dyn off before they trap. *)
+   [limit] or [watch_pc]; and patched instructions, which run on
+   [Exec.step] and cannot take a chain's dyn off before they trap. *)
 let ends = function
   | Ucall _ | Uinterp _ | Uinterp_t _ | Ujmp _ | Ucbr _ | Uret | Uret_i _
   | Uret_f _ | Uabort ->
@@ -550,7 +546,7 @@ let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
         if y = 0 then trap c after Div_by_zero;
         let x = Array.unsafe_get ints a in
         Array.unsafe_set ints dst
-          (Int64.to_int (Int64.div (to_u64 x) (to_u64 y)) land m);
+          (Int64.to_int (Int64.div (Exec.to_u64 x) (Exec.to_u64 y)) land m);
         go k c i
   | Usrem (dst, a, b, sh, m) ->
       fun c ->
@@ -575,7 +571,7 @@ let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
         if y = 0 then trap c after Div_by_zero;
         let x = Array.unsafe_get ints a in
         Array.unsafe_set ints dst
-          (Int64.to_int (Int64.rem (to_u64 x) (to_u64 y)) land m);
+          (Int64.to_int (Int64.rem (Exec.to_u64 x) (Exec.to_u64 y)) land m);
         go k c i
   | Uand (dst, a, b) ->
       fun c ->
@@ -854,20 +850,11 @@ let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
         go k c i
   | Ucall cr ->
       let callee = funcs.(cr.c_callee) in
-      let int_init = callee.int_init and flt_init = callee.flt_init in
-      let reg_ty = callee.reg_ty and lw_init = callee.lw_init in
       fun c ->
         let ints = c.ints and flts = c.flts and fr = c.fr in
         let depth = c.depth in
         if depth >= Exec.max_call_depth then trap c after Stack_overflow;
-        let cframe =
-          {
-            Exec.ints = Array.copy int_init;
-            flts = Array.copy flt_init;
-            reg_ty;
-            last_write = Array.copy lw_init;
-          }
-        in
+        let cframe = fresh_frame callee in
         for j = 0 to Array.length cr.c_args - 1 do
           if cr.c_arg_f.(j) then
             cframe.Exec.flts.(j) <- Array.unsafe_get flts cr.c_args.(j)
@@ -902,7 +889,7 @@ let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
         | 0 -> Buffer.add_uint8 c.out (v land 0xFF)
         | 1 -> Buffer.add_uint16_le c.out v
         | 2 -> Buffer.add_int32_le c.out (Int32.of_int v)
-        | _ -> Buffer.add_int64_le c.out (to_u64 v));
+        | _ -> Buffer.add_int64_le c.out (Exec.to_u64 v));
         go k c i
   | Uout_f s ->
       fun c ->
@@ -941,31 +928,38 @@ let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
         c.ret_f <- Array.unsafe_get c.flts s;
         -1
   | Uinterp ins ->
-      fun c ->
-        c.interp fidx c.fr i ins;
+      let calls_fn =
+        match ins with
+        | Call { callee; _ } -> (
+            match Hashtbl.find_opt src.Program.targets callee with
+            | Some (Program.Fn _) -> true
+            | _ -> false)
+        | _ -> false
+      in
+      if calls_fn then
+        (* A patched call to a function is on the shadow stack, as a
+           [Ucall] is; it ends its segment, so its dyn is [c.dyn - 1]. *)
+        fun c ->
+          let fr = c.fr in
+          if c.shadow then c.rstack <- (fidx, fr, i, c.dyn - 1) :: c.rstack;
+          Exec.step c.env fr ins;
+          if c.shadow then c.rstack <- List.tl c.rstack;
+          i + 1
+      else fun c ->
+        Exec.step c.env c.fr ins;
         i + 1
-  | Uinterp_t tm -> (
+  | Uinterp_t tm ->
       let block_off = funcs.(fidx).block_off in
-      match tm with
-      | Br l ->
-          let p = block_off.(l) in
-          fun _ -> p
-      | Cbr { cond; if_true; if_false } ->
-          fun c ->
-            block_off.(if igeti c.fr cond <> 0 then if_true else if_false)
-      | Ret None -> fun _ -> -1
-      | Ret (Some v) -> (
-          match src.Program.funcs.(fidx).Program.ret with
-          | Some rt when Ir.Ty.is_float rt ->
-              fun c ->
-                c.ret_f <- igetf c.fr v;
-                -1
-          | Some _ ->
-              fun c ->
-                c.ret_i <- igeti c.fr v;
-                -1
-          | None -> fun _ -> -1)
-      | Unreachable -> fun c -> trap c after Abort_called)
+      let ret = src.Program.funcs.(fidx).ret in
+      fun c ->
+        let env = c.env in
+        let b = Exec.branch env c.fr ~ret tm in
+        if b >= 0 then block_off.(b)
+        else begin
+          c.ret_i <- env.ret_i;
+          c.ret_f <- env.ret_f;
+          -1
+        end
 
 (* (Re)build the closures and segment lengths of pcs [lo, hi), where the
    micro-op at [hi - 1] ends its segment, back to front so each chain
@@ -1248,15 +1242,11 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   in
   let exits_on = Option.is_some exits in
   let mem =
-    match mem with
-    | Some m -> m
-    | None ->
-        if rec_on || exits_on then Memory.with_undo code.mem_template
-        else Memory.clone code.mem_template
+    match mem with Some m -> m | None -> Memory.clone code.mem_template
   in
-  if exits_on && not (Memory.tracks_undo mem) then
-    invalid_arg "Code.run: early exits need an undo-tracking memory";
-  let c =
+  let funcs = code.funcs in
+  let out = Buffer.create 256 in
+  let rec c =
     {
       dyn = 0;
       rc = 0;
@@ -1272,14 +1262,31 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       rstack = [];
       shadow = rec_on || exits_on;
       mem;
-      out = Buffer.create 256;
+      out;
       last_read = (if rec_on then Array.make (Memory.pages mem) (-1) else [||]);
       enter = (fun _ _ -> ());
       jumped = (fun _ _ _ -> ());
-      interp = (fun _ _ _ _ -> ());
+      env =
+        {
+          Exec.prog = code.source;
+          mem;
+          out;
+          fresh = (fun fidx -> fresh_frame funcs.(fidx));
+          call =
+            (fun fidx frame ->
+              let depth = c.depth in
+              if depth >= Exec.max_call_depth then
+                raise (Trap.Trap Stack_overflow);
+              c.depth <- depth + 1;
+              c.enter fidx frame;
+              c.depth <- depth;
+              c.env.ret_i <- c.ret_i;
+              c.env.ret_f <- c.ret_f);
+          ret_i = 0;
+          ret_f = 0.0;
+        };
     }
   in
-  let out = c.out in
   (match resume with
   | Some (p : Checkpoint.point) ->
       Buffer.add_string out p.ck_out;
@@ -1295,7 +1302,6 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let recd =
     match record with Some r -> r | None -> Checkpoint.null_recorder
   in
-  let funcs = code.funcs in
   let rsteps = if rec_on then recording_steps code else [||] in
   (* A frame snapshot keeps what a run can change: the real registers,
      never the constant slots (a code flip that names a register past
@@ -1611,115 +1617,6 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       c.fr <- fr;
       c.ints <- ints;
       c.flts <- flts);
-  (* One mutated instruction, interpreted generically — the mirror of the
-     seed interpreter's [step] over the same (flipped) [Ir.Instr.t], with
-     calls re-entering compiled code.  [fidx] and [i] locate the
-     instruction for the shadow stack; it ends its segment, so its dyn is
-     [c.dyn - 1]. *)
-  c.interp <-
-    (fun fidx (frame : Exec.frame) i (ins : Ir.Instr.t) ->
-      let ints = frame.Exec.ints and flts = frame.Exec.flts in
-      match ins with
-      | Binop { op; ty; dst; a; b } ->
-          ints.(dst) <- Exec.exec_binop op ty (igeti frame a) (igeti frame b)
-      | Fbinop { op; dst; a; b } ->
-          flts.(dst) <- Exec.exec_fbinop op (igetf frame a) (igetf frame b)
-      | Icmp { op; ty; dst; a; b } ->
-          ints.(dst) <- Exec.exec_icmp op ty (igeti frame a) (igeti frame b)
-      | Fcmp { op; dst; a; b } ->
-          ints.(dst) <- Exec.exec_fcmp op (igetf frame a) (igetf frame b)
-      | Select { ty; dst; cond; a; b } ->
-          if Ir.Ty.is_float ty then
-            flts.(dst) <-
-              (if igeti frame cond <> 0 then igetf frame a else igetf frame b)
-          else
-            ints.(dst) <-
-              (if igeti frame cond <> 0 then igeti frame a else igeti frame b)
-      | Cast { op; from_ty; to_ty; dst; a } -> (
-          match op with
-          | Trunc | Ptrtoint | Inttoptr ->
-              ints.(dst) <- Ir.Bits.mask to_ty (igeti frame a)
-          | Zext -> ints.(dst) <- igeti frame a
-          | Sext ->
-              ints.(dst) <-
-                Ir.Bits.mask to_ty (Ir.Bits.sext from_ty (igeti frame a))
-          | Fptosi -> ints.(dst) <- Exec.float_to_int to_ty (igetf frame a)
-          | Sitofp ->
-              flts.(dst) <- float_of_int (Ir.Bits.sext from_ty (igeti frame a)))
-      | Mov { ty; dst; a } ->
-          if Ir.Ty.is_float ty then flts.(dst) <- igetf frame a
-          else ints.(dst) <- igeti frame a
-      | Load { ty; dst; addr } ->
-          let a = igeti frame addr in
-          if Ir.Ty.is_float ty then flts.(dst) <- Memory.read_f64 mem ~addr:a
-          else ints.(dst) <- Memory.read_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
-      | Store { ty; value; addr } ->
-          let a = igeti frame addr in
-          if Ir.Ty.is_float ty then
-            Memory.write_f64 mem ~addr:a (igetf frame value)
-          else
-            Memory.write_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
-              (igeti frame value)
-      | Gep { dst; base; index; scale } ->
-          let idx = Ir.Bits.sext I32 (Ir.Bits.mask I32 (igeti frame index)) in
-          ints.(dst) <- Ir.Bits.mask Ptr (igeti frame base + (idx * scale))
-      | Call { dst; callee; args } -> (
-          match Hashtbl.find_opt code.source.Program.targets callee with
-          | None -> assert false (* validated; flips never touch names *)
-          | Some (Program.B1 f) ->
-              let r = f (igetf frame (List.hd args)) in
-              (match dst with Some d -> flts.(d) <- r | None -> ())
-          | Some (Program.B2 f) -> (
-              match args with
-              | [ a; b ] ->
-                  let r = f (igetf frame a) (igetf frame b) in
-                  (match dst with Some d -> flts.(d) <- r | None -> ())
-              | _ -> assert false)
-          | Some (Program.Fn cidx) ->
-              let depth = c.depth in
-              if depth >= Exec.max_call_depth then
-                raise (Trap.Trap Stack_overflow);
-              let cf2 = funcs.(cidx) in
-              let cframe =
-                {
-                  Exec.ints = Array.copy cf2.int_init;
-                  flts = Array.copy cf2.flt_init;
-                  reg_ty = cf2.reg_ty;
-                  last_write = Array.copy cf2.lw_init;
-                }
-              in
-              let src = code.source.Program.funcs.(cidx) in
-              List.iteri
-                (fun j arg ->
-                  if Ir.Ty.is_float src.Program.params.(j) then
-                    cframe.Exec.flts.(j) <- igetf frame arg
-                  else cframe.Exec.ints.(j) <- igeti frame arg)
-                args;
-              if c.shadow then
-                c.rstack <- (fidx, frame, i, c.dyn - 1) :: c.rstack;
-              c.depth <- depth + 1;
-              c.enter cidx cframe;
-              c.depth <- depth;
-              if c.shadow then c.rstack <- List.tl c.rstack;
-              (match (dst, src.Program.ret) with
-              | Some d, Some rt ->
-                  if Ir.Ty.is_float rt then flts.(d) <- c.ret_f
-                  else ints.(d) <- c.ret_i
-              | _ -> ()))
-      | Output { ty; value } ->
-          if Ir.Ty.is_float ty then
-            Exec.add_output out ty 0 (igetf frame value)
-          else Exec.add_output out ty (igeti frame value) 0.0
-      | Guard { ty; a; b } ->
-          let equal =
-            if Ir.Ty.is_float ty then
-              Int64.equal
-                (Int64.bits_of_float (igetf frame a))
-                (Int64.bits_of_float (igetf frame b))
-            else igeti frame a = igeti frame b
-          in
-          if not equal then raise (Trap.Trap Guard_violation)
-      | Abort -> raise (Trap.Trap Abort_called));
   (* Complete an outer frame's in-progress call exactly as the original
      Ucall iteration would have after its callee returned: assign the
      return value, then run the call's write-candidate post-block with
@@ -1751,11 +1648,11 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     end
   in
   let rebuild (s : Checkpoint.frame_snap) =
-    let cf = funcs.(s.fs_fidx) in
-    let ints = Array.copy cf.int_init and flts = Array.copy cf.flt_init in
-    Array.blit s.fs_ints 0 ints 0 (Array.length s.fs_ints);
-    Array.blit s.fs_flts 0 flts 0 (Array.length s.fs_flts);
-    { Exec.ints; flts; reg_ty = cf.reg_ty; last_write = Array.copy s.fs_lw }
+    let fr = fresh_frame funcs.(s.fs_fidx) in
+    Array.blit s.fs_ints 0 fr.Exec.ints 0 (Array.length s.fs_ints);
+    Array.blit s.fs_flts 0 fr.Exec.flts 0 (Array.length s.fs_flts);
+    Array.blit s.fs_lw 0 fr.Exec.last_write 0 (Array.length s.fs_lw);
+    fr
   in
   (* Re-enter the captured stack: the innermost frame runs to completion
      first, then each outer frame completes its call and continues. *)
@@ -1788,17 +1685,7 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     match
       match resume with
       | Some p -> resume_stack (Array.to_list p.Checkpoint.ck_stack) 0
-      | None ->
-          let mainf = funcs.(code.main) in
-          let frame =
-            {
-              Exec.ints = Array.copy mainf.int_init;
-              flts = Array.copy mainf.flt_init;
-              reg_ty = mainf.reg_ty;
-              last_write = Array.copy mainf.lw_init;
-            }
-          in
-          exec_fn code.main frame ~start:0
+      | None -> exec_fn code.main (fresh_frame funcs.(code.main)) ~start:0
     with
     | () -> ended Exec.Finished
     | exception Trap.Trap t -> ended (Exec.Trapped t)

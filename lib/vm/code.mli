@@ -79,9 +79,9 @@
       as fit below [budget] to [dyn_count], with a copy of the period's
       output each, and runs the remainder to the watchdog.
     Either way the result is field-for-field the full run's.  Every call
-    is on the probe's shadow stack, patched calls interpreted for the
-    code domain included, so an unbounded recursion never looks like a
-    cycle: its depth grows until it traps [Stack_overflow].
+    is on the probe's shadow stack, patched calls run by {!Exec.step}
+    for the code domain included, so an unbounded recursion never looks
+    like a cycle: its depth grows until it traps [Stack_overflow].
 
     Behaviour is bit-identical to the seed interpreter {!Exec.run}: same
     outputs, statuses and dynamic counts, and the same candidate
@@ -135,8 +135,8 @@ val run :
     [record] captures golden-prefix checkpoints into the recorder at the
     first jump target after a candidate ordinal crosses its interval
     (see {!Checkpoint}), and leaves the run's candidate totals there;
-    recording runs execute on a private undo-tracking memory so each
-    point can snapshot its dirty pages.  [Core.Workload.make] passes it:
+    each point snapshots the memory's dirty pages.  [Core.Workload.make]
+    passes it:
     its one golden run yields the result and the checkpoint set.
 
     [mem] supplies the memory to execute against instead of cloning the
@@ -146,10 +146,8 @@ val run :
     ([Core.Workload.with_mem]) serve every experiment it runs.
 
     [exits] arms the early exits against the program's golden set
-    (only the cycle exit on a patched {!fork}).  They need an
-    undo-tracking [mem] ([Invalid_argument] otherwise; one is made when
-    [mem] is omitted) and a golden run that finished, and they stay off
-    in recording runs. *)
+    (only the cycle exit on a patched {!fork}).  They need a golden run
+    that finished, and they stay off in recording runs. *)
 
 val resume :
   events:events ->
@@ -161,7 +159,7 @@ val resume :
   t ->
   Exec.result
 (** Restore [point] (counters, output prefix, call stack, dirty pages —
-    [mem] must be an undo-tracking memory of this program's template) and
+    [mem] must be a memory of this program's template) and
     execute only the suffix.  The result is field-for-field what {!run}
     with the same [events] would return: [dyn_count] and the candidate
     ordinals the injector sees continue from the restored counters, so
@@ -191,7 +189,8 @@ val patch :
   [ `Instr of Ir.Instr.t | `Term of Ir.Instr.terminator ] ->
   unit
 (** Install a (bit-flipped) source instruction at its site, replacing
-    the decoded micro-op with a generic interpreting fallback.  [idx] is
+    the decoded micro-op with one that runs it on the seed interpreter
+    ({!Exec.step}, or {!Exec.branch} for a terminator).  [idx] is
     the instruction index within the block ([Array.length instrs] for
     the terminator — {!Meta.t}'s numbering).  The site keeps its
     original candidate flags and metadata, so candidate ordinals and

@@ -154,122 +154,166 @@ let add_output buf ty (iv : int) (fv : float) =
   | I64 -> add_int64_le buf (to_u64 iv)
   | F64 -> add_int64_le buf (Int64.bits_of_float fv)
 
-let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
+type env = {
+  prog : Program.t;
+  mem : Memory.t;
+  out : Buffer.t;
+  fresh : int -> frame;
+  call : int -> frame -> unit;
+  mutable ret_i : int;
+  mutable ret_f : float;
+}
+
+let geti (frame : frame) (op : Ir.Instr.operand) =
+  match op with
+  | Reg r -> frame.ints.(r)
+  | Imm n -> n
+  | FImm _ | Glob _ -> assert false (* canonicalised; flips keep kinds *)
+
+let getf (frame : frame) (op : Ir.Instr.operand) =
+  match op with
+  | Reg r -> frame.flts.(r)
+  | FImm x -> x
+  | Imm _ | Glob _ -> assert false
+
+let step env frame (ins : Ir.Instr.t) =
+  match ins with
+  | Binop { op; ty; dst; a; b } ->
+      frame.ints.(dst) <- exec_binop op ty (geti frame a) (geti frame b)
+  | Fbinop { op; dst; a; b } ->
+      frame.flts.(dst) <- exec_fbinop op (getf frame a) (getf frame b)
+  | Icmp { op; ty; dst; a; b } ->
+      frame.ints.(dst) <- exec_icmp op ty (geti frame a) (geti frame b)
+  | Fcmp { op; dst; a; b } ->
+      frame.ints.(dst) <- exec_fcmp op (getf frame a) (getf frame b)
+  | Select { ty; dst; cond; a; b } ->
+      if Ir.Ty.is_float ty then
+        frame.flts.(dst) <-
+          (if geti frame cond <> 0 then getf frame a else getf frame b)
+      else
+        frame.ints.(dst) <-
+          (if geti frame cond <> 0 then geti frame a else geti frame b)
+  | Cast { op; from_ty; to_ty; dst; a } -> (
+      match op with
+      | Trunc | Ptrtoint | Inttoptr ->
+          frame.ints.(dst) <- Ir.Bits.mask to_ty (geti frame a)
+      | Zext -> frame.ints.(dst) <- geti frame a
+      | Sext ->
+          frame.ints.(dst) <-
+            Ir.Bits.mask to_ty (Ir.Bits.sext from_ty (geti frame a))
+      | Fptosi -> frame.ints.(dst) <- float_to_int to_ty (getf frame a)
+      | Sitofp ->
+          frame.flts.(dst) <-
+            float_of_int (Ir.Bits.sext from_ty (geti frame a)))
+  | Mov { ty; dst; a } ->
+      if Ir.Ty.is_float ty then frame.flts.(dst) <- getf frame a
+      else frame.ints.(dst) <- geti frame a
+  | Load { ty; dst; addr } ->
+      let a = geti frame addr in
+      if Ir.Ty.is_float ty then
+        frame.flts.(dst) <- Memory.read_f64 env.mem ~addr:a
+      else
+        frame.ints.(dst) <-
+          Memory.read_int env.mem ~width:(Ir.Ty.bytes ty) ~addr:a
+  | Store { ty; value; addr } ->
+      let a = geti frame addr in
+      if Ir.Ty.is_float ty then
+        Memory.write_f64 env.mem ~addr:a (getf frame value)
+      else
+        Memory.write_int env.mem ~width:(Ir.Ty.bytes ty) ~addr:a
+          (geti frame value)
+  | Gep { dst; base; index; scale } ->
+      let idx = Ir.Bits.sext I32 (Ir.Bits.mask I32 (geti frame index)) in
+      frame.ints.(dst) <- Ir.Bits.mask Ptr (geti frame base + (idx * scale))
+  | Call { dst; callee; args } -> (
+      match Hashtbl.find_opt env.prog.targets callee with
+      | None -> assert false (* validated; flips never touch names *)
+      | Some (B1 f) ->
+          let r = f (getf frame (List.hd args)) in
+          (match dst with Some d -> frame.flts.(d) <- r | None -> ())
+      | Some (B2 f) -> (
+          match args with
+          | [ a; b ] ->
+              let r = f (getf frame a) (getf frame b) in
+              (match dst with Some d -> frame.flts.(d) <- r | None -> ())
+          | _ -> assert false)
+      | Some (Fn callee_idx) ->
+          let cf = env.prog.funcs.(callee_idx) in
+          let callee_frame = env.fresh callee_idx in
+          List.iteri
+            (fun i arg ->
+              if Ir.Ty.is_float cf.params.(i) then
+                callee_frame.flts.(i) <- getf frame arg
+              else callee_frame.ints.(i) <- geti frame arg)
+            args;
+          env.call callee_idx callee_frame;
+          (match (dst, cf.ret) with
+          | Some d, Some rt ->
+              if Ir.Ty.is_float rt then frame.flts.(d) <- env.ret_f
+              else frame.ints.(d) <- env.ret_i
+          | _ -> ()))
+  | Output { ty; value } ->
+      if Ir.Ty.is_float ty then add_output env.out ty 0 (getf frame value)
+      else add_output env.out ty (geti frame value) 0.0
+  | Guard { ty; a; b } ->
+      let equal =
+        if Ir.Ty.is_float ty then
+          Int64.equal
+            (Int64.bits_of_float (getf frame a))
+            (Int64.bits_of_float (getf frame b))
+        else geti frame a = geti frame b
+      in
+      if not equal then raise (Trap.Trap Guard_violation)
+  | Abort -> raise (Trap.Trap Abort_called)
+
+let branch env frame ~ret (term : Ir.Instr.terminator) =
+  match term with
+  | Br l -> l
+  | Cbr { cond; if_true; if_false } ->
+      if geti frame cond <> 0 then if_true else if_false
+  | Ret None -> -1
+  | Ret (Some v) ->
+      (match ret with
+      | Some rt when Ir.Ty.is_float rt -> env.ret_f <- getf frame v
+      | Some _ -> env.ret_i <- geti frame v
+      | None -> ());
+      -1
+  | Unreachable -> raise (Trap.Trap Abort_called)
+
+(* A frame as a call enters it: every register zero and never written. *)
+let fresh_frame (f : Program.lfunc) =
+  let nregs = Array.length f.reg_ty in
+  {
+    ints = Array.make nregs 0;
+    flts = Array.make nregs 0.0;
+    reg_ty = f.reg_ty;
+    last_write = Array.make nregs (-1);
+  }
+
+let run ?hooks ?mem ~budget (prog : Program.t) =
   let mem =
     match mem with Some m -> m | None -> Memory.clone prog.mem_template
   in
-  let out = Buffer.create 256 in
-  let dyn = ref 0 in
-  let ret_i = ref 0 in
-  let ret_f = ref 0.0 in
-  let rec exec_fn fidx (frame : frame) depth =
+  let dyn = ref 0 and depth = ref 0 in
+  let rec env =
+    {
+      prog;
+      mem;
+      out = Buffer.create 256;
+      fresh = (fun fidx -> fresh_frame prog.funcs.(fidx));
+      call =
+        (fun fidx frame ->
+          let d = !depth in
+          if d >= max_call_depth then raise (Trap.Trap Stack_overflow);
+          depth := d + 1;
+          exec_fn fidx frame;
+          depth := d);
+      ret_i = 0;
+      ret_f = 0.0;
+    }
+  and exec_fn fidx (frame : frame) =
     let f = prog.funcs.(fidx) in
-    let geti (op : Ir.Instr.operand) =
-      match op with
-      | Reg r -> frame.ints.(r)
-      | Imm n -> n
-      | FImm _ | Glob _ -> assert false
-    in
-    let getf (op : Ir.Instr.operand) =
-      match op with
-      | Reg r -> frame.flts.(r)
-      | FImm x -> x
-      | Imm _ | Glob _ -> assert false
-    in
-    let step (ins : Ir.Instr.t) =
-      match ins with
-      | Binop { op; ty; dst; a; b } ->
-          frame.ints.(dst) <- exec_binop op ty (geti a) (geti b)
-      | Fbinop { op; dst; a; b } ->
-          frame.flts.(dst) <- exec_fbinop op (getf a) (getf b)
-      | Icmp { op; ty; dst; a; b } ->
-          frame.ints.(dst) <- exec_icmp op ty (geti a) (geti b)
-      | Fcmp { op; dst; a; b } ->
-          frame.ints.(dst) <- exec_fcmp op (getf a) (getf b)
-      | Select { ty; dst; cond; a; b } ->
-          if Ir.Ty.is_float ty then
-            frame.flts.(dst) <- (if geti cond <> 0 then getf a else getf b)
-          else frame.ints.(dst) <- (if geti cond <> 0 then geti a else geti b)
-      | Cast { op; from_ty; to_ty; dst; a } -> (
-          match op with
-          | Trunc | Ptrtoint | Inttoptr ->
-              frame.ints.(dst) <- Ir.Bits.mask to_ty (geti a)
-          | Zext -> frame.ints.(dst) <- geti a
-          | Sext ->
-              frame.ints.(dst) <- Ir.Bits.mask to_ty (Ir.Bits.sext from_ty (geti a))
-          | Fptosi -> frame.ints.(dst) <- float_to_int to_ty (getf a)
-          | Sitofp ->
-              frame.flts.(dst) <- float_of_int (Ir.Bits.sext from_ty (geti a)))
-      | Mov { ty; dst; a } ->
-          if Ir.Ty.is_float ty then frame.flts.(dst) <- getf a
-          else frame.ints.(dst) <- geti a
-      | Load { ty; dst; addr } ->
-          let a = geti addr in
-          if Ir.Ty.is_float ty then frame.flts.(dst) <- Memory.read_f64 mem ~addr:a
-          else
-            frame.ints.(dst) <-
-              Memory.read_int mem ~width:(Ir.Ty.bytes ty) ~addr:a
-      | Store { ty; value; addr } ->
-          let a = geti addr in
-          if Ir.Ty.is_float ty then Memory.write_f64 mem ~addr:a (getf value)
-          else Memory.write_int mem ~width:(Ir.Ty.bytes ty) ~addr:a (geti value)
-      | Gep { dst; base; index; scale } ->
-          let idx = Ir.Bits.sext I32 (Ir.Bits.mask I32 (geti index)) in
-          frame.ints.(dst) <- Ir.Bits.mask Ptr (geti base + (idx * scale))
-      | Call { dst; callee; args } -> (
-          match Hashtbl.find_opt prog.targets callee with
-          | None -> assert false (* validated *)
-          | Some (B1 f) ->
-              let x = getf (List.hd args) in
-              let r = f x in
-              (match dst with Some d -> frame.flts.(d) <- r | None -> ())
-          | Some (B2 f) -> (
-              match args with
-              | [ a; b ] ->
-                  let r = f (getf a) (getf b) in
-                  (match dst with Some d -> frame.flts.(d) <- r | None -> ())
-              | _ -> assert false)
-          | Some (Fn callee_idx) ->
-              if depth >= max_call_depth then
-                raise (Trap.Trap Stack_overflow);
-              let cf = prog.funcs.(callee_idx) in
-              let nregs = Array.length cf.reg_ty in
-              let callee_frame =
-                {
-                  ints = Array.make nregs 0;
-                  flts = Array.make nregs 0.0;
-                  reg_ty = cf.reg_ty;
-                  last_write = Array.make nregs (-1);
-                }
-              in
-              List.iteri
-                (fun i arg ->
-                  if Ir.Ty.is_float cf.params.(i) then
-                    callee_frame.flts.(i) <- getf arg
-                  else callee_frame.ints.(i) <- geti arg)
-                args;
-              exec_fn callee_idx callee_frame (depth + 1);
-              (match (dst, cf.ret) with
-              | Some d, Some rt ->
-                  if Ir.Ty.is_float rt then frame.flts.(d) <- !ret_f
-                  else frame.ints.(d) <- !ret_i
-              | _ -> ()))
-      | Output { ty; value } ->
-          if Ir.Ty.is_float ty then add_output out ty 0 (getf value)
-          else add_output out ty (geti value) 0.0
-      | Guard { ty; a; b } ->
-          let equal =
-            if Ir.Ty.is_float ty then
-              Int64.equal
-                (Int64.bits_of_float (getf a))
-                (Int64.bits_of_float (getf b))
-            else geti a = geti b
-          in
-          if not equal then raise (Trap.Trap Guard_violation)
-      | Abort -> raise (Trap.Trap Abort_called)
-    in
     let rec run_block bidx =
-      (match block_hook with Some h -> h ~fidx ~bidx | None -> ());
       let b = f.blocks.(bidx) in
       let n = Array.length b.instrs in
       for k = 0 to n - 1 do
@@ -281,7 +325,7 @@ let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
         (match hooks with
         | Some h when Array.length m.srcs > 0 -> h.pre ~dyn:d frame m
         | _ -> ());
-        step b.instrs.(k);
+        step env frame b.instrs.(k);
         if m.dst >= 0 then begin
           frame.last_write.(m.dst) <- d;
           match hooks with Some h -> h.post ~dyn:d frame m | None -> ()
@@ -295,38 +339,19 @@ let run ?hooks ?block_hook ?mem ~budget (prog : Program.t) =
       (match hooks with
       | Some h when Array.length m.srcs > 0 -> h.pre ~dyn:d frame m
       | _ -> ());
-      match b.term with
-      | Br l -> run_block l
-      | Cbr { cond; if_true; if_false } ->
-          run_block (if geti cond <> 0 then if_true else if_false)
-      | Ret None -> ()
-      | Ret (Some v) -> (
-          match f.ret with
-          | Some rt when Ir.Ty.is_float rt -> ret_f := getf v
-          | Some _ -> ret_i := geti v
-          | None -> ())
-      | Unreachable -> raise (Trap.Trap Abort_called)
+      let next = branch env frame ~ret:f.ret b.term in
+      if next >= 0 then run_block next
     in
     run_block 0
   in
-  let main = prog.funcs.(prog.main) in
-  let nregs = Array.length main.reg_ty in
-  let frame =
-    {
-      ints = Array.make nregs 0;
-      flts = Array.make nregs 0.0;
-      reg_ty = main.reg_ty;
-      last_write = Array.make nregs (-1);
-    }
-  in
   let status =
     try
-      exec_fn prog.main frame 0;
+      exec_fn prog.main (fresh_frame prog.funcs.(prog.main));
       Finished
     with
     | Trap.Trap t -> Trapped t
     | Hang_exn -> Hung
   in
-  let result = { status; output = Buffer.contents out; dyn_count = !dyn } in
+  let result = { status; output = Buffer.contents env.out; dyn_count = !dyn } in
   record_run result;
   result

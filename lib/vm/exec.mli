@@ -1,8 +1,13 @@
-(** The execution engine.
+(** The seed interpreter: the IR's one definition of what an instruction
+    does.
 
-    [run] interprets a loaded program deterministically, producing the
-    output stream and the dynamic instruction count.  The optional
-    {!hooks} are the fault injector's entry points:
+    {!step} runs one instruction and {!branch} one terminator; [run]
+    interprets a loaded program with them, deterministically, producing
+    the output stream and the dynamic instruction count.  The compiled
+    pipeline ({!Code}) runs every patched code-domain site through the
+    same two functions, so a flipped instruction means exactly the same
+    thing on both.  The optional {!hooks} of [run] are the fault
+    injector's entry points:
 
     - [pre] fires {e before} an instruction (or terminator) that has at
       least one register source operand executes — the inject-on-read
@@ -50,24 +55,14 @@ val no_hook : dyn:int -> frame -> Meta.t -> unit
 (** A no-op hook body, for callers that only need one or two of the
     three entry points. *)
 
-val run :
-  ?hooks:hooks ->
-  ?block_hook:(fidx:int -> bidx:int -> unit) ->
-  ?mem:Memory.t ->
-  budget:int ->
-  Program.t ->
-  result
+val run : ?hooks:hooks -> ?mem:Memory.t -> budget:int -> Program.t -> result
 (** Execute the entry function.  [budget] bounds the number of dynamic
     instructions; exceeding it yields [Hung] (the paper's watchdog).  Call
     depth beyond 1000 frames traps as [Stack_overflow].  [mem], when
     given, is executed against directly instead of a fresh clone of the
-    program's template — the memory-domain injector passes a
-    pre-faulted or undo-tracking memory here.
-
-    [block_hook] fires on entry to every basic block, with its function
-    and block indices.  It is the only source of a block profile
-    ([Core.Workload.profile]): the compiled pipeline has no block hook,
-    so campaigns never pay for one. *)
+    program's template — the memory-domain oracle passes the memory its
+    injector flips here.  A block profile ([Core.Workload.profile])
+    counts the [at] calls at each block's first instruction. *)
 
 val golden_budget : int
 (** A generous default budget for fault-free runs (100M instructions). *)
@@ -81,21 +76,32 @@ val record_run : result -> unit
     ({!Code.run}), so the vm_* metrics are backend-independent.
     Self-gates on [Obs.Metrics.enabled]. *)
 
-(** {2 Shared instruction semantics}
+(** {2 Instruction semantics}
 
-    The single definition of each operator's semantics, used by this
-    interpreter and by the compiled pipeline's generic fallback uop
-    ([Code]'s [Uinterp], which executes code-domain-mutated
-    instructions) so a flipped instruction means exactly the same thing
-    on both backends. *)
+    One run's state, as {!step} and {!branch} see it.  [run] makes one
+    per run; [Code] makes one per run for its patched sites, whose calls
+    enter compiled code. *)
 
-val exec_binop : Ir.Instr.binop -> Ir.Ty.t -> int -> int -> int
-val exec_fbinop : Ir.Instr.fbinop -> float -> float -> float
-val exec_icmp : Ir.Instr.icmp -> Ir.Ty.t -> int -> int -> int
-val exec_fcmp : Ir.Instr.fcmp -> float -> float -> int
-val float_to_int : Ir.Ty.t -> float -> int
+type env = {
+  prog : Program.t;  (** the call targets and the callees' signatures *)
+  mem : Memory.t;
+  out : Buffer.t;  (** the output stream [Output] appends to *)
+  fresh : int -> frame;  (** a callee's frame, before its arguments *)
+  call : int -> frame -> unit;
+      (** run function [fidx] on the frame to its return: checks the
+          call depth, and leaves a return value in [ret_i]/[ret_f] *)
+  mutable ret_i : int;  (** the last integer return value *)
+  mutable ret_f : float;  (** the last [f64] return value *)
+}
+
+val step : env -> frame -> Ir.Instr.t -> unit
+(** Execute one instruction on [frame], which must be the frame of the
+    function it belongs to.  Raises {!Trap.Trap}. *)
+
+val branch : env -> frame -> ret:Ir.Ty.t option -> Ir.Instr.terminator -> int
+(** Execute one terminator of a function returning [ret]: the index of
+    the block to go on at, or [-1] when the function returns, its value
+    (if any) left in [env].  Raises {!Trap.Trap} at [Unreachable]. *)
+
 val to_u64 : int -> int64
-
-val add_output : Buffer.t -> Ir.Ty.t -> int -> float -> unit
-(** Append one [Output] value to the stream ([iv] for integer types,
-    [fv] for [F64]). *)
+(** A canonical [I64] value as its unsigned 64-bit pattern. *)

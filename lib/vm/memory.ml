@@ -1,9 +1,8 @@
-(* An arena plus an optional dirty-page undo log.
+(* An arena plus a dirty-page undo log.
 
-   Plain clones pay a whole-arena [Bytes.copy] per run.  Undo-tracking
-   memories ([with_undo]) instead remember which 256-byte pages a run
-   touched and rewind only those from the pristine template, so resetting
-   between experiments costs O(dirty pages) rather than O(arena).  The
+   Every memory remembers which 256-byte pages a run touched and rewinds
+   only those from the pristine template, so resetting between
+   experiments costs O(dirty pages) rather than a whole-arena copy.  The
    checkpoint layer additionally snapshots/restores the dirty page set to
    re-create a mid-run memory image exactly. *)
 
@@ -12,21 +11,20 @@
 let page_bits = 8
 let page_size = 1 lsl page_bits
 
-type undo = {
-  template : Bytes.t; (* the pristine arena, shared with the template *)
-  dirty_flag : Bytes.t; (* one byte per page *)
-  mutable dirty : int array; (* stack of dirty page indexes *)
-  mutable n_dirty : int;
-  mutable mismatch : int;
-      (* the page that failed the last [equal_image], compared first
-         next time: a corrupted page tends to stay corrupted *)
-}
-
 type t = {
   arena : Bytes.t;
   mapped : Bytes.t;  (* one flag byte per arena byte; shared across clones *)
   size : int;
-  undo : undo option;
+  template : Bytes.t;
+      (* the pristine arena: the template's own, shared by its clones *)
+  dirty_flag : Bytes.t; (* one byte per page *)
+  mutable dirty : int array;
+      (* stack of dirty page indexes, allocated at the first write: a
+         template, which no run writes, keeps none *)
+  mutable n_dirty : int;
+  mutable mismatch : int;
+      (* the page that failed the last [equal_image], compared first
+         next time: a corrupted page tends to stay corrupted *)
 }
 
 let m_pages_reset = Obs.Metrics.counter "onebit_vm_dirty_pages_reset_total"
@@ -37,6 +35,20 @@ let m_pages_reset = Obs.Metrics.counter "onebit_vm_dirty_pages_reset_total"
    [onebit_vm_checkpoint_hits_total] is its Obs mirror. *)
 let full_total = Atomic.make 0
 let restore_stats () = (Atomic.get full_total, 0)
+
+let pages_of size = (size + page_size - 1) / page_size
+
+let with_pages ~arena ~mapped ~size ~template =
+  {
+    arena;
+    mapped;
+    size;
+    template;
+    dirty_flag = Bytes.make (pages_of size) '\000';
+    dirty = [||];
+    n_dirty = 0;
+    mismatch = -1;
+  }
 
 let create_template ~size ~regions =
   let arena = Bytes.make size '\000' in
@@ -53,75 +65,50 @@ let create_template ~size ~regions =
       done;
       Bytes.blit init 0 arena base len)
     regions;
-  { arena; mapped; size; undo = None }
+  with_pages ~arena ~mapped ~size ~template:arena
 
 let clone t =
-  { arena = Bytes.copy t.arena; mapped = t.mapped; size = t.size; undo = None }
-
-let with_undo t =
-  let npages = (t.size + page_size - 1) / page_size in
-  {
-    arena = Bytes.copy t.arena;
-    mapped = t.mapped;
-    size = t.size;
-    undo =
-      Some
-        {
-          template = t.arena;
-          dirty_flag = Bytes.make npages '\000';
-          dirty = Array.make 64 0;
-          n_dirty = 0;
-          mismatch = -1;
-        };
-  }
+  with_pages ~arena:(Bytes.copy t.arena) ~mapped:t.mapped ~size:t.size
+    ~template:t.arena
 
 let size t = t.size
-let tracks_undo t = Option.is_some t.undo
+let dirty_pages t = t.n_dirty
 
-let dirty_pages t =
-  match t.undo with Some u -> u.n_dirty | None -> 0
-
-let mark_page u p =
-  if Bytes.unsafe_get u.dirty_flag p = '\000' then begin
-    Bytes.unsafe_set u.dirty_flag p '\001';
-    let n = u.n_dirty in
-    if n = Array.length u.dirty then begin
-      let grown = Array.make (2 * n) 0 in
-      Array.blit u.dirty 0 grown 0 n;
-      u.dirty <- grown
+let mark_page t p =
+  if Bytes.unsafe_get t.dirty_flag p = '\000' then begin
+    Bytes.unsafe_set t.dirty_flag p '\001';
+    let n = t.n_dirty in
+    if n = Array.length t.dirty then begin
+      let grown = Array.make (max 64 (2 * n)) 0 in
+      Array.blit t.dirty 0 grown 0 n;
+      t.dirty <- grown
     end;
-    Array.unsafe_set u.dirty n p;
-    u.n_dirty <- n + 1
+    Array.unsafe_set t.dirty n p;
+    t.n_dirty <- n + 1
   end
 
 (* An aligned access can still straddle a page boundary (8-byte stores
    are only 4-aligned), so mark the pages of both the first and last
    byte. *)
 let mark t ~width ~addr =
-  match t.undo with
-  | None -> ()
-  | Some u ->
-      let p0 = addr lsr page_bits in
-      let p1 = (addr + width - 1) lsr page_bits in
-      mark_page u p0;
-      if p1 <> p0 then mark_page u p1
+  let p0 = addr lsr page_bits in
+  let p1 = (addr + width - 1) lsr page_bits in
+  mark_page t p0;
+  if p1 <> p0 then mark_page t p1
 
 let page_len t p =
   let off = p lsl page_bits in
   min page_size (t.size - off)
 
 let reset t =
-  match t.undo with
-  | None -> invalid_arg "Memory.reset: not an undo-tracking memory"
-  | Some u ->
-      for k = 0 to u.n_dirty - 1 do
-        let p = Array.unsafe_get u.dirty k in
-        let off = p lsl page_bits in
-        Bytes.blit u.template off t.arena off (page_len t p);
-        Bytes.unsafe_set u.dirty_flag p '\000'
-      done;
-      if Obs.Metrics.enabled () then Obs.Metrics.add m_pages_reset u.n_dirty;
-      u.n_dirty <- 0
+  for k = 0 to t.n_dirty - 1 do
+    let p = Array.unsafe_get t.dirty k in
+    let off = p lsl page_bits in
+    Bytes.blit t.template off t.arena off (page_len t p);
+    Bytes.unsafe_set t.dirty_flag p '\000'
+  done;
+  if Obs.Metrics.enabled () then Obs.Metrics.add m_pages_reset t.n_dirty;
+  t.n_dirty <- 0
 
 (* Byte equality of [len] bytes at [a.(ao)] and [b.(bo)], a word at a
    time. *)
@@ -139,40 +126,33 @@ let equal_range a ao b bo len =
 (* Both the dirty pages and [prev] are sorted by page index, so one
    cursor walks [prev] alongside. *)
 let snapshot_pages t ~prev =
-  match t.undo with
-  | None -> invalid_arg "Memory.snapshot_pages: not an undo-tracking memory"
-  | Some u ->
-      let pages = Array.sub u.dirty 0 u.n_dirty in
-      Array.sort Int.compare pages;
-      let k = ref 0 and n = Array.length prev in
-      Array.map
-        (fun p ->
-          let off = p lsl page_bits and len = page_len t p in
-          while !k < n && fst prev.(!k) < p do
-            incr k
-          done;
-          if
-            !k < n
-            && fst prev.(!k) = p
-            && equal_range t.arena off (snd prev.(!k)) 0 len
-          then prev.(!k)
-          else (p, Bytes.sub t.arena off len))
-        pages
+  let pages = Array.sub t.dirty 0 t.n_dirty in
+  Array.sort Int.compare pages;
+  let k = ref 0 and n = Array.length prev in
+  Array.map
+    (fun p ->
+      let off = p lsl page_bits and len = page_len t p in
+      while !k < n && fst prev.(!k) < p do
+        incr k
+      done;
+      if
+        !k < n
+        && fst prev.(!k) = p
+        && equal_range t.arena off (snd prev.(!k)) 0 len
+      then prev.(!k)
+      else (p, Bytes.sub t.arena off len))
+    pages
 
 let restore_pages t pages =
-  (match t.undo with
-  | None -> invalid_arg "Memory.restore_pages: not an undo-tracking memory"
-  | Some _ -> ());
   reset t;
-  let u = Option.get t.undo in
   Array.iter
     (fun (p, b) ->
       Bytes.blit b 0 t.arena (p lsl page_bits) (Bytes.length b);
-      mark_page u p)
+      mark_page t p)
     pages;
   Atomic.incr full_total
 
-let pages t = (t.size + page_size - 1) / page_size
+let pages t = pages_of t.size
 
 (* Set the entries of [last] for the pages an access covers (both, when
    it straddles a boundary) to [dyn].  Called after the access succeeded,
@@ -196,36 +176,33 @@ let find_page (image : (int * bytes) array) p =
    both sides, so only those two sets are visited — after the page that
    failed last time, which usually fails again. *)
 let equal_image t image ~live =
-  match t.undo with
-  | None -> invalid_arg "Memory.equal_image: not an undo-tracking memory"
-  | Some u ->
-      (* Page [p] against the image's copy [image.(k)], or the template's
-         when [k < 0]; a clean page of [t] holds the template's bytes. *)
-      let same p k =
-        (not (live p))
-        ||
-        let off = p lsl page_bits and len = page_len t p in
-        let ok =
-          if k < 0 then equal_range t.arena off u.template off len
-          else equal_range t.arena off (snd image.(k)) 0 len
-        in
-        if not ok then u.mismatch <- p;
-        ok
-      in
-      let rec dirty k =
-        k >= u.n_dirty
-        || (let p = u.dirty.(k) in
-            same p (find_page image p))
-           && dirty (k + 1)
-      in
-      let rec images k =
-        k >= Array.length image
-        || (let p = fst image.(k) in
-            Bytes.unsafe_get u.dirty_flag p <> '\000' || same p k)
-           && images (k + 1)
-      in
-      (u.mismatch < 0 || same u.mismatch (find_page image u.mismatch))
-      && dirty 0 && images 0
+  (* Page [p] against the image's copy [image.(k)], or the template's
+     when [k < 0]; a clean page of [t] holds the template's bytes. *)
+  let same p k =
+    (not (live p))
+    ||
+    let off = p lsl page_bits and len = page_len t p in
+    let ok =
+      if k < 0 then equal_range t.arena off t.template off len
+      else equal_range t.arena off (snd image.(k)) 0 len
+    in
+    if not ok then t.mismatch <- p;
+    ok
+  in
+  let rec dirty k =
+    k >= t.n_dirty
+    || (let p = t.dirty.(k) in
+        same p (find_page image p))
+       && dirty (k + 1)
+  in
+  let rec images k =
+    k >= Array.length image
+    || (let p = fst image.(k) in
+        Bytes.unsafe_get t.dirty_flag p <> '\000' || same p k)
+       && images (k + 1)
+  in
+  (t.mismatch < 0 || same t.mismatch (find_page image t.mismatch))
+  && dirty 0 && images 0
 
 let check t ~width ~addr =
   (* [addr + width] would overflow for an address near [max_int]. *)
@@ -269,7 +246,7 @@ let write_f64 t ~addr v =
 (* Fault injection: flip one bit of a mapped arena byte.  Bypasses the
    alignment/width checks (a particle strike does not obey the ABI) but
    still refuses unmapped addresses, and marks the page dirty so
-   undo-tracking memories rewind the flip like any ordinary write. *)
+   [reset] rewinds the flip like any ordinary write. *)
 let flip_bit t ~addr ~bit =
   if addr < 0 || addr >= t.size then
     invalid_arg "Memory.flip_bit: address out of bounds";

@@ -5,7 +5,13 @@
     {!Trap.Trap}[ Segfault], and accesses not aligned to
     [min (size, 4)] bytes raise [Misaligned] (the paper counts 4-byte
     alignment violations as hardware exceptions).  All multi-byte accesses
-    are little-endian. *)
+    are little-endian.
+
+    Every memory records which 256-byte pages are written since its last
+    {!reset}, which rewinds exactly those from the template's pristine
+    arena: O(dirty) instead of a whole-arena copy, which is what lets a
+    workload reuse its memories across experiments
+    ([Core.Workload.with_mem]). *)
 
 type t
 
@@ -15,32 +21,21 @@ val create_template : size:int -> regions:(int * bytes) list -> t
     every run gets a [clone]. *)
 
 val clone : t -> t
-(** Copy the arena (cheap, a single [Bytes.copy]); the mapped-byte table is
-    immutable and shared.  The clone does not track dirty pages. *)
-
-val with_undo : t -> t
-(** An executable copy of a {e template} that additionally records which
-    256-byte pages are written, keeping a shared reference to the
-    template's pristine arena.  {!reset} rewinds exactly the dirty pages
-    — O(dirty) instead of [clone]'s O(arena) — which is what lets a
-    workload reuse its memories across experiments
-    ([Core.Workload.with_mem]).  The copy costs O(arena): make one per
-    concurrent run, not one per run. *)
+(** An executable copy of a {e template}: a copy of its arena and a
+    fresh page table, sharing the template's pristine arena and its
+    immutable mapped-byte table.  The copy costs O(arena): make one per
+    concurrent run, and {!reset} it between runs. *)
 
 val page_size : int
 (** Dirty-tracking granularity in bytes (256). *)
 
-val tracks_undo : t -> bool
-
 val dirty_pages : t -> int
-(** Number of pages written since the last {!reset} (0 for plain
-    clones). *)
+(** Number of pages written since the last {!reset}. *)
 
 val reset : t -> unit
 (** Rewind every dirty page to the template image and clear the dirty
     set.  Exact regardless of how the previous run ended (normal end,
-    trap mid-run, hang): never-written pages already equal the template.
-    Raises [Invalid_argument] on a memory without undo tracking. *)
+    trap mid-run, hang): never-written pages already equal the template. *)
 
 val snapshot_pages : t -> prev:(int * bytes) array -> (int * bytes) array
 (** Copies of the currently dirty pages, sorted by page index.  Together
@@ -72,8 +67,7 @@ val equal_image : t -> (int * bytes) array -> live:(int -> bool) -> bool
     another run of the same template) on every page [p] with [live p]?
     Visits only [t]'s dirty pages and [image]'s pages, since every other
     page equals the template on both sides: O(dirty + image) pages, the
-    page that failed [t]'s previous comparison first.  Raises
-    [Invalid_argument] on a memory without undo tracking. *)
+    page that failed [t]'s previous comparison first. *)
 
 val restore_stats : unit -> int * int
 (** [(full, 0)] — the process-wide count of full page-restores
@@ -96,8 +90,8 @@ val write_f64 : t -> addr:int -> float -> unit
 val flip_bit : t -> addr:int -> bit:int -> unit
 (** Flip bit [bit] (0–7) of the mapped arena byte at [addr] — the
     memory-domain fault effector.  No alignment check (faults ignore the
-    ABI); the touched page is marked dirty so undo-tracking memories
-    rewind the flip on {!reset} exactly like a program store.  Raises
+    ABI); the touched page is marked dirty so {!reset} rewinds the flip
+    exactly like a program store.  Raises
     [Invalid_argument] on an out-of-bounds or unmapped address. *)
 
 type mapped

@@ -213,8 +213,7 @@ let test_memory_undo () =
   let tmpl =
     Vm.Memory.create_template ~size:4096 ~regions:[ (1024, region) ]
   in
-  let m = Vm.Memory.with_undo tmpl in
-  Alcotest.(check bool) "tracks undo" true (Vm.Memory.tracks_undo m);
+  let m = Vm.Memory.clone tmpl in
   Alcotest.(check int) "clean at start" 0 (Vm.Memory.dirty_pages m);
   Vm.Memory.write_int m ~width:4 ~addr:1024 0xDEAD;
   Vm.Memory.write_int m ~width:8 ~addr:1056 77;
@@ -414,7 +413,7 @@ let test_compact_points () =
         (fun j k ->
           if j mod max 1 (n / 8) = 0 then begin
             let p = pts.(k) in
-            let mem = Vm.Memory.with_undo w.prog.mem_template in
+            let mem = Vm.Memory.clone w.prog.mem_template in
             let r = Vm.Code.run ~mem ~budget:p.ck_dyn w.code in
             Alcotest.(check bool)
               (Printf.sprintf "%s image at dyn %d" name p.ck_dyn)

@@ -33,6 +33,22 @@ let nested_calls () =
 
 let workload = lazy (Core.Workload.make ~name:"nested" (nested_calls ()))
 
+(* [main] prints [scale (float i)] for i below 8; [scale x] returns
+   [x * 1.5 + 0.25].  Arguments and results cross the call in f64. *)
+let float_calls () =
+  let m = B.create () in
+  B.func m "scale" ~params:[ F64 ] ~ret:(Some F64) (fun f ->
+      let y = B.fmul f (B.param f 0) (B.cf 1.5) in
+      B.ret f (Some (B.fadd f y (B.cf 0.25))));
+  B.func m "main" ~params:[] ~ret:None (fun f ->
+      B.for_ f ~from_:(B.ci 0) ~below:(B.ci 8) (fun i ->
+          let x = B.cast f Sitofp ~from_ty:I32 ~to_ty:F64 i in
+          B.output f F64 (B.call1 f "scale" [ x ])));
+  B.finish m
+
+let float_workload =
+  lazy (Core.Workload.make ~name:"float-calls" (float_calls ()))
+
 (* The [technique] candidate ordinals of [fname]'s instructions in the
    golden run, from the seed interpreter's hooks. *)
 let ordinals (w : Core.Workload.t) technique fname =
@@ -159,25 +175,32 @@ let test_resumed_outer_frames () =
     set.points;
   Alcotest.(check bool) "restores with two outer frames" true (!resumed > 10)
 
-(* Code flips, landing before the first instruction, of every bit of the
-   two call sites: a decodable one patches the call, which then runs
-   through the patched-instruction interpreter into a callee entered
-   while quiet (single flip), or with the last flips still pending
-   (m = 3, w = 10), so the callee may go quiet and the interpreted call
-   returns to a counting frame. *)
-let test_patched_call_enters_quiet () =
-  let w = Lazy.force workload in
+(* The code bits, as global ordinals, of the sites [pick] accepts, given
+   the site's function, block and index in the block ([Meta.t]'s
+   numbering, the terminator last). *)
+let code_bits (w : Core.Workload.t) pick =
   let sites = w.code_sites in
-  let is_call g =
-    let site, _ = Vm.Codeflip.locate sites g in
-    let fidx, bidx, idx = Vm.Codeflip.site_coords sites site in
-    let blk = w.prog.funcs.(fidx).blocks.(bidx) in
-    idx < Array.length blk.instrs
-    && match blk.instrs.(idx) with Ir.Instr.Call _ -> true | _ -> false
-  in
-  let bits =
-    List.filter is_call (List.init (Vm.Codeflip.total_bits sites) Fun.id)
-  in
+  List.filter
+    (fun g ->
+      let site, _ = Vm.Codeflip.locate sites g in
+      let fidx, bidx, idx = Vm.Codeflip.site_coords sites site in
+      let f = w.prog.funcs.(fidx) in
+      pick f f.blocks.(bidx) idx)
+    (List.init (Vm.Codeflip.total_bits sites) Fun.id)
+
+let is_call _ (blk : Vm.Program.lblock) idx =
+  idx < Array.length blk.instrs
+  && match blk.instrs.(idx) with Ir.Instr.Call _ -> true | _ -> false
+
+let code_specs =
+  [
+    Core.Spec.single ~domain:Core.Domain.Code Read;
+    Core.Spec.multi ~domain:Core.Domain.Code Read ~max_mbf:3 ~win:(Fixed 10);
+  ]
+
+(* Flips every bit in [bits], forced first, under each code spec, and
+   returns how many of those runs the flip did not kill at decode. *)
+let code_flips w bits =
   let ran = ref 0 in
   List.iter
     (fun spec ->
@@ -185,17 +208,40 @@ let test_patched_call_enters_quiet () =
         (fun bit ->
           let r =
             check_three
-              (Printf.sprintf "%s bit %d" (Core.Spec.label spec) bit)
+              (Printf.sprintf "%s %s bit %d" w.Core.Workload.name
+                 (Core.Spec.label spec) bit)
               w spec ~first:(0, 0, bit)
           in
           if r.status <> Vm.Exec.Trapped Ill_instr then incr ran)
         bits)
-    [
-      Core.Spec.single ~domain:Core.Domain.Code Read;
-      Core.Spec.multi ~domain:Core.Domain.Code Read ~max_mbf:3
-        ~win:(Fixed 10);
-    ];
-  Alcotest.(check bool) "patched calls ran" true (!ran > 0)
+    code_specs;
+  !ran
+
+(* Code flips, landing before the first instruction, of every bit of the
+   two call sites: a decodable one patches the call, which then runs on
+   [Vm.Exec.step] into a callee entered while quiet (single flip), or
+   with the last flips still pending (m = 3, w = 10), so the callee may
+   go quiet and the patched call returns to a counting frame. *)
+let test_patched_call_enters_quiet () =
+  let w = Lazy.force workload in
+  let ran = code_flips w (code_bits w is_call) in
+  Alcotest.(check bool) "patched calls ran" true (ran > 0)
+
+(* Code flips of every bit of the call site and of the callee's [ret] in
+   an f64 function: the patched call's result and the patched return's
+   value both cross between the compiled frames and [Vm.Exec.step] or
+   [Vm.Exec.branch]. *)
+let test_patched_float_call_and_ret () =
+  let w = Lazy.force float_workload in
+  let is_ret (f : Vm.Program.lfunc) (blk : Vm.Program.lblock) idx =
+    f.name = "scale"
+    && idx = Array.length blk.instrs
+    && match blk.term with Ir.Instr.Ret (Some _) -> true | _ -> false
+  in
+  let calls = code_flips w (code_bits w is_call) in
+  let rets = code_flips w (code_bits w is_ret) in
+  Alcotest.(check bool) "patched f64 calls ran" true (calls > 0);
+  Alcotest.(check bool) "patched f64 returns ran" true (rets > 0)
 
 let suites =
   [
@@ -211,5 +257,7 @@ let suites =
           test_resumed_outer_frames;
         Alcotest.test_case "patched call enters a quiet callee" `Quick
           test_patched_call_enters_quiet;
+        Alcotest.test_case "patched f64 call and return" `Quick
+          test_patched_float_call_and_ret;
       ] );
   ]
