@@ -195,11 +195,12 @@ let incremental_arg =
         ~doc:
           "Compose the campaign from cached per-function outcome profiles \
            (requires a result store; see also $(b,ONEBIT_INCREMENTAL)).  \
-           Only functions whose identity digest has no valid cached \
-           profile are re-injected — after editing one function, only its \
-           share of the experiments re-runs — and the composed result is \
-           bit-identical to a full run.  A reuse summary is printed to \
-           stderr.")
+           Every function whose identity digest has no valid cached \
+           profile is re-injected, and only those — after editing one \
+           function, only its share of the experiments re-runs — and the \
+           composed result is bit-identical to a full run.  A mem or code \
+           campaign is not function-local and runs in full.  A reuse \
+           summary (reused and re-run experiments) is printed to stderr.")
 
 let adaptive_arg =
   Arg.(
@@ -271,11 +272,10 @@ let run_configured (cfg : Core.Config.t) w spec ~n ~seed =
           Engine.Incremental.run ~jobs:cfg.jobs ~store w spec ~n ~seed
         in
         Printf.eprintf
-          "incremental: reused %d experiments (%d/%d functions), skipped %d \
-           experiments as provably benign (%d functions), re-ran %d \
+          "incremental: reused %d experiments (%d/%d functions), re-ran %d \
            experiments (%d functions)\n"
-          s.exps_reused s.funcs_reused s.funcs_total s.exps_skipped
-          s.funcs_skipped s.exps_recomputed s.funcs_recomputed;
+          s.exps_reused s.funcs_reused s.funcs_total s.exps_recomputed
+          s.funcs_recomputed;
         r
       end
       else
@@ -750,7 +750,9 @@ let digests_cmd =
           summary hash), followed by the module and environment digests.  \
           These are the keys the incremental campaign cache validates \
           against; $(b,sdc-free) marks functions whose summary proves a \
-          single-bit flip landing inside them cannot cause SDC.")
+          single-bit flip landing inside them cannot cause SDC.  The \
+          summaries are reported here only: no campaign is scheduled on \
+          them.")
     Term.(const run $ target_arg)
 
 (* ---- diff-campaign ---- *)

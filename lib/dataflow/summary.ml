@@ -25,13 +25,14 @@
    from the conservative intraprocedural solution (full escape at call
    sites) and only shrink, so both loops terminate.
 
-   The summaries are reporting and composition aids: cached-profile
-   validity is decided by [Ir.Fingerprint] digests alone.  Their one
-   load-bearing prediction is {!sdc_free_single}: a function with no
-   boundary value channel (constant-or-void return, no stores, no
-   output) cannot cause silent data corruption under a single-bit-flip
-   campaign when the flip lands on its own instructions — every such
-   experiment is benign, detected or hung. *)
+   The summaries are a report ([onebit digests]); no campaign is
+   scheduled on them, and cached-profile validity is decided by
+   [Ir.Fingerprint] digests alone.  Their sharpest prediction is
+   {!sdc_free_single}: a function with no boundary value channel
+   (constant-or-void return, no stores, no output) cannot cause silent
+   data corruption under a single-bit-flip campaign when the flip lands
+   on its own instructions — every such experiment is benign, detected
+   or hung.  The test suite checks it by injection. *)
 
 type t = {
   fn : string;

@@ -8,10 +8,11 @@
     each parameter the function demands (an interprocedural fixpoint
     over {!Bitmask}, so callers know which argument bits are benign).
 
-    Summaries are reporting and composition aids — cached-profile
-    validity in the incremental campaign scheduler is decided by
-    [Ir.Fingerprint] digests.  Their load-bearing prediction is
-    {!sdc_free_single}. *)
+    Summaries are a report, printed by [onebit digests]; no campaign is
+    scheduled on them, and cached-profile validity in the incremental
+    campaign scheduler is decided by [Ir.Fingerprint] digests.  Their
+    sharpest prediction is {!sdc_free_single}, which the test suite
+    checks by injection. *)
 
 type t = {
   fn : string;

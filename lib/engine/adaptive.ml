@@ -7,7 +7,7 @@
    for all of them (the round barrier), recomputes each cell's Wilson
    interval on its SDC proportion, closes cells whose half-width has hit
    the target, and sizes the next round's grants from the sample-size
-   planner — widest intervals first when a round budget caps the total.
+   planner, widest intervals first.
 
    Determinism is the load-bearing property.  Every experiment the
    sampler runs is the one a fixed-N campaign would run: shard
@@ -52,11 +52,10 @@ module Control = struct
     shard_size : int;
     target : float;
     initial : int;  (* first grant per cell, in experiments *)
-    round_budget : int option;  (* per-round grant cap, in experiments *)
     mutable rounds : int;
   }
 
-  let create ?initial ?round_budget ~target ~shard_size caps =
+  let create ?initial ~target ~shard_size caps =
     if not (target > 0. && target < 1.) then
       invalid_arg "Adaptive.Control.create: target must be in (0, 1)";
     let shard_size = max 1 shard_size in
@@ -78,7 +77,7 @@ module Control = struct
           })
         caps
     in
-    { cells; shard_size; target; initial; round_budget; rounds = 0 }
+    { cells; shard_size; target; initial; rounds = 0 }
 
   let n_cells t = Array.length t.cells
 
@@ -172,29 +171,12 @@ module Control = struct
             match compare b.hw a.hw with 0 -> compare i j | k -> k)
           desired
       in
-      let budget =
-        ref (match t.round_budget with Some b -> max 1 b | None -> max_int)
-      in
       let grants =
-        List.filter_map
+        List.map
           (fun (i, c, k) ->
-            if !budget <= 0 then None
-            else begin
-              let have = granted_exps c in
-              (* Trim to the remaining budget but keep at least one
-                 shard: the head of the queue always progresses, which
-                 guarantees termination. *)
-              let k = ref k in
-              while
-                !k > 1 && snd c.ranges.(c.granted + !k - 1) - have > !budget
-              do
-                decr k
-              done;
-              let first = c.granted in
-              c.granted <- c.granted + !k;
-              budget := !budget - (granted_exps c - have);
-              Some (i, Array.to_list (Array.sub c.ranges first !k))
-            end)
+            let first = c.granted in
+            c.granted <- c.granted + k;
+            (i, Array.to_list (Array.sub c.ranges first k)))
           desired
       in
       t.rounds <- t.rounds + 1;
@@ -233,11 +215,6 @@ let run_grid ?jobs ?shard_size ?store ?log ~target cells =
   in
   (* Completed shards per cell: its granted prefix, in any order. *)
   let taken = Array.make (Array.length cells) [] in
-  (* The executor leases the store for each round; hold one lease across
-     rounds as well, so `onebit engine gc` cannot compact between them. *)
-  Option.iter Store.lease store;
-  Fun.protect ~finally:(fun () -> Option.iter Store.release_lease store)
-  @@ fun () ->
   let totals = ref Obs.Snapshot.zero in
   let obs i =
     List.fold_left

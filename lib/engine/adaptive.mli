@@ -7,8 +7,7 @@
     for all of them (the round barrier), recomputes each cell's Wilson
     interval on its SDC proportion, closes cells whose half-width has
     reached the target, and sizes the next round's grants from
-    {!Stats.Proportion.needed_trials} — widest intervals first when a
-    round budget caps the total.
+    {!Stats.Proportion.needed_trials}, widest intervals first.
 
     Every experiment the sampler runs is the one a fixed-N campaign
     would run (shard boundaries come from the cap tiling, experiment [i]
@@ -29,16 +28,13 @@ module Control : sig
 
   val create :
     ?initial:int ->
-    ?round_budget:int ->
     target:float ->
     shard_size:int ->
     int array -> t
   (** [create ~target ~shard_size caps] plans one cell per cap (its
       fixed-N ceiling).  [target] is the Wilson 95% CI half-width at
       which a cell closes, in (0, 1).  [initial] is the first grant per
-      cell in experiments (default [2 * shard_size]); [round_budget]
-      caps each round's total grant in experiments (default
-      unlimited). *)
+      cell in experiments (default [2 * shard_size]). *)
 
   val step : t -> obs:(int -> int * int) -> (int * (int * int) list) list
   (** One round barrier.  [obs i] must return the merged
@@ -106,6 +102,6 @@ val run_grid :
     the same deterministic round schedule and hits the store for
     everything that completed.  [log], when given, receives one progress
     line per round.  The controller runs at its defaults ({!Control.create}
-    without [initial] or [round_budget]), as the fleet coordinator's
-    does, so both produce the same schedule.  Raises [Invalid_argument]
+    without [initial]), as the fleet coordinator's does, so both produce
+    the same schedule.  Raises [Invalid_argument]
     on an empty grid, a non-positive cap, or a [target] outside (0, 1). *)

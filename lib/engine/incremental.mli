@@ -10,18 +10,6 @@
     one function invalidates only that function's profiles, and a rerun
     re-executes only that function's share of the experiments.
 
-    Partitions owned by a provably-benign function are {e skipped}: if
-    the campaign is single-flip and the owner has no boundary value
-    channel ({!Dataflow.Summary.sdc_free_single}), cannot trap, cannot
-    loop (checked over every transitively reachable summary) and even
-    its worst-case acyclic path fits the watchdog budget, every
-    experiment in its partition is Benign with one activation, so the
-    profile — including exact weighted sums, replayed from recorded
-    per-candidate weights — is synthesized and cached without running
-    anything.  Composed results stay exact; skipped counts appear in
-    {!stats} and the [onebit_profile_skip_total] /
-    [onebit_profile_funcs_skipped_total] counters.
-
     Reuse is reported through the [onebit_profile_reuse_total] /
     [onebit_profile_recompute_total] counters (experiments) and their
     [_funcs_] counterparts (functions), plus the returned {!stats}. *)
@@ -30,10 +18,8 @@ type stats = {
   funcs_total : int;
   funcs_reused : int;  (** profiles composed from the store *)
   funcs_recomputed : int;  (** profiles (re-)executed this run *)
-  funcs_skipped : int;  (** profiles synthesized as provably benign *)
   exps_reused : int;
   exps_recomputed : int;
-  exps_skipped : int;  (** experiments covered by synthesized profiles *)
 }
 
 val partition :
@@ -62,9 +48,7 @@ val run :
     experiments per task, resolved by {!Core.Config.resolve_shard_size}).
     A mem or code spec runs the fixed-N engine path instead, without the
     store, and counts every function and experiment as recomputed.  A
-    reg spec runs one attribution pass (see {!partition}) per call and
-    shares it between the partition and every synthesized profile;
-    nothing is cached across calls.  The
-    composed result equals [Campaign.run ~keep_experiments:false]
-    exactly — same counters, trap breakdown, activation histogram and
-    weighted sums. *)
+    reg spec runs one attribution pass (see {!partition}) per call;
+    nothing is cached across calls.  The composed result equals
+    [Campaign.run ~keep_experiments:false] exactly — same counters, trap
+    breakdown, activation histogram and weighted sums. *)

@@ -45,11 +45,6 @@ let run ?(jobs = 1) ?store ?progress ?(keep_experiments = false) js =
     Store.key ~program:j.workload.name ~digest:j.workload.digest ~spec:j.spec
       ~n:j.n ~seed:j.seed ~lo:j.lo ~hi:j.hi
   in
-  (* Hold a writer lease for the run: `onebit engine gc` refuses to
-     compact segments out from under a live writer. *)
-  Option.iter Store.lease store;
-  Fun.protect ~finally:(fun () -> Option.iter Store.release_lease store)
-  @@ fun () ->
   let results =
     Array.map
       (fun j -> Option.bind store (fun st -> Store.lookup st (key j)))

@@ -142,7 +142,6 @@ let create ?(ttl = 30.) ?shard_size ?store ?ci_target ~cells () =
           (Engine.Adaptive.Control.create ~target ~shard_size
              (Array.map (fun (c : Proto.cell) -> c.c_n) cells))
   in
-  (match store with Some st -> Store.lease st | None -> ());
   let t =
     {
       cells;

@@ -100,10 +100,8 @@ let run ?id ?store ~connect ~load () =
            cell.c_program cell.c_digest w.Core.Workload.digest);
     w
   in
-  (match store with Some st -> Store.lease st | None -> ());
   Fun.protect
     ~finally:(fun () ->
-      (match store with Some st -> Store.release_lease st | None -> ());
       (try Unix.shutdown sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
       try Unix.close sock with Unix.Unix_error _ -> ())
   @@ fun () ->

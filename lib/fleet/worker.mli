@@ -6,11 +6,12 @@
     in-flight lease (every ttl/3) while the main thread computes, so a
     shard that outlives its TTL is not reassigned under a live worker.
     Given [?store], the executor answers shards already present locally
-    without recomputation and appends fresh ones durably — the worker
-    holds a writer lease ({!Store.lease}) for the duration, which is
-    what makes [onebit engine gc] refuse to compact under it.  The
-    executor counts every grant in the [onebit_engine_shards_*] and
-    [onebit_engine_experiments_*] counters ({!Obs.Snapshot}). *)
+    without recomputation and appends fresh ones durably; from its first
+    append the store handle holds a writer lease until it is closed
+    ({!Store.live_leases}), which makes [onebit engine gc] refuse to
+    compact under it.  The executor counts every grant in the
+    [onebit_engine_shards_*] and [onebit_engine_experiments_*] counters
+    ({!Obs.Snapshot}). *)
 
 val run :
   ?id:string ->

@@ -6,10 +6,13 @@
    the highest-numbered segment and are flushed record-by-record, so a
    killed run loses at most the record being written — which the loader
    recognises as a truncated tail and drops; a store reopened over one
-   appends to a fresh segment.  Compaction (gc) writes the live records
-   to a fresh segment under a temporary name, fsyncs it, and renames it
-   into place before unlinking the old segments; rename is the atomic
-   commit point. *)
+   appends to a fresh segment.  Compaction (gc) re-reads the segments on
+   disk, writes their live records to a fresh segment under a temporary
+   name, fsyncs it, and renames it into place before unlinking the
+   segments it read; rename is the atomic commit point.  A handle that
+   has appended holds a writer lease, a [lease-<pid>-<k>] marker file,
+   until it is closed, and gc refuses while another handle's marker is
+   live. *)
 
 module Jsonx = Jsonx
 
@@ -324,7 +327,7 @@ type t = {
   dir : string;
   segment_bytes : int;
   fsync : bool;
-  index : (string, record) Hashtbl.t;
+  mutable index : (string, record) Hashtbl.t;
   lock : Mutex.t;
   lock_fd : Unix.file_descr;  (* <dir>/.lock, advisory inter-process lock *)
   mutable active : int;
@@ -333,8 +336,7 @@ type t = {
   mutable segment_list : int list;  (* ascending segment numbers *)
   mutable truncated : int;
   mutable corrupt : int;
-  mutable duplicates : int;  (* records shadowed by a later same-key record *)
-  mutable lease_count : int;  (* live writer registrations by this handle *)
+  mutable lease : string option;  (* this handle's marker, from its first append *)
 }
 
 let segment_name i = Printf.sprintf "seg-%06d.jsonl" i
@@ -367,9 +369,18 @@ let canonical_record = function
   | Shard (k, _) -> canonical_key k
   | Profile (k, _) -> canonical_pkey k
 
-(* Load one segment into the index; true when it ends in an unterminated
+(* Damage and shadowing seen while loading segments. *)
+type scan = {
+  mutable shadowed : int;  (* records shadowed by a later same-key record *)
+  mutable truncated_lines : int;
+  mutable corrupt_lines : int;
+}
+
+let new_scan () = { shadowed = 0; truncated_lines = 0; corrupt_lines = 0 }
+
+(* Load one segment into [index]; true when it ends in an unterminated
    line. *)
-let load_segment t path =
+let load_segment scan index path =
   let text = In_channel.with_open_bin path In_channel.input_all in
   let len = String.length text in
   let ends_with_newline = len > 0 && text.[len - 1] = '\n' in
@@ -385,24 +396,26 @@ let load_segment t path =
         match decode_line line with
         | Ok r ->
             let ck = canonical_record r in
-            if Hashtbl.mem t.index ck then t.duplicates <- t.duplicates + 1;
-            Hashtbl.replace t.index ck r
+            if Hashtbl.mem index ck then scan.shadowed <- scan.shadowed + 1;
+            Hashtbl.replace index ck r
         | Error `Damaged ->
             (* An unterminated final line, of any segment, is the
                signature of a run killed mid-append; anything else is
                corruption. *)
-            if i = total - 1 && not ends_with_newline then begin
-              t.truncated <- t.truncated + 1;
-              Obs.Metrics.incr m_truncated
-            end
-            else begin
-              t.corrupt <- t.corrupt + 1;
-              Obs.Metrics.incr m_corrupt
-            end)
+            if i = total - 1 && not ends_with_newline then
+              scan.truncated_lines <- scan.truncated_lines + 1
+            else scan.corrupt_lines <- scan.corrupt_lines + 1)
     lines;
   len > 0 && not ends_with_newline
 
 let file_size path = (Unix.stat path).Unix.st_size
+
+let open_segment t i =
+  t.chan <-
+    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644
+      (segment_path t i);
+  t.active <- i;
+  t.active_bytes <- file_size (segment_path t i)
 
 let open_dir ?(segment_bytes = 8 * 1024 * 1024) ?(fsync = false) dir =
   mkdir_p dir;
@@ -411,38 +424,39 @@ let open_dir ?(segment_bytes = 8 * 1024 * 1024) ?(fsync = false) dir =
       [ Unix.O_RDWR; Unix.O_CREAT ] 0o644
   in
   let segments = list_segments dir in
+  let index = Hashtbl.create 1024 in
+  let scan = new_scan () in
+  let unterminated =
+    List.fold_left
+      (fun _ s -> load_segment scan index (Filename.concat dir (segment_name s)))
+      false segments
+  in
+  Obs.Metrics.add m_truncated scan.truncated_lines;
+  Obs.Metrics.add m_corrupt scan.corrupt_lines;
+  let newest = match List.rev segments with s :: _ -> s | [] -> 1 in
+  (* A record appended after the newest segment's partial line would
+     merge with it into one damaged line: append to a fresh segment
+     instead, leaving every existing byte as it is. *)
+  let active = if unterminated then newest + 1 else newest in
   let t =
     {
       dir;
       segment_bytes;
       fsync;
-      index = Hashtbl.create 1024;
+      index;
       lock = Mutex.create ();
       lock_fd;
-      active = (match List.rev segments with s :: _ -> s | [] -> 1);
+      active;
       chan = stdout (* replaced below *);
       active_bytes = 0;
-      segment_list = (match segments with [] -> [ 1 ] | l -> l);
-      truncated = 0;
-      corrupt = 0;
-      duplicates = 0;
-      lease_count = 0;
+      segment_list =
+        (if List.mem active segments then segments else segments @ [ active ]);
+      truncated = scan.truncated_lines;
+      corrupt = scan.corrupt_lines;
+      lease = None;
     }
   in
-  let unterminated =
-    List.fold_left (fun _ s -> load_segment t (segment_path t s)) false segments
-  in
-  (* A record appended after the newest segment's partial line would
-     merge with it into one damaged line: append to a fresh segment
-     instead, leaving every existing byte as it is. *)
-  if unterminated then begin
-    t.active <- t.active + 1;
-    t.segment_list <- t.segment_list @ [ t.active ]
-  end;
-  let active_path = segment_path t t.active in
-  t.chan <-
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 active_path;
-  t.active_bytes <- file_size active_path;
+  open_segment t active;
   t
 
 let flush_chan t =
@@ -455,13 +469,18 @@ let flush_chan t =
     end
     else Unix.fsync (Unix.descr_of_out_channel t.chan)
 
-(* Advisory inter-process exclusion around segment mutation (appends and
-   the gc rewrite).  Intra-process exclusion is [t.lock]; this extends it
-   to separate processes sharing the directory, so two writers cannot
-   interleave partial lines and an append cannot race a gc rename.  The
-   lock is fcntl-style ([Unix.lockf]) on a dedicated [.lock] file, so
-   closing segment files never drops it. *)
+(* Exclusion around segment mutation (appends and the gc rewrite).
+   [t.lock] serialises one handle's callers; this extends it to every
+   other handle on the directory, so two writers cannot interleave
+   partial lines and an append cannot race a gc rename.  Across
+   processes it is an fcntl-style lock ([Unix.lockf]) on a dedicated
+   [.lock] file, so closing segment files never drops it.  fcntl locks
+   belong to a process, not to a descriptor, so handles within one
+   process also take [process_lock]. *)
+let process_lock = Mutex.create ()
+
 let with_file_lock t f =
+  Mutex.protect process_lock @@ fun () ->
   ignore (Unix.lseek t.lock_fd 0 Unix.SEEK_SET);
   Unix.lockf t.lock_fd Unix.F_LOCK 0;
   Fun.protect
@@ -472,14 +491,13 @@ let with_file_lock t f =
 
 (* ---- writer leases ----
 
-   A lease marks this process as a live writer of the store: a
-   [lease-<pid>] marker file that [gc] (possibly run from another
-   process) refuses to compact over.  Lease files from dead processes are
-   stale and swept on inspection, so a SIGKILLed writer never wedges the
-   store. *)
+   A handle takes a lease at its first append and holds it until
+   [close]: a [lease-<pid>-<k>] marker file in the store directory that
+   [gc], run from any other handle of any process, refuses to compact
+   over.  Markers of dead processes are stale and swept on inspection,
+   so a SIGKILLed writer never wedges the store. *)
 
-let leases_dir t = Filename.concat t.dir "leases"
-let lease_path t pid = Filename.concat (leases_dir t) (Printf.sprintf "lease-%d" pid)
+let leases_taken = Atomic.make 0
 
 let pid_alive pid =
   match Unix.kill pid 0 with
@@ -489,64 +507,32 @@ let pid_alive pid =
       (* EPERM etc.: the process exists but is not ours. *)
       true
 
-let live_leases t =
-  match Sys.readdir (leases_dir t) with
-  | exception Sys_error _ -> []
-  | entries ->
-      Array.to_list entries
-      |> List.filter_map (fun name ->
-             match String.length name > 6 && String.sub name 0 6 = "lease-" with
-             | false -> None
-             | true -> (
-                 match
-                   int_of_string_opt
-                     (String.sub name 6 (String.length name - 6))
-                 with
-                 | Some pid when pid_alive pid -> Some pid
-                 | Some pid ->
-                     (* Stale marker from a dead writer: sweep it. *)
-                     (try Sys.remove (lease_path t pid) with Sys_error _ -> ());
-                     None
-                 | None -> None))
-      |> List.sort_uniq compare
+(* Live markers as (file name, pid); stale ones are removed. *)
+let live_markers t =
+  Sys.readdir t.dir |> Array.to_list
+  |> List.filter_map (fun name ->
+         match String.split_on_char '-' name with
+         | [ "lease"; pid; _ ] -> (
+             match int_of_string_opt pid with
+             | Some pid when pid_alive pid -> Some (name, pid)
+             | Some _ ->
+                 (try Sys.remove (Filename.concat t.dir name)
+                  with Sys_error _ -> ());
+                 None
+             | None -> None)
+         | _ -> None)
 
-let lease t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      if t.lease_count = 0 then begin
-        mkdir_p (leases_dir t);
-        let path = lease_path t (Unix.getpid ()) in
-        Out_channel.with_open_bin path (fun oc ->
-            output_string oc (string_of_int (Unix.getpid ()));
-            output_char oc '\n')
-      end;
-      t.lease_count <- t.lease_count + 1)
+let live_leases t = List.sort_uniq compare (List.map snd (live_markers t))
 
-let release_lease t =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      if t.lease_count > 0 then begin
-        t.lease_count <- t.lease_count - 1;
-        if t.lease_count = 0 then
-          try Sys.remove (lease_path t (Unix.getpid ()))
-          with Sys_error _ -> ()
-      end)
+let newest_on_disk t =
+  match List.rev (list_segments t.dir) with s :: _ -> s | [] -> 0
 
-let rotate_locked t =
+(* Append to segment [i] from now on. *)
+let switch_segment_locked t i =
   flush_chan t;
-  Obs.Metrics.incr m_rotations;
   close_out t.chan;
-  t.active <- t.active + 1;
-  t.segment_list <- t.segment_list @ [ t.active ];
-  t.chan <-
-    open_out_gen
-      [ Open_append; Open_creat; Open_binary ]
-      0o644 (segment_path t t.active);
-  t.active_bytes <- 0
+  t.segment_list <- t.segment_list @ [ i ];
+  open_segment t i
 
 let add_record t r =
   Mutex.lock t.lock;
@@ -555,15 +541,35 @@ let add_record t r =
     (fun () ->
       let ck = canonical_record r in
       if not (Hashtbl.mem t.index ck) then begin
+        let first = Option.is_none t.lease in
+        if first then begin
+          let name =
+            Printf.sprintf "lease-%d-%d" (Unix.getpid ())
+              (Atomic.fetch_and_add leases_taken 1)
+          in
+          close_out (open_out_bin (Filename.concat t.dir name));
+          t.lease <- Some name
+        end;
         let line = record_line_of r in
-        if
-          t.active_bytes > 0
-          && t.active_bytes + String.length line + 1 > t.segment_bytes
-        then rotate_locked t;
         (* The file lock spans buffer-fill to flush so the appended line
-           reaches the segment as one unit even when another process
+           reaches the segment as one unit even when another handle
            shares the directory. *)
         with_file_lock t (fun () ->
+            (* Before this handle's lease, a gc elsewhere may have
+               removed its active segment: append past the newest one on
+               disk. *)
+            if first && not (Sys.file_exists (segment_path t t.active))
+            then begin
+              t.segment_list <- list_segments t.dir;
+              switch_segment_locked t (newest_on_disk t + 1)
+            end
+            else if
+              t.active_bytes > 0
+              && t.active_bytes + String.length line + 1 > t.segment_bytes
+            then begin
+              Obs.Metrics.incr m_rotations;
+              switch_segment_locked t (t.active + 1)
+            end;
             output_string t.chan line;
             output_char t.chan '\n';
             flush_chan t);
@@ -618,23 +624,23 @@ let fold_profiles t f acc =
           match r with Profile (k, p) -> f k p acc | Shard _ -> acc)
         t.index acc)
 
+let segments_bytes t segments =
+  List.fold_left
+    (fun acc s ->
+      let p = segment_path t s in
+      acc + if Sys.file_exists p then file_size p else 0)
+    0 segments
+
 let stats t =
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
       flush t.chan;
-      let bytes =
-        List.fold_left
-          (fun acc s ->
-            let p = segment_path t s in
-            acc + (if Sys.file_exists p then file_size p else 0))
-          0 t.segment_list
-      in
       {
         records = Hashtbl.length t.index;
         segments = List.length t.segment_list;
-        bytes;
+        bytes = segments_bytes t t.segment_list;
         truncated = t.truncated;
         corrupt = t.corrupt;
       })
@@ -644,31 +650,31 @@ let gc t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
-      (* Compacting renames segments out from under concurrent appenders;
-         refuse while any *other* live process has registered as a writer
-         (our own lease cannot deadlock us: this handle holds [t.lock]). *)
-      let foreign =
-        List.filter (fun pid -> pid <> Unix.getpid ()) (live_leases t)
-      in
-      if foreign <> [] then raise (Busy foreign);
       with_file_lock t @@ fun () ->
+      (* Compacting removes the segments other handles append to: refuse
+         while any of them, in this process or another, holds a lease. *)
+      (match
+         List.filter (fun (name, _) -> Some name <> t.lease) (live_markers t)
+       with
+      | [] -> ()
+      | others -> raise (Busy (List.sort_uniq compare (List.map snd others))));
       flush t.chan;
-      let bytes_before =
-        List.fold_left
-          (fun acc s ->
-            let p = segment_path t s in
-            acc + (if Sys.file_exists p then file_size p else 0))
-          0 t.segment_list
-      in
-      let segments_before = List.length t.segment_list in
-      let old_segments = t.segment_list in
+      (* The disk, not this handle's index, holds what other handles
+         appended since it opened. *)
+      let segments = list_segments t.dir in
+      let index = Hashtbl.create (Hashtbl.length t.index) in
+      let scan = new_scan () in
+      List.iter
+        (fun s -> ignore (load_segment scan index (segment_path t s)))
+        segments;
+      let bytes_before = segments_bytes t segments in
       close_out t.chan;
-      let fresh = t.active + 1 in
+      let fresh = newest_on_disk t + 1 in
       let final_path = segment_path t fresh in
       let tmp_path = final_path ^ ".tmp" in
       let oc = open_out_bin tmp_path in
       let live =
-        Hashtbl.fold (fun ck r acc -> (ck, r) :: acc) t.index []
+        Hashtbl.fold (fun ck r acc -> (ck, r) :: acc) index []
         |> List.sort (fun ((a : string), _) (b, _) -> compare a b)
       in
       List.iter
@@ -680,31 +686,20 @@ let gc t =
       Unix.fsync (Unix.descr_of_out_channel oc);
       close_out oc;
       Sys.rename tmp_path final_path;
-      List.iter
-        (fun s ->
-          let p = segment_path t s in
-          if Sys.file_exists p then Sys.remove p)
-        old_segments;
-      t.active <- fresh;
+      List.iter (fun s -> Sys.remove (segment_path t s)) segments;
+      t.index <- index;
       t.segment_list <- [ fresh ];
-      t.chan <-
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 final_path;
-      t.active_bytes <- file_size final_path;
-      let dropped = t.duplicates in
-      t.duplicates <- 0;
+      open_segment t fresh;
       {
         live_records = List.length live;
-        dropped_duplicates = dropped;
-        segments_before;
+        dropped_duplicates = scan.shadowed;
+        segments_before = List.length segments;
         segments_after = 1;
         bytes_before;
         bytes_after = t.active_bytes;
       })
 
 let close t =
-  while t.lease_count > 0 do
-    release_lease t
-  done;
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
@@ -713,6 +708,14 @@ let close t =
       (try Unix.fsync (Unix.descr_of_out_channel t.chan)
        with Unix.Unix_error _ -> ());
       close_out t.chan;
+      Option.iter
+        (fun name ->
+          try Sys.remove (Filename.concat t.dir name) with Sys_error _ -> ())
+        t.lease;
+      t.lease <- None;
+      (* Closing any descriptor of the lock file drops every fcntl lock
+         this process holds on it: wait until no other handle holds one. *)
+      Mutex.protect process_lock @@ fun () ->
       try Unix.close t.lock_fd with Unix.Unix_error _ -> ())
 
 let dir t = t.dir

@@ -11,11 +11,15 @@
     tail record (a store reopened over one appends to a fresh segment, so
     no record is ever written after it), and counts as corrupt any record
     whose checksum or shape is wrong or whose counts do not add up
-    ({!Core.Campaign.consistent}).  Compaction rewrites the live records
-    into a fresh segment with an atomic rename.
+    ({!Core.Campaign.consistent}).  Compaction re-reads the segments on
+    disk and rewrites their live records into a fresh segment with an
+    atomic rename.
 
-    The store is safe to share between the engine's worker domains: all
-    operations take an internal lock. *)
+    Handles share a directory safely, in one process or several: appends
+    and compaction take an advisory file lock, and a handle holds a
+    writer lease from its first append until {!close}, which {!gc} on
+    any other handle respects.  One handle is safe to share between the
+    engine's worker domains: all operations take an internal lock. *)
 
 module Jsonx : module type of Jsonx
 (** The canonical JSON codec used for records (re-exported for tests). *)
@@ -121,29 +125,27 @@ val fold_profiles : t -> (pkey -> Core.Campaign.profile -> 'a -> 'a) -> 'a -> 'a
 val stats : t -> stats
 
 exception Busy of int list
-(** Raised by {!gc} when other live processes hold writer leases on the
-    store; carries their pids. *)
+(** Raised by {!gc} when other handles hold writer leases on the store;
+    carries the pids of their processes, which may include this one. *)
 
 val gc : t -> gc_report
-(** Compact: rewrite live records into one fresh segment (fsync + atomic
-    rename), then unlink the old segments.  The rewrite holds the same
-    advisory inter-process file lock appends take, so it can never
-    interleave with a concurrent writer's append.
+(** Compact: re-read every segment on disk, so records other handles
+    appended since this one opened are kept, rewrite the live records
+    into one segment past the newest on disk (fsync + atomic rename),
+    then unlink the segments read.  The whole compaction holds the file
+    lock appends take, so it never interleaves with an append.  A handle
+    whose active segment a compaction removed appends past the newest
+    segment at its first append.
 
-    @raise Busy if another live process holds a writer lease
-    ({!lease}) — compacting would rename segments out from under it. *)
-
-val lease : t -> unit
-(** Register this process as a live writer of the store (a
-    [leases/lease-<pid>] marker).  Re-entrant: calls nest, and the marker
-    is removed when the last one is released (or at {!close}).  Markers
-    of dead processes are stale and swept automatically, so a SIGKILLed
-    writer never wedges the store. *)
-
-val release_lease : t -> unit
+    @raise Busy if another handle, in this process or another, holds a
+    writer lease — compacting would remove segments it appends to. *)
 
 val live_leases : t -> int list
-(** Pids of live processes holding writer leases (stale markers swept). *)
+(** Pids of the processes whose handles hold writer leases, this one's
+    included.  A handle takes its lease at its first append (a
+    [lease-<pid>-<k>] marker file in the store directory) and drops it
+    at {!close}; markers of dead processes are stale and swept here and
+    by {!gc}, so a SIGKILLed writer never wedges the store. *)
 
 val shard_json : Core.Campaign.shard -> Jsonx.t
 val shard_of_json : lo:int -> hi:int -> Jsonx.t -> Core.Campaign.shard option

@@ -2,7 +2,7 @@
    static identity of the instruction (function / block / index within the
    block, where index = block length denotes the terminator).  The identity
    is what lets analyses map a dynamic candidate ordinal back to a static
-   program point (Dataflow.Prune, Analysis.Prune_static). *)
+   program point (static fault-site pruning, Analysis.Prune_static). *)
 
 type t = { srcs : int array; dst : int; fidx : int; bidx : int; idx : int }
 

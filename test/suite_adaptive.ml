@@ -39,8 +39,8 @@ let result_eq =
 
 (* Drive a controller against synthetic cells with fixed true SDC
    proportions: obs reports round(p * granted prefix). *)
-let drive_synthetic ?round_budget ~target ~shard_size ~caps ~ps ~on_step () =
-  let ctl = A.Control.create ?round_budget ~target ~shard_size caps in
+let drive_synthetic ~target ~shard_size ~caps ~ps ~on_step () =
+  let ctl = A.Control.create ~target ~shard_size caps in
   let obs i =
     let t = A.Control.closed_at ctl i in
     (t, int_of_float (Float.round (ps.(i) *. float_of_int t)))
@@ -121,39 +121,6 @@ let prop_control_closing_monotone =
                was_closed)
            ());
       !ok)
-
-let test_control_round_budget () =
-  (* A tight round budget still terminates and still closes everything;
-     it only spreads the grants over more rounds. *)
-  let ctl_free =
-    drive_synthetic ~target:0.05 ~shard_size:25 ~caps:[| 1000; 1000 |]
-      ~ps:[| 0.4; 0.1 |]
-      ~on_step:(fun _ _ -> ())
-      ()
-  in
-  let budget_grants = ref 0 in
-  let ctl_tight =
-    drive_synthetic ~round_budget:50 ~target:0.05 ~shard_size:25
-      ~caps:[| 1000; 1000 |] ~ps:[| 0.4; 0.1 |]
-      ~on_step:(fun _ grants ->
-        let exps =
-          List.fold_left
-            (fun a (_, rs) ->
-              List.fold_left (fun a (lo, hi) -> a + hi - lo) a rs)
-            0 grants
-        in
-        (* First round grants the per-cell initial batch to every open
-           cell; after that the budget caps each round at two shards. *)
-        if !budget_grants > 0 then
-          Alcotest.(check bool) "round within budget" true (exps <= 50);
-        incr budget_grants)
-      ()
-  in
-  Alcotest.(check bool) "more rounds under budget" true
-    (A.Control.rounds ctl_tight >= A.Control.rounds ctl_free);
-  for i = 0 to 1 do
-    Alcotest.(check bool) "met" true (A.Control.met ctl_tight i)
-  done
 
 (* ---- prefix identity on real and random programs ---- *)
 
@@ -436,17 +403,15 @@ let suites =
         Alcotest.test_case "control cap exhaustion" `Quick
           test_control_cap_exhausts;
         QCheck_alcotest.to_alcotest prop_control_closing_monotone;
-        Alcotest.test_case "control round budget" `Quick
-          test_control_round_budget;
         Alcotest.test_case "prefix identity (qsort)" `Slow
           test_prefix_identity_qsort;
         QCheck_alcotest.to_alcotest prop_prefix_identity_random_programs;
         Alcotest.test_case "resume after mid-round kill" `Slow
           test_resume_mid_round;
-        Alcotest.test_case "jobs 1 == jobs 4, with and without a store" `Slow
-          test_jobs_invariant;
         Alcotest.test_case "fleet == in-process" `Slow
           test_fleet_matches_inprocess;
+        Alcotest.test_case "jobs 1 == jobs 4, with and without a store" `Slow
+          test_jobs_invariant;
         Alcotest.test_case "fleet state reports adaptive" `Slow
           test_fleet_state_reports_adaptive;
       ] );

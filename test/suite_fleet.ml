@@ -569,37 +569,51 @@ let test_store_leases_and_gc () =
   let st = Store.open_dir dir in
   Fun.protect ~finally:(fun () -> Store.close st) @@ fun () ->
   let w = Lazy.force workload in
-  let key =
-    Store.key ~program:w.name ~digest:w.digest ~spec ~n:75 ~seed:20170626L
-      ~lo:0 ~hi:25
+  let add st lo hi =
+    Store.add st
+      (Store.key ~program:w.name ~digest:w.digest ~spec ~n:75
+         ~seed:20170626L ~lo ~hi)
+      (Core.Campaign.run_shard w spec ~seed:20170626L ~lo ~hi)
   in
-  Store.add st key (Core.Campaign.run_shard w spec ~seed:20170626L ~lo:0 ~hi:25);
-  (* Own lease never blocks gc (the engine holds one while running). *)
-  Store.lease st;
-  Alcotest.(check (list int)) "own lease listed" [ Unix.getpid () ]
+  let gc st = ignore (Store.gc st : Store.gc_report) in
+  Alcotest.(check (list int)) "no lease before the first append" []
     (Store.live_leases st);
-  ignore (Store.gc st : Store.gc_report);
-  Store.release_lease st;
-  Alcotest.(check (list int)) "released" [] (Store.live_leases st);
-  (* A live foreign pid's lease makes gc refuse.  Pid 1 is always alive
+  add st 0 25;
+  (* A handle that has appended holds a lease; its own never blocks its
+     gc. *)
+  Alcotest.(check (list int)) "appending handle listed" [ Unix.getpid () ]
+    (Store.live_leases st);
+  gc st;
+  (* Another appending handle makes gc refuse, even in this process,
+     until it is closed. *)
+  let other = Store.open_dir dir in
+  add other 25 50;
+  Alcotest.check_raises "gc refuses under another handle's lease"
+    (Store.Busy [ Unix.getpid () ])
+    (fun () -> gc st);
+  Store.close other;
+  let r = Store.gc st in
+  Alcotest.(check int) "closing released the lease" 2 r.Store.live_records;
+  (* A live foreign pid's marker makes gc refuse.  Pid 1 is always alive
      (and not ours), so plant its marker by hand. *)
-  let leases_dir = Filename.concat dir "leases" in
-  if not (Sys.file_exists leases_dir) then Unix.mkdir leases_dir 0o755;
   let plant pid =
-    Out_channel.with_open_text
-      (Filename.concat leases_dir (Printf.sprintf "lease-%d" pid))
-      (fun _ -> ())
+    let name = Printf.sprintf "lease-%d-0" pid in
+    Out_channel.with_open_bin (Filename.concat dir name) ignore;
+    name
   in
-  plant 1;
+  let foreign = plant 1 in
   Alcotest.check_raises "gc refuses under a live foreign lease"
     (Store.Busy [ 1 ])
-    (fun () -> ignore (Store.gc st : Store.gc_report));
-  Sys.remove (Filename.concat leases_dir "lease-1");
+    (fun () -> gc st);
+  Sys.remove (Filename.concat dir foreign);
   (* A dead pid's marker is stale: swept, and gc proceeds. *)
-  plant 999_999_999;
-  Alcotest.(check (list int)) "stale marker swept" [] (Store.live_leases st);
+  let stale = plant 999_999_999 in
+  Alcotest.(check (list int)) "stale marker ignored" [ Unix.getpid () ]
+    (Store.live_leases st);
+  Alcotest.(check bool) "stale marker swept" false
+    (Sys.file_exists (Filename.concat dir stale));
   let r = Store.gc st in
-  Alcotest.(check int) "record survived the compactions" 1 r.Store.live_records
+  Alcotest.(check int) "records survived the compactions" 2 r.Store.live_records
 
 let suites =
   [

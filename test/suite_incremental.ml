@@ -338,13 +338,13 @@ let test_real_edit_recomputes_all () =
       check_equal_result "still equals the full run" r
         (Core.Campaign.run wb spec ~n ~seed))
 
-(* ---- provably-benign skip ---- *)
+(* ---- statically sdc-free and trapping sinks ---- *)
 
-(* Under a single-flip campaign, [sink] in [sdc_free_module] satisfies
-   the whole skip predicate (sdc-free, trap-free, loop-free, worst-case
-   path within budget): its partition must be synthesized, not run, and
-   the composed result must still equal the full campaign exactly. *)
-let test_skip_benign () =
+(* [sink] in [sdc_free_module] is statically sdc-free under single-flip
+   campaigns, and its partition still runs like any other: the profile
+   cached for it is the executed partition's, and the composed result
+   equals the full campaign exactly, cold and warm. *)
+let test_benign_sink () =
   let m = sdc_free_module () in
   let w = Core.Workload.make ~name:"sdcfree" m in
   let n = 80 and seed = 41L in
@@ -354,21 +354,14 @@ let test_skip_benign () =
       let full = Core.Campaign.run w spec ~n ~seed in
       let parts = Engine.Incremental.partition w spec ~n ~seed in
       let sink = parts.(fidx_of m "sink") in
-      let share = Array.length sink in
-      Alcotest.(check bool) "sink owns some experiments" true (share > 0);
+      Alcotest.(check bool) "sink owns some experiments" true
+        (Array.length sink > 0);
       with_store (fun st ->
           let r1, s1 = Engine.Incremental.run ~store:st w spec ~n ~seed in
           let t = Core.Technique.to_string technique in
-          check_equal_result ("skip-composed equals full (" ^ t ^ ")") r1 full;
-          Alcotest.(check int) (t ^ ": one function skipped") 1
-            s1.funcs_skipped;
-          Alcotest.(check int) (t ^ ": sink's share skipped") share
-            s1.exps_skipped;
-          Alcotest.(check int)
-            (t ^ ": the rest recomputed")
-            (n - share) s1.exps_recomputed;
-          (* The synthesized profile is cached and equals what running
-             the partition would have produced. *)
+          check_equal_result ("composed equals full (" ^ t ^ ")") r1 full;
+          Alcotest.(check int) (t ^ ": everything executed") n
+            s1.exps_recomputed;
           let key =
             Store.profile_key ~program:"sdcfree" ~func:"sink"
               ~fdigest:(Ir.Fingerprint.func (func_exn m "sink"))
@@ -377,25 +370,20 @@ let test_skip_benign () =
           in
           let executed = Core.Campaign.run_profile w spec ~seed ~indices:sink in
           Alcotest.(check bool)
-            (t ^ ": synthesized profile equals executed partition") true
+            (t ^ ": cached profile equals executed partition") true
             (match Store.lookup_profile st key with
             | Some q -> Core.Campaign.equal_profile executed q
             | None -> false);
-          (* Warm runs keep skipping (the proof is cheaper than the
-             store) and keep composing exactly. *)
           let r2, s2 = Engine.Incremental.run ~store:st w spec ~n ~seed in
-          check_equal_result ("warm skip-composed equals full (" ^ t ^ ")") r2
+          check_equal_result ("warm composed equals full (" ^ t ^ ")") r2
             full;
-          Alcotest.(check int) (t ^ ": warm still skips sink") share
-            s2.exps_skipped;
-          Alcotest.(check int) (t ^ ": warm reuses the rest") (n - share)
+          Alcotest.(check int) (t ^ ": warm reuses everything") n
             s2.exps_reused))
     [ Core.Technique.Read; Core.Technique.Write ]
 
-(* A sink that loads from memory can trap under a flipped address, so
-   the skip predicate must refuse it even though its partition happens
-   to produce no SDC. *)
-let test_skip_refuses_trapping () =
+(* A sink that loads from memory can trap under a flipped address; its
+   summary says so, and its partition composes exactly. *)
+let test_trapping_sink () =
   let module B = Ir.Build in
   let m = B.create () in
   B.global_i32s m "g" [| 3; 5; 7; 9 |];
@@ -421,8 +409,6 @@ let test_skip_refuses_trapping () =
   with_store (fun st ->
       let r, s = Engine.Incremental.run ~store:st w spec ~n ~seed in
       check_equal_result "composed equals full" r full;
-      Alcotest.(check int) "nothing skipped" 0 s.funcs_skipped;
-      Alcotest.(check int) "no experiments skipped" 0 s.exps_skipped;
       Alcotest.(check int) "everything executed" n s.exps_recomputed)
 
 (* ---- store: profile records ---- *)
@@ -545,10 +531,10 @@ let suites =
           test_edit_reruns_only_edited;
         Alcotest.test_case "semantic edit invalidates everything" `Slow
           test_real_edit_recomputes_all;
-        Alcotest.test_case "provably-benign partitions are skipped" `Slow
-          test_skip_benign;
-        Alcotest.test_case "skip refuses trapping functions" `Quick
-          test_skip_refuses_trapping;
+        Alcotest.test_case "benign sink: profile = executed" `Slow
+          test_benign_sink;
+        Alcotest.test_case "trapping sink composes exactly" `Quick
+          test_trapping_sink;
         Alcotest.test_case "store: profile roundtrip" `Quick
           test_store_profile_roundtrip;
         QCheck_alcotest.to_alcotest prop_digest_locality;

@@ -283,6 +283,54 @@ let test_rotation_and_gc () =
   done;
   Store.close st
 
+(* ---- several handles on one directory ---- *)
+
+(* Records another handle appended after this one opened live only on
+   disk: gc must keep them. *)
+let test_gc_keeps_other_handles () =
+  let dir = temp_dir () in
+  let g = Store.open_dir dir in
+  Store.add g (key ~lo:0 ~hi:25) (shard ~lo:0 ~hi:25);
+  let w = Store.open_dir dir in
+  Store.add w (key ~lo:25 ~hi:50) (shard ~lo:25 ~hi:50);
+  Store.close w;
+  let report = Store.gc g in
+  Alcotest.(check int) "gc keeps both records" 2 report.live_records;
+  Alcotest.(check bool) "the compacting handle sees the other's record"
+    true
+    (Store.lookup g (key ~lo:25 ~hi:50) <> None);
+  Store.close g;
+  let st = Store.open_dir dir in
+  Alcotest.(check int) "both records survive reopen" 2
+    (Store.stats st).records;
+  Alcotest.(check bool) "the other handle's shard is readable" true
+    (match Store.lookup st (key ~lo:25 ~hi:50) with
+    | Some s -> equal_shard s (shard ~lo:25 ~hi:50)
+    | None -> false);
+  Store.close st
+
+(* A handle whose active segment another handle's gc removed, before its
+   first append, must not append to the removed file. *)
+let test_append_after_other_gc () =
+  let dir = temp_dir () in
+  let st = Store.open_dir dir in
+  Store.add st (key ~lo:0 ~hi:25) (shard ~lo:0 ~hi:25);
+  Store.close st;
+  let h = Store.open_dir dir in
+  let g = Store.open_dir dir in
+  ignore (Store.gc g : Store.gc_report);
+  Store.close g;
+  Store.add h (key ~lo:25 ~hi:50) (shard ~lo:25 ~hi:50);
+  Store.close h;
+  let st = Store.open_dir dir in
+  Alcotest.(check int) "both records survive reopen" 2
+    (Store.stats st).records;
+  Alcotest.(check bool) "the late append is readable" true
+    (match Store.lookup st (key ~lo:25 ~hi:50) with
+    | Some s -> equal_shard s (shard ~lo:25 ~hi:50)
+    | None -> false);
+  Store.close st
+
 let test_fold_visits_all () =
   let dir = temp_dir () in
   let st = Store.open_dir dir in
@@ -354,6 +402,10 @@ let suites =
         Alcotest.test_case "inconsistent counts rejected" `Quick
           test_inconsistent_counts_rejected;
         Alcotest.test_case "rotation + gc" `Quick test_rotation_and_gc;
+        Alcotest.test_case "gc keeps other handles' appends" `Quick
+          test_gc_keeps_other_handles;
+        Alcotest.test_case "append after another handle's gc" `Quick
+          test_append_after_other_gc;
         Alcotest.test_case "fold visits all" `Quick test_fold_visits_all;
         Alcotest.test_case "pinned segment bytes" `Quick test_pinned_bytes;
       ] );
