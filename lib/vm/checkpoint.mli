@@ -15,7 +15,10 @@
     a single set serves both injection techniques.  It is taken at the
     first block start other than a function's entry (a pc only a jump
     leads to) once an ordinal has crossed the interval, so the rejoin
-    probe, which runs at jumps, can watch every point.  The golden prefix
+    probe, which runs at jumps, can watch every point.  Such a pc starts
+    a dyn segment ({!Code}), which the recording run's counting loop
+    runs as one chain, so captures happen at segment starts, with every
+    frame's ordinals and [last_write] exact there.  The golden prefix
     fires no injector events and consumes no randomness, which is why a
     resumed run is bit-identical to a full one (enforced by
     test/suite_checkpoint.ml and the CI pipeline differential).

@@ -22,9 +22,12 @@
    candidate ordinals and [last_write], and enters the hooked slow path
    (the fault injector) only when a scheduled event threshold is
    crossed; recording runs and faulty runs up to their last flip use
-   it, single-stepping.  The quiet runner, which runs everything else,
-   adds a whole segment's length to the dyn and runs its chain when the
-   segment ends below [limit], and single-steps it otherwise.  After the
+   it.  It runs a segment in which nothing can fire as its chain, with
+   the segment's dyn, candidate counts and [last_write] entered first,
+   and single-steps the segment where an event or the limit falls.  The
+   quiet runner, which runs everything else, adds a whole segment's
+   length to the dyn and runs its chain when the segment ends below
+   [limit], and single-steps it otherwise.  After the
    final flip, a run given the golden checkpoint set leaves it only at
    the early-exit probe's stops, which share the limit compare, and at
    jumps to one watched pc: the probe finishes the run as the golden
@@ -192,6 +195,11 @@ type cfunc = {
       (* per pc: the single-step form; a segment's end has one form,
          shared *)
   seg : int array; (* per pc: instructions from it to its segment's end *)
+  rcnt : int array;
+      (* per pc: read candidates from it through its segment's end *)
+  wcnt : int array;
+      (* per pc: write candidates from it up to, not including, its
+         segment's end *)
 }
 
 type t = {
@@ -435,6 +443,8 @@ let compile_func (p : Program.t) (f : Program.lfunc) : cfunc =
     chain = Array.make !total fall;
     step = Array.make !total fall;
     seg = Array.make !total 0;
+    rcnt = Array.make !total 0;
+    wcnt = Array.make !total 0;
   }
 
 (* ---- the closure builder ---- *)
@@ -961,24 +971,29 @@ let build (funcs : cfunc array) (src : Program.t) fidx i u ~after ~(k : op)
           -1
         end
 
-(* (Re)build the closures and segment lengths of pcs [lo, hi), where the
-   micro-op at [hi - 1] ends its segment, back to front so each chain
-   links to its successor's closure. *)
+(* (Re)build the closures, segment lengths and candidate counts of pcs
+   [lo, hi), where the micro-op at [hi - 1] ends its segment, back to
+   front so each chain links to its successor's closure. *)
 let build_range funcs src fidx (cf : cfunc) lo hi =
   let e = ref hi in
   for i = hi - 1 downto lo do
     let u = cf.uops.(i) in
+    let fl = cf.flags.(i) in
     if ends u then begin
       e := i + 1;
       let f = build funcs src fidx i u ~after:0 ~k:fall ~next:None in
       cf.chain.(i) <- f;
-      cf.step.(i) <- f
+      cf.step.(i) <- f;
+      cf.rcnt.(i) <- fl land 1;
+      cf.wcnt.(i) <- 0
     end
     else begin
       cf.chain.(i) <-
         build funcs src fidx i u ~after:(!e - i - 1) ~k:cf.chain.(i + 1)
           ~next:(Some cf.uops.(i + 1));
-      cf.step.(i) <- build funcs src fidx i u ~after:0 ~k:fall ~next:None
+      cf.step.(i) <- build funcs src fidx i u ~after:0 ~k:fall ~next:None;
+      cf.rcnt.(i) <- (fl land 1) + cf.rcnt.(i + 1);
+      cf.wcnt.(i) <- ((fl lsr 1) land 1) + cf.wcnt.(i + 1)
     end;
     cf.seg.(i) <- !e - i
   done
@@ -1001,7 +1016,7 @@ let compile (p : Program.t) : t =
 
 (* A private copy whose micro-ops and closures may be patched.
    Everything else (flags, metas, inits, source) is immutable and
-   shared, so a fork costs four array copies per function.  The
+   shared, so a fork costs six array copies per function.  The
    workload's code stays pristine — forks are created per experiment and
    dropped. *)
 let fork t =
@@ -1016,6 +1031,8 @@ let fork t =
             chain = Array.copy cf.chain;
             step = Array.copy cf.step;
             seg = Array.copy cf.seg;
+            rcnt = Array.copy cf.rcnt;
+            wcnt = Array.copy cf.wcnt;
           })
         t.funcs;
     patched = false;
@@ -1026,8 +1043,8 @@ let fork t =
    bookkeeping follow the golden program structure while execution
    follows the flipped instruction, exactly like the seed interpreter
    running the mutated image (whose metas are also untouched).  The site
-   now ends its segment, so the segment is rebuilt from its start up to
-   the site; the pcs past it keep their chains. *)
+   now ends its segment, so the segment is rebuilt, with its counts, from
+   its start up to the site; the pcs past it keep their chains. *)
 let patch t ~fidx ~bidx ~idx p =
   let cf = t.funcs.(fidx) in
   let off = cf.block_off.(bidx) in
@@ -1043,23 +1060,44 @@ let patch t ~fidx ~bidx ~idx p =
 
 (* ---- execution ---- *)
 
-(* A recording run's single-step closures: every load replaced by its
-   twin, which also notes the page it read, so production loads pay
-   nothing for the liveness. *)
-let recording_steps t =
-  Array.mapi
+(* A recording run's chained and single-step closures, per function:
+   every load replaced by its twin, which also notes the page it read,
+   so production loads pay nothing for the liveness.  Only the chains
+   that run a load are rebuilt, from the segment's last load back to its
+   start; every other closure, and the segment lengths and counts, are
+   the code's. *)
+let recording_closures t =
+  let twin = function
+    | Uload_i (dst, addr, w) -> Some (Urload_i (dst, addr, w))
+    | Uload_f (dst, addr) -> Some (Urload_f (dst, addr))
+    | _ -> None
+  in
+  let chains = Array.map (fun cf -> Array.copy cf.chain) t.funcs
+  and steps = Array.map (fun cf -> Array.copy cf.step) t.funcs in
+  Array.iteri
     (fun fidx cf ->
-      Array.mapi
-        (fun i f ->
-          let twin u =
-            build t.funcs t.source fidx i u ~after:0 ~k:fall ~next:None
-          in
-          match cf.uops.(i) with
-          | Uload_i (dst, addr, w) -> twin (Urload_i (dst, addr, w))
-          | Uload_f (dst, addr) -> twin (Urload_f (dst, addr))
-          | _ -> f)
-        cf.step)
-    t.funcs
+      let chain = chains.(fidx) and step = steps.(fidx) in
+      let build i u ~chained =
+        if chained then
+          build t.funcs t.source fidx i u ~after:(cf.seg.(i) - 1)
+            ~k:chain.(i + 1) ~next:(Some cf.uops.(i + 1))
+        else build t.funcs t.source fidx i u ~after:0 ~k:fall ~next:None
+      in
+      (* whether a load runs between the pc and its segment's end *)
+      let load = ref false in
+      for i = Array.length cf.uops - 1 downto 0 do
+        let u = cf.uops.(i) in
+        if ends u then load := false
+        else
+          match twin u with
+          | Some r ->
+              load := true;
+              chain.(i) <- build i r ~chained:true;
+              step.(i) <- build i r ~chained:false
+          | None -> if !load then chain.(i) <- build i u ~chained:true
+      done)
+    t.funcs;
+  (chains, steps)
 
 exception Hang_exn
 
@@ -1212,14 +1250,15 @@ let no_events =
 (* The runner behind [run] and [resume]: a counting loop and a quiet
    runner over the compiled closures.
 
-   Recording ([record]): a golden run counts throughout, additionally
-   maintains a shadow call stack and, at the first jump target at the
-   top of the loop after a candidate-ordinal counter crosses the
-   recorder's threshold, captures
+   Recording ([record]): a golden run counts throughout, on chains whose
+   loads also note their page, additionally maintains a shadow call
+   stack and, at the first jump target at the top of the loop after a
+   candidate-ordinal counter crosses the recorder's threshold, captures
    a {!Checkpoint.point} — before the instruction's dyn increment and
    candidate blocks, so the point is valid for both the read and the
    write ordinal axis, and at a pc the rejoin probe can watch from the
-   jumps alone.
+   jumps alone.  A jump target starts a segment, so the counting loop's
+   top sees every one, chained or single-stepping.
 
    Resuming ([resume]): counters, output and memory pages are restored
    from the point, then the captured call stack is re-entered outermost
@@ -1302,7 +1341,9 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
   let recd =
     match record with Some r -> r | None -> Checkpoint.null_recorder
   in
-  let rsteps = if rec_on then recording_steps code else [||] in
+  let rchains, rsteps =
+    if rec_on then recording_closures code else ([||], [||])
+  in
   (* A frame snapshot keeps what a run can change: the real registers,
      never the constant slots (a code flip that names a register past
      them is an illegal instruction), and no float file for a function
@@ -1560,14 +1601,36 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
       end
     done
   in
-  (* The counting loop single-steps, keeping candidate ordinals,
-     [last_write], the injector's events and the recorder's captures.  A
+  (* The write-candidate post-block of the instruction at pc [i] of
+     [cf], at its dyn [d], once it has run.  Returns write no register,
+     so this never follows a return. *)
+  let[@inline] post_write (cf : cfunc) (frame : Exec.frame) i d =
+    let fl = Array.unsafe_get cf.flags i in
+    if fl land 2 <> 0 then begin
+      let n = c.wc in
+      c.wc <- n + 1;
+      Array.unsafe_set frame.Exec.last_write ((fl lsr 2) - 1) d;
+      if watch_write && (n >= ev.ev_cand || d >= ev.ev_dyn) then
+        handle ~dyn:d ~cand:n frame (Array.unsafe_get cf.metas i)
+    end
+  in
+  (* The counting loop keeps candidate ordinals, [last_write], the
+     injector's events and the recorder's captures.  A segment in which
+     nothing can fire (it ends at or below [c.limit] and [ev_dyn], and
+     its watched candidates stay below [ev_cand]) runs as its chain: its
+     counts and its writes' [last_write] go in first, because a callee's
+     events and captures read the caller's, and the end's write
+     post-block follows, because a call's write candidate follows its
+     callee's.  Any other segment single-steps.  Captures wait for a
+     jump target, a segment's start, so the loop's top tests them.  A
      frame whose run goes quiet (at an event, or in a call it made)
      finishes the instruction, then runs the rest of the frame quiet. *)
   let exec_count fidx (frame : Exec.frame) ~start =
     let cf = Array.unsafe_get funcs fidx in
-    let step = if rec_on then Array.unsafe_get rsteps fidx else cf.step in
+    let chain = if rec_on then Array.unsafe_get rchains fidx else cf.chain
+    and step = if rec_on then Array.unsafe_get rsteps fidx else cf.step in
     let uops = cf.uops and flags = cf.flags and metas = cf.metas in
+    let seg = cf.seg and rcnt = cf.rcnt and wcnt = cf.wcnt in
     let lw = frame.Exec.last_write in
     c.fr <- frame;
     c.ints <- frame.Exec.ints;
@@ -1580,28 +1643,49 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
             || c.wc >= recd.Checkpoint.next_wc)
          && jump_target uops i
       then capture fidx frame i;
-      let d =
-        let d = c.dyn in
-        if d >= c.limit then slow_top fidx frame i d else d
-      in
-      c.dyn <- d + 1;
-      if watch_dyn && d >= ev.ev_dyn then
-        handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
-      let fl = Array.unsafe_get flags i in
-      if fl land 1 <> 0 then begin
-        let n = c.rc in
-        c.rc <- n + 1;
-        if watch_read && (n >= ev.ev_cand || d >= ev.ev_dyn) then
-          handle ~dyn:d ~cand:n frame (Array.unsafe_get metas i)
-      end;
-      pc := (Array.unsafe_get step i) c;
-      (* Returns write no register, so this never follows a return. *)
-      if fl land 2 <> 0 then begin
-        let n = c.wc in
-        c.wc <- n + 1;
-        Array.unsafe_set lw ((fl lsr 2) - 1) d;
-        if watch_write && (n >= ev.ev_cand || d >= ev.ev_dyn) then
-          handle ~dyn:d ~cand:n frame (Array.unsafe_get metas i)
+      let d = c.dyn in
+      let e = d + Array.unsafe_get seg i in
+      let nr = Array.unsafe_get rcnt i and nw = Array.unsafe_get wcnt i in
+      if
+        e <= c.limit && e <= ev.ev_dyn
+        && (if watch_write then c.wc + nw else c.rc + nr) <= ev.ev_cand
+      then begin
+        c.dyn <- e;
+        c.rc <- c.rc + nr;
+        c.wc <- c.wc + nw;
+        let last = i + (e - d) - 1 in
+        if nw > 0 then
+          for j = i to last - 1 do
+            let fl = Array.unsafe_get flags j in
+            if fl land 2 <> 0 then
+              Array.unsafe_set lw ((fl lsr 2) - 1) (d + (j - i))
+          done;
+        (pc :=
+           match (Array.unsafe_get chain i) c with
+           | p -> p
+           | exception (Trap.Trap _ as x) when c.dyn < e ->
+               (* It trapped before the end, at [j]: take off the
+                  candidates past it, for a recording run's totals. *)
+               let j = i + (c.dyn - 1 - d) in
+               c.rc <- c.rc - Array.unsafe_get rcnt (j + 1);
+               c.wc <- c.wc - Array.unsafe_get wcnt j;
+               raise x);
+        post_write cf frame last (e - 1)
+      end
+      else begin
+        let d = if d >= c.limit then slow_top fidx frame i d else d in
+        c.dyn <- d + 1;
+        if watch_dyn && d >= ev.ev_dyn then
+          handle ~dyn:d ~cand:(-1) frame (Array.unsafe_get metas i);
+        let fl = Array.unsafe_get flags i in
+        if fl land 1 <> 0 then begin
+          let n = c.rc in
+          c.rc <- n + 1;
+          if watch_read && (n >= ev.ev_cand || d >= ev.ev_dyn) then
+            handle ~dyn:d ~cand:n frame (Array.unsafe_get metas i)
+        end;
+        pc := (Array.unsafe_get step i) c;
+        post_write cf frame i d
       end
     done;
     if !pc >= 0 then exec_quiet fidx frame ~start:!pc
@@ -1631,21 +1715,13 @@ let run_internal ?events ?record ?mem ?resume ?orig ?exits ~budget
     match orig with Some (o : t) -> o.funcs | None -> funcs
   in
   let complete_call fidx (frame : Exec.frame) i calld =
-    let cf = funcs.(fidx) in
     (match orig_funcs.(fidx).uops.(i) with
     | Ucall cr ->
         if cr.c_dst >= 0 then
           if cr.c_dst_f then frame.Exec.flts.(cr.c_dst) <- c.ret_f
           else frame.Exec.ints.(cr.c_dst) <- c.ret_i
     | _ -> assert false);
-    let fl = cf.flags.(i) in
-    if fl land 2 <> 0 then begin
-      let n = c.wc in
-      c.wc <- n + 1;
-      frame.Exec.last_write.((fl lsr 2) - 1) <- calld;
-      if watch_write && (n >= ev.ev_cand || calld >= ev.ev_dyn) then
-        handle ~dyn:calld ~cand:n frame cf.metas.(i)
-    end
+    post_write funcs.(fidx) frame i calld
   in
   let rebuild (s : Checkpoint.frame_snap) =
     let fr = fresh_frame funcs.(s.fs_fidx) in

@@ -21,11 +21,18 @@
     the run is their argument, so one code serves every domain.
 
     {!run} executes compiled code with run-until-event fault scheduling.
-    - The {b counting} loop single-steps, keeping the candidate
-      ordinals and [last_write] and watching the injector's event
-      thresholds; the injector's slow path runs only when one is
-      crossed.  Recording runs use it throughout, and faulty runs until
-      the injector's last event.
+    - The {b counting} loop keeps the candidate ordinals and
+      [last_write] and watches the injector's event thresholds; the
+      injector's slow path runs only when one is crossed.  Recording
+      runs use it throughout, and faulty runs until the injector's last
+      event.  A segment that ends at or below the limit and [ev_dyn],
+      and whose watched candidates stay below [ev_cand], runs as its
+      chain: its dyn, candidate counts and its non-final writes'
+      [last_write] (each at its own dyn) go in before the chain, since a
+      callee's events and a capture inside it read the caller's, and
+      the final instruction's write candidate after it, since a call's
+      follows its callee's.  The segment where an event or the limit
+      falls single-steps.
     - The {b quiet} runner runs a segment that ends below the run's
       limit (the budget, or the early exits' next stop) as its chain,
       with one dyn update and one limit compare, and single-steps a
@@ -178,8 +185,8 @@ val fork : t -> t
 (** A private copy whose micro-ops and closures may be {!patch}ed: the
     workload's code stays pristine, and a mutated experiment of the code
     fault domain runs on a throwaway fork (per function, copies of the
-    micro-op, closure and segment arrays; flags, metas, constant pools
-    and the source program are shared). *)
+    micro-op, closure, segment-length and candidate-count arrays; flags,
+    metas, constant pools and the source program are shared). *)
 
 val patch :
   t ->
@@ -198,8 +205,8 @@ val patch :
     while execution follows the mutated instruction — mirroring the seed
     interpreter on a {!Codeflip} image, with which it stays
     bit-identical.  The site then ends its dyn segment, and only that
-    segment's closures are rebuilt, on the fork.  Only call on a
-    {!fork}. *)
+    segment's closures and counts are rebuilt, on the fork.  Only call
+    on a {!fork}. *)
 
 val rejoin_window : int
 (** How far in dyn, either way, from a golden point the golden-rejoin

@@ -424,6 +424,106 @@ let test_compact_points () =
         shared)
     [ "crc32"; "nn"; "fft" ]
 
+(* A hex digest of everything a recorded set holds: per point its
+   counters and output, per frame its function, pc, call dyn, registers
+   (floats by bits) and [last_write], and its pages (index and bytes);
+   then the interval, the per-page last reads, the candidate totals and
+   the golden result.  A page copy shared with the previous point is
+   hashed once. *)
+let set_digest (set : Vm.Checkpoint.set) =
+  let b = Buffer.create 65536 in
+  let int n =
+    Buffer.add_string b (string_of_int n);
+    Buffer.add_char b ' '
+  in
+  let ints a =
+    int (Array.length a);
+    Array.iter int a
+  in
+  let str s = Buffer.add_string b (Digest.string s) in
+  let prev = ref (Hashtbl.create 0) in
+  Array.iter
+    (fun (p : Vm.Checkpoint.point) ->
+      int p.ck_dyn;
+      int p.ck_rc;
+      int p.ck_wc;
+      str p.ck_out;
+      int (Array.length p.ck_stack);
+      Array.iter
+        (fun (s : Vm.Checkpoint.frame_snap) ->
+          int s.fs_fidx;
+          int s.fs_pc;
+          int s.fs_call_dyn;
+          ints s.fs_ints;
+          ints
+            (Array.map (fun x -> Int64.to_int (Int64.bits_of_float x)) s.fs_flts);
+          ints s.fs_lw)
+        p.ck_stack;
+      int (Array.length p.ck_pages);
+      let cur = Hashtbl.create 64 in
+      Array.iter
+        (fun (pg, bytes) ->
+          let d =
+            match Hashtbl.find_opt !prev pg with
+            | Some (b', d) when b' == bytes -> d
+            | _ -> Digest.bytes bytes
+          in
+          Hashtbl.replace cur pg (bytes, d);
+          int pg;
+          Buffer.add_string b d)
+        p.ck_pages;
+      prev := cur)
+    set.points;
+  int set.interval;
+  ints set.last_read;
+  int set.read_cands;
+  int set.write_cands;
+  let g = set.golden in
+  Buffer.add_string b
+    (match g.status with
+    | Finished -> "finished"
+    | Trapped t -> "trapped " ^ Vm.Trap.to_string t
+    | Hung -> "hung");
+  str g.output;
+  int g.dyn_count;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* [Workload.make]'s recorded set for each of the 17 registry programs,
+   pinned by digest.  Nothing else pins what a recording run leaves in
+   an outer frame's [last_write]: a checkpoint captured in a callee
+   snapshots its callers' tables, and a resumed read flip weighs its
+   injection by them. *)
+let pinned_sets =
+  [
+    ("basicmath", "9c9f3d4301a8dd60aaeec3f6858156da");
+    ("qsort", "f8448862a51e417669fcc2d3f1dc7c30");
+    ("susan_corners", "b40ebf704e0ed0a68c9cb286afb75271");
+    ("susan_edges", "3a21e64b265bb48b2e274886d7a980f1");
+    ("susan_smoothing", "197537c24431c03438fcee49a718698e");
+    ("fft", "b123e1dd79aef75324dfcf658761ed0d");
+    ("ifft", "af9c8075b82dbe72e39e29b565d86def");
+    ("crc32", "2299fa5a63984000515244d115eadc0c");
+    ("dijkstra", "2301aa1c8cad634844f202529303f9dd");
+    ("sha", "aab375a087ac48ef38699fc3c78c6def");
+    ("stringsearch", "893bda14b3e367c73f5bc63bc2549ca6");
+    ("bfs", "63f4f9404d0f7178dd3b38faf9ec6d00");
+    ("histo", "74571f5c55e19a7ee484729a80c2a813");
+    ("sad", "78920f3493c7e63af4f59ad2e691bb70");
+    ("spmv", "f9c4b3a554a7040e45c77eaa0f59153c");
+    ("nn", "d324ac2d2f8c4fde0323075f4e36451b");
+    ("nn-large", "32b8b8c706097e3f379eee5de73affd7");
+  ]
+
+let test_pinned_sets () =
+  List.iter
+    (fun (name, expected) ->
+      let w = registry_workload name in
+      Alcotest.(check string)
+        (name ^ " checkpoint set digest")
+        expected
+        (set_digest w.checkpoints))
+    pinned_sets
+
 (* Checkpoint selection: the chosen point never overshoots the target
    ordinal, and recording monotonically orders both ordinal axes. *)
 let test_select () =
@@ -514,6 +614,7 @@ let suites =
         Alcotest.test_case "points sit at jump targets" `Quick
           test_points_at_jump_targets;
         Alcotest.test_case "compact points" `Quick test_compact_points;
+        Alcotest.test_case "pinned checkpoint sets" `Quick test_pinned_sets;
         Alcotest.test_case "point selection" `Quick test_select;
         Alcotest.test_case "reproduce from campaign record" `Quick
           test_reproduce_from_campaign_record;

@@ -12,9 +12,11 @@ module B = Ir.Build
 let injection_equal = Suite_checkpoint.injection_equal
 let result_equal = Suite_checkpoint.result_equal
 
-(* [main] prints [outer i] for i below 12; [outer i] calls [inner (i + 5)]
-   and adds i; [inner n] sums the squares below n in a loop.  Most
-   candidates run with two calls in progress. *)
+(* [main] prints [outer i] for i below 12; [outer i] computes
+   [t = i + 5], calls [inner t] and adds [t] to the result; [inner n] sums
+   the squares below n in a loop.  Most candidates run with two calls in
+   progress, and [outer] reads after its call a register it wrote just
+   before it. *)
 let nested_calls () =
   let m = B.create () in
   B.func m "inner" ~params:[ I32 ] ~ret:(Some I32) (fun f ->
@@ -23,9 +25,9 @@ let nested_calls () =
           B.set f acc (B.add f I32 (B.r acc) (B.mul f I32 i i)));
       B.ret f (Some (B.r acc)));
   B.func m "outer" ~params:[ I32 ] ~ret:(Some I32) (fun f ->
-      let k = B.param f 0 in
-      let s = B.call1 f "inner" [ B.add f I32 k (B.ci 5) ] in
-      B.ret f (Some (B.add f I32 s k)));
+      let t = B.add f I32 (B.param f 0) (B.ci 5) in
+      let s = B.call1 f "inner" [ t ] in
+      B.ret f (Some (B.add f I32 s t)));
   B.func m "main" ~params:[] ~ret:None (fun f ->
       B.for_ f ~from_:(B.ci 0) ~below:(B.ci 12) (fun i ->
           B.output f I32 (B.call1 f "outer" [ i ])));
@@ -175,6 +177,25 @@ let test_resumed_outer_frames () =
     set.points;
   Alcotest.(check bool) "restores with two outer frames" true (!resumed > 10)
 
+(* A point captured in [inner] snapshots [outer]'s [last_write] as of
+   its call, [t]'s write just before it included; a read flip of [t]
+   after the call, resumed from there, weighs its injection by it.
+   Dense points, and a single read flip at every read ordinal, in both
+   operand slots. *)
+let test_caller_reads_after_call () =
+  Thelpers.with_checkpoints ~interval:8 (Lazy.force workload) @@ fun w ->
+  let spec = single Read in
+  for k = 0 to Core.Workload.candidates w spec - 1 do
+    List.iter
+      (fun slot ->
+        ignore
+          (check_three
+             (Printf.sprintf "read #%d slot %d" k slot)
+             w spec ~first:(k, slot, 0)
+            : Vm.Exec.result))
+      [ 0; 1 ]
+  done
+
 (* The code bits, as global ordinals, of the sites [pick] accepts, given
    the site's function, block and index in the block ([Meta.t]'s
    numbering, the terminator last). *)
@@ -255,6 +276,8 @@ let suites =
           test_callee_goes_quiet;
         Alcotest.test_case "resumed outer frames complete quiet" `Quick
           test_resumed_outer_frames;
+        Alcotest.test_case "caller reads after its call, resumed" `Quick
+          test_caller_reads_after_call;
         Alcotest.test_case "patched call enters a quiet callee" `Quick
           test_patched_call_enters_quiet;
         Alcotest.test_case "patched f64 call and return" `Quick

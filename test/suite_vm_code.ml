@@ -3,9 +3,10 @@
    (Vm.Exec) on golden runs, under fault injection, and across whole
    campaigns — same outputs, statuses, dynamic counts and injection
    logs — and a recording run must count the seed interpreter's
-   candidates.  An eventless compiled run executes on the quiet runner,
-   which runs whole dyn segments as closure chains, and a recording run
-   on the counting loop, which single-steps, so both are pinned. *)
+   candidates.  An eventless compiled run executes on the quiet runner
+   and a recording run on the counting loop; both run whole dyn segments
+   as closure chains and single-step only where the budget, an event or
+   a capture falls, so both are pinned. *)
 
 let golden_equal name (a : Vm.Exec.result) (b : Vm.Exec.result) =
   Alcotest.(check bool) (name ^ " status") true (a.status = b.status);
@@ -179,7 +180,8 @@ let test_campaign_differential () =
 (* ---- block-granular execution ---- *)
 
 (* An event that never fires but keeps the run counting: the counting
-   loop single-steps every instruction. *)
+   loop runs chains, and single-steps only the segments the budget
+   falls in. *)
 let never () =
   {
     Vm.Code.watch = `Dyn;
@@ -212,7 +214,8 @@ let test_budget_sweep () =
 
 (* A trap with more instructions after it in its block reports its own
    dyn: a segfault, a division by zero and a guard, in [main] and in a
-   callee that [main] calls mid-block. *)
+   callee that [main] calls mid-block.  A recording run that traps there
+   counts the seed interpreter's candidates: none past the trap. *)
 let test_traps_mid_block () =
   let module B = Ir.Build in
   let trap kind f =
@@ -249,7 +252,14 @@ let test_traps_mid_block () =
           let seed = Vm.Exec.run ~budget:10_000 prog in
           Alcotest.(check bool) (name ^ " traps") true
             (match seed.status with Trapped _ -> true | _ -> false);
-          both_forms name ~budget:10_000 prog (Vm.Code.compile prog))
+          let code = Vm.Code.compile prog in
+          both_forms name ~budget:10_000 prog code;
+          let record = Vm.Checkpoint.recorder ~interval:4 in
+          golden_equal (name ^ " recording") seed
+            (Vm.Code.run ~record ~budget:10_000 code);
+          let _, reads, writes = Thelpers.seed_cands prog in
+          cands_equal (name ^ " recording") (Vm.Checkpoint.finish record)
+            ~reads ~writes)
         [ false; true ])
     [ (`Segfault, "segfault"); (`Div, "division by zero"); (`Guard, "guard") ]
 
